@@ -43,13 +43,14 @@ print(f"first ping lands in cell {locate(records[0].lat, records[0].lon, grid)}"
 print()
 
 stays = extract_stays(records, cfg)
-print(f"{len(stays)} stays of at least {cfg.tau} extracted:")
+LOCAL = timezone(timedelta(hours=8))
+print(f"{len(stays)} stays of at least {cfg.tau_s / 3600.0:g} h extracted:")
 for s in stays:
-    hours = s.duration.total_seconds() / 3600.0
     print(
         f"  cell ({s.cell.row:2d},{s.cell.col:2d})  "
-        f"{s.arrival.astimezone(timezone(timedelta(hours=8))):%H:%M} -> "
-        f"{s.departure.astimezone(timezone(timedelta(hours=8))):%H:%M}  ({hours:.2f} h)"
+        f"{datetime.fromtimestamp(s.arrival, LOCAL):%H:%M} -> "
+        f"{datetime.fromtimestamp(s.departure, LOCAL):%H:%M}  "
+        f"({s.duration_s / 3600.0:.2f} h)"
     )
 print()
 print("the transit cell never shows up: one ping cannot satisfy the minimum stay")

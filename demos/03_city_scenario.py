@@ -51,11 +51,11 @@ index = build_area_index(grid, areas)
 scaling = ScalingConfig(
     ev_penetration=0.03, observed_users=len(trajectories), population=200_000
 )
-days = day_range_of(trajectories.values(), 8.0)
+days = day_range_of(trajectories.values(), icfg.utc_offset_s)
 
 builder = AggregateBuilder(index, scaling)
 range_exceeded = 0
-for trace in run_scenario(trajectories, params, window, grid, 8.0, days):
+for trace in run_scenario(trajectories, params, window, grid, icfg.utc_offset_s, days):
     builder.add_events(trace.events)
     range_exceeded += trace.range_exceeded
 aggregates = builder.aggregates()

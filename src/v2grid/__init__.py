@@ -10,13 +10,10 @@ __version__ = "0.1.0"
 from .aggregate import (
     AggregateBuilder,
     AreaAggregate,
-    DemandProfile,
     PvSupport,
     ScalingConfig,
     Sizing,
     UNASSIGNED,
-    area_energy_supply,
-    area_peak_demand,
     attach_sizing,
     peak_density_and_sizing,
     pv_sufficiency,

@@ -170,37 +170,6 @@ class AggregateBuilder:
         return out
 
 
-def area_energy_supply(
-    events: Iterable[ChargeEvent], index: AreaIndex, scaling: ScalingConfig
-) -> dict[AreaDay, float]:
-    """Scaled discharge energy per area and day (events in unmapped cells are
-    kept under the reserved '_unassigned' area)."""
-    builder = AggregateBuilder(index, scaling)
-    builder.add_events(events)
-    return {k: agg.e_ev_kwh for k, agg in builder.aggregates().items()}
-
-
-class DemandProfile(NamedTuple):
-    profile_kw: np.ndarray
-    peak_kw: float
-    peak_step: int
-
-
-def area_peak_demand(
-    events: Iterable[ChargeEvent], index: AreaIndex, scaling: ScalingConfig
-) -> dict[AreaDay, DemandProfile]:
-    """Scaled per-step charging power and its daily peak per area and day.
-
-    Peak ties resolve to the earliest step.
-    """
-    builder = AggregateBuilder(index, scaling)
-    builder.add_events(events)
-    return {
-        k: DemandProfile(agg.demand_profile, agg.p_ev_peak_kw, agg.peak_step)
-        for k, agg in builder.aggregates().items()
-    }
-
-
 class Sizing(NamedTuple):
     density_w_per_m2: float
     points_abs: int
@@ -325,25 +294,21 @@ def write_area_profile_csv(
 def write_metrics_geojson(
     areas: Iterable[PlanningArea],
     aggregates: Mapping[AreaDay, AreaAggregate],
+    e_ev_mean_daily: Mapping[str, float],
     coverage_ratios: Mapping[str, float],
     path,
 ) -> None:
-    """Echo the planning-area geometry with per-area summary metrics.
-
-    Per-day values are summarised as the mean daily energy supply and the
-    maximum daily peak across the simulated days.
-    """
-    by_area: dict[str, list[AreaAggregate]] = {}
+    """Echo the planning-area geometry with per-area summary metrics: the
+    given mean daily energy supply and the maximum daily peak across the
+    simulated days."""
+    peaks: dict[str, float] = {}
     for (area_id, _day), agg in aggregates.items():
-        by_area.setdefault(area_id, []).append(agg)
-    n_days = max((len(v) for v in by_area.values()), default=0)
+        peaks[area_id] = max(peaks.get(area_id, 0.0), agg.p_ev_peak_kw)
     features = []
     for area in sorted(areas, key=lambda a: a.area_id):
-        aggs = by_area.get(area.area_id, [])
-        e_mean = sum(a.e_ev_kwh for a in aggs) / n_days if n_days else 0.0
-        peak = max((a.p_ev_peak_kw for a in aggs), default=0.0)
+        peak = peaks.get(area.area_id, 0.0)
         props = {
-            "e_ev_kwh_mean_daily": e_mean,
+            "e_ev_kwh_mean_daily": e_ev_mean_daily.get(area.area_id, 0.0),
             "p_peak_kw_max": peak,
             "p_density_w_m2": peak * 1000.0 / area.area_m2,
         }

@@ -134,10 +134,10 @@ def household_baselines(
         except MissingHouseholdDataError:
             skipped += 1
             continue
-        daily = area.monthly_kwh_per_household * area.households / days_in_month
         out[area.area_id] = HouseholdBaseline(
             area_id=area.area_id,
-            e_hh_day_kwh=daily,
+            # the whole day is the night share at fraction 1
+            e_hh_day_kwh=household_night_energy(area, days_in_month, 1.0),
             night_fraction=night_frac,
             e_hh_night_kwh=e_night,
         )

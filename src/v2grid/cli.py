@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -35,6 +36,7 @@ from .aggregate import (
     write_metrics_geojson,
 )
 from .baseline import (
+    CoverageResult,
     coverage_and_stats,
     household_baselines,
     night_fraction,
@@ -184,11 +186,11 @@ def _simulate_chunk(payload) -> tuple[list, int, int]:
     """Worker task: simulate a chunk of users; returns (events, range_exceeded,
     n_traces). Events keep user order, so parent-side aggregation order is
     independent of the worker count."""
-    chunk, params, window, grid, tz, days = payload
+    chunk, params, window, grid, utc_offset_s, days = payload
     events = []
     range_exceeded = 0
     n_traces = 0
-    for trace in run_scenario(dict(chunk), params, window, grid, tz, days):
+    for trace in run_scenario(dict(chunk), params, window, grid, utc_offset_s, days):
         events.extend(trace.events)
         range_exceeded += trace.range_exceeded
         n_traces += 1
@@ -196,6 +198,20 @@ def _simulate_chunk(payload) -> tuple[list, int, int]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return 2
+    params = VehicleParams(
+        capacity_kwh=args.c_max,
+        range_km=args.l_max,
+        charge_power_kw=args.p_charge,
+        discharge_power_kw=args.p_discharge,
+        soc_threshold=args.c_thr,
+        soc_initial=args.c_init,
+        pv_charge_target=args.pv_charge_target,
+    )
+    window = PvWindow.from_times(args.pv_start, args.pv_end)
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc)
@@ -213,19 +229,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     grid = _grid_from_areas(areas, args.cell_size)
     index = build_area_index(grid, areas)
     areas_by_id = {a.area_id: a for a in areas}
-
-    params = VehicleParams(
-        capacity_kwh=args.c_max,
-        range_km=args.l_max,
-        charge_power_kw=args.p_charge,
-        discharge_power_kw=args.p_discharge,
-        soc_threshold=args.c_thr,
-        soc_initial=args.c_init,
-        pv_charge_target=args.pv_charge_target,
-    )
-    window = PvWindow.from_times(args.pv_start, args.pv_end)
     ingest_cfg = IngestConfig(
-        tau=timedelta(hours=args.tau),
+        # timedelta rounds to whole microseconds: --tau 1.1 is 3960.0 s, not
+        # the 3960.0000000000005 of 1.1 * 3600
+        tau_s=timedelta(hours=args.tau).total_seconds(),
         min_consecutive_days=args.min_days,
         grid=grid,
         utc_offset_hours=args.tz,
@@ -242,7 +249,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             out_dir / "stays.csv",
         )
 
-    days = day_range_of(trajectories.values(), args.tz)
+    days = day_range_of(trajectories.values(), ingest_cfg.utc_offset_s)
     users = sorted(trajectories)
     scaling = ScalingConfig(
         ev_penetration=args.delta,
@@ -260,20 +267,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         [(u, trajectories[u]) for u in users[i : i + _CHUNK_USERS]]
         for i in range(0, len(users), _CHUNK_USERS)
     ]
-    payloads = ((c, params, window, grid, args.tz, days) for c in chunks)
-    if args.jobs > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = pool.map(_simulate_chunk, payloads)
-            for events, rexc, traces in results:
-                builder.add_events(events)
-                n_events += len(events)
-                if all_events is not None:
-                    all_events.extend(events)
-                range_exceeded += rexc
-                n_traces += traces
-    else:
-        for payload in payloads:
-            events, rexc, traces = _simulate_chunk(payload)
+    payloads = ((c, params, window, grid, ingest_cfg.utc_offset_s, days) for c in chunks)
+    parallel = args.jobs > 1 and len(chunks) > 1
+    with ProcessPoolExecutor(max_workers=args.jobs) if parallel else nullcontext() as pool:
+        for events, rexc, traces in (pool.map if parallel else map)(_simulate_chunk, payloads):
             builder.add_events(events)
             n_events += len(events)
             if all_events is not None:
@@ -296,29 +293,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     if days:
         e_ev_mean = {a: v / len(days) for a, v in e_ev_mean.items()}
     e_hh = {a: b.e_hh_night_kwh for a, b in baselines.items()}
-    stats_note = ""
     try:
         coverage = coverage_and_stats(e_ev_mean, e_hh)
     except DegenerateRegressorError as exc:
-        stats_note = f"withheld: {exc}"
-        coverage = None
+        n_paired = len(e_ev_mean.keys() & e_hh.keys())
+        n_excluded = len(e_ev_mean.keys() | e_hh.keys()) - n_paired
+        coverage = CoverageResult({}, [], None, f"withheld: {exc}", n_paired, n_excluded)
 
     write_area_energy_csv(aggregates, out_dir / "area_energy.csv")
     write_area_peak_csv(aggregates, out_dir / "area_peak.csv")
     write_area_profile_csv(aggregates, args.time_step, out_dir / "area_profile.csv")
-    if coverage is not None:
-        write_coverage_csv(e_ev_mean, e_hh, coverage.ratios, out_dir / "coverage.csv")
-        write_coverage_hist_csv(coverage.histogram, out_dir / "coverage_hist.csv")
-        write_regression_txt(coverage, out_dir / "regression.txt")
-        ratios = coverage.ratios
-    else:
-        write_coverage_csv(e_ev_mean, e_hh, {}, out_dir / "coverage.csv")
-        write_coverage_hist_csv([], out_dir / "coverage_hist.csv")
-        with open(out_dir / "regression.txt", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"statistics {stats_note}\n")
-            fh.write(f"n = {len(set(e_ev_mean) & set(e_hh))}\n")
-        ratios = {}
-    write_metrics_geojson(areas, aggregates, ratios, out_dir / "metrics.geojson")
+    write_coverage_csv(e_ev_mean, e_hh, coverage.ratios, out_dir / "coverage.csv")
+    write_coverage_hist_csv(coverage.histogram, out_dir / "coverage_hist.csv")
+    write_regression_txt(coverage, out_dir / "regression.txt")
+    write_metrics_geojson(
+        areas, aggregates, e_ev_mean, coverage.ratios, out_dir / "metrics.geojson"
+    )
     if all_events is not None:
         write_events_csv(all_events, out_dir / "events.csv")
 
@@ -392,7 +382,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "range_exceeded_trips": range_exceeded,
             "areas_missing_household_data": skipped_areas,
             "empty_records_input": n_rows == 0,
-            "regression_note": stats_note or (coverage.stats_note if coverage else ""),
+            "regression_note": coverage.stats_note,
         },
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from enum import Enum
@@ -29,9 +30,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InvalidInputError, InvariantViolationError
 from .geo import CellId, GridSpec, cell_distance_m
-from .ingest import Trajectory
+from .ingest import DAY_S, Trajectory, local_day_span
 
-DAY_S = 86400
 EPOCH_DATE = date(1970, 1, 1)
 
 
@@ -70,9 +70,16 @@ class PvWindow:
 
     @classmethod
     def from_times(cls, start: str, end: str) -> "PvWindow":
+        """Window from ``HH:MM[:SS]`` clock times; ``24:00`` is a legal end."""
+
         def to_hours(text: str) -> float:
-            t = time.fromisoformat(text)
-            return t.hour + t.minute / 60.0 + t.second / 3600.0
+            m = re.fullmatch(r"(\d\d):(\d\d)(?::(\d\d))?", text, re.ASCII)
+            if m is None:
+                raise InvalidInputError(f"clock time {text!r} is not HH:MM[:SS]")
+            hour, minute, second = (int(g or 0) for g in m.groups())
+            if minute > 59 or second > 59 or hour * 3600 + minute * 60 + second > DAY_S:
+                raise InvalidInputError(f"clock time {text!r} is not in 00:00-24:00")
+            return hour + minute / 60.0 + second / 3600.0
 
         return cls(to_hours(start), to_hours(end))
 
@@ -280,20 +287,19 @@ def simulate_day(
 
 
 def slice_trajectory_days(
-    trajectory: Trajectory, utc_offset_hours: float
+    trajectory: Trajectory, utc_offset_s: int
 ) -> dict[date, list[DayStay]]:
     """Clip a trajectory's stays to local days. Stays spanning midnight are
     split at the boundary; each part lands in its own day."""
-    off = int(round(utc_offset_hours * 3600))
     by_day: dict[date, list[DayStay]] = {}
     for stay in trajectory.stays:
-        arr = int(stay.arrival.timestamp()) + off
-        dep = int(stay.departure.timestamp()) + off
-        if dep <= arr:
+        if stay.departure <= stay.arrival:
             continue
-        for k in range(arr // DAY_S, (dep - 1) // DAY_S + 1):
-            s = max(arr - k * DAY_S, 0)
-            e = min(dep - k * DAY_S, DAY_S)
+        d0, d1 = local_day_span(stay.arrival, stay.departure, utc_offset_s)
+        for k in range(d0, d1 + 1):
+            midnight = k * DAY_S - utc_offset_s
+            s = max(stay.arrival - midnight, 0)
+            e = min(stay.departure - midnight, DAY_S)
             if e > s:
                 by_day.setdefault(epoch_day_to_date(k), []).append(
                     DayStay(stay.cell, s / 3600.0, e / 3600.0)
@@ -305,20 +311,17 @@ def epoch_day_to_date(day_index: int) -> date:
     return EPOCH_DATE + timedelta(days=day_index)
 
 
-def day_range_of(trajectories: Iterable[Trajectory], utc_offset_hours: float) -> list[date]:
+def day_range_of(trajectories: Iterable[Trajectory], utc_offset_s: int) -> list[date]:
     """All local days between the first and last observed stay, inclusive."""
-    off = int(round(utc_offset_hours * 3600))
-    lo: Optional[int] = None
-    hi: Optional[int] = None
-    for traj in trajectories:
-        for stay in traj.stays:
-            arr = int(stay.arrival.timestamp()) + off
-            dep = int(stay.departure.timestamp()) + off
-            d0, d1 = arr // DAY_S, max(arr // DAY_S, (dep - 1) // DAY_S)
-            lo = d0 if lo is None else min(lo, d0)
-            hi = d1 if hi is None else max(hi, d1)
-    if lo is None or hi is None:
+    spans = [
+        local_day_span(stay.arrival, stay.departure, utc_offset_s)
+        for traj in trajectories
+        for stay in traj.stays
+    ]
+    if not spans:
         return []
+    lo = min(d0 for d0, _ in spans)
+    hi = max(d1 for _, d1 in spans)
     return [epoch_day_to_date(k) for k in range(lo, hi + 1)]
 
 
@@ -327,7 +330,7 @@ def run_scenario(
     params: VehicleParams,
     window: PvWindow,
     grid: GridSpec,
-    utc_offset_hours: float = 8.0,
+    utc_offset_s: int = 8 * 3600,
     days: Optional[Sequence[date]] = None,
 ) -> Iterator[SocTrace]:
     """One SocTrace per user per day, streamed in (user, day) order.
@@ -336,10 +339,10 @@ def run_scenario(
     user-day is independent and the iteration order never affects results.
     """
     if days is None:
-        days = day_range_of(trajectories.values(), utc_offset_hours)
+        days = day_range_of(trajectories.values(), utc_offset_s)
     dist_cache: dict = {}
     for uid in sorted(trajectories):
-        by_day = slice_trajectory_days(trajectories[uid], utc_offset_hours)
+        by_day = slice_trajectory_days(trajectories[uid], utc_offset_s)
         for day in days:
             yield simulate_day(
                 uid, day, by_day.get(day, ()), params, window, grid, dist_cache

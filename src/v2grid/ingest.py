@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -33,15 +33,15 @@ class LocationRecord:
 
 @dataclass(frozen=True, slots=True)
 class Stay:
-    """Contiguous presence of a user in one grid cell."""
+    """Contiguous presence of a user in one grid cell, in UTC epoch seconds."""
 
     user_id: str
     cell: CellId
-    arrival: datetime
-    departure: datetime
+    arrival: int
+    departure: int
 
     @property
-    def duration(self) -> timedelta:
+    def duration_s(self) -> int:
         return self.departure - self.arrival
 
 
@@ -58,13 +58,13 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    tau: timedelta = timedelta(hours=1)
+    tau_s: float = 3600.0  # minimum stay time
     min_consecutive_days: int = 5
     grid: GridSpec = GridSpec(0.0, 0.0)
     utc_offset_hours: float = 8.0  # local calendar used for day boundaries
 
     def __post_init__(self) -> None:
-        if self.tau <= timedelta(0):
+        if not self.tau_s > 0:
             raise InvalidInputError("tau must be positive")
         if self.min_consecutive_days < 1:
             raise InvalidInputError("min_consecutive_days must be >= 1")
@@ -84,16 +84,13 @@ class IngestStats:
     users_retained: int = 0
     stays_emitted: int = 0
 
-    def merge(self, other: "IngestStats") -> None:
-        self.rows_skipped += other.rows_skipped
-        self.records_out_of_grid += other.records_out_of_grid
-        self.users_total += other.users_total
-        self.users_retained += other.users_retained
-        self.stays_emitted += other.stays_emitted
 
-
-def _utc(dt_epoch: float) -> datetime:
-    return datetime.fromtimestamp(dt_epoch, tz=timezone.utc)
+def local_day_span(arrival_s: int, departure_s: int, utc_offset_s: int) -> tuple[int, int]:
+    """First and last local epoch-day index that [arrival_s, departure_s)
+    overlaps with positive duration; a zero-length stay lands on its arrival
+    day."""
+    d0 = (arrival_s + utc_offset_s) // DAY_S
+    return d0, max(d0, (departure_s + utc_offset_s - 1) // DAY_S)
 
 
 def extract_stays(
@@ -106,18 +103,19 @@ def extract_stays(
     Maximal runs of consecutive pings in the same cell become candidate
     intervals [first ping, last ping]; runs shorter than tau are dropped.
     Pings outside the grid are dropped (counted in stats). Emitted stays that
-    end up exactly adjacent in time in the same cell are merged.
+    end up exactly adjacent in time in the same cell are merged. Timestamps
+    are truncated to whole seconds.
     """
     if not records:
         return []
     uid = records[0].user_id
-    epochs = np.empty(len(records), dtype=np.float64)
+    epochs = np.empty(len(records), dtype=np.int64)
     lats = np.empty(len(records), dtype=np.float64)
     lons = np.empty(len(records), dtype=np.float64)
     for i, r in enumerate(records):
         if r.user_id != uid:
             raise InvalidInputError("extract_stays expects records of a single user")
-        epochs[i] = r.timestamp.timestamp()
+        epochs[i] = int(r.timestamp.timestamp())
         lats[i] = r.lat
         lons[i] = r.lon
     if np.any(np.diff(epochs) < 0):
@@ -137,13 +135,12 @@ def extract_stays(
     starts = np.concatenate(([0], change + 1))
     ends = np.concatenate((change, [len(epochs) - 1]))
 
-    tau_s = cfg.tau.total_seconds()
     stays: list[Stay] = []
     for s, e in zip(starts, ends):
-        if epochs[e] - epochs[s] < tau_s:
+        if epochs[e] - epochs[s] < cfg.tau_s:
             continue
         cell = CellId(int(rows[s]), int(cols[s]))
-        arrival, departure = _utc(epochs[s]), _utc(epochs[e])
+        arrival, departure = int(epochs[s]), int(epochs[e])
         if stays and stays[-1].cell == cell and stays[-1].departure == arrival:
             stays[-1] = Stay(uid, cell, stays[-1].arrival, departure)
         else:
@@ -153,9 +150,7 @@ def extract_stays(
     return stays
 
 
-def build_trajectory(
-    stays: Sequence[Stay], tau: timedelta = timedelta(hours=1)
-) -> Trajectory:
+def build_trajectory(stays: Sequence[Stay], tau_s: float = 3600.0) -> Trajectory:
     """Sort one user's stays and merge same-cell stays separated by < tau."""
     if not stays:
         return Trajectory(user_id="", stays=())
@@ -167,29 +162,19 @@ def build_trajectory(
         if cur.arrival < prev.departure:
             raise InvalidInputError(
                 f"overlapping stays for user {uid}: "
-                f"{prev.departure.isoformat()} > {cur.arrival.isoformat()}"
+                f"{_format_epoch_s(prev.departure)} > {_format_epoch_s(cur.arrival)}"
             )
     merged: list[Stay] = []
     for stay in ordered:
         if (
             merged
             and stay.cell == merged[-1].cell
-            and stay.arrival - merged[-1].departure < tau
+            and stay.arrival - merged[-1].departure < tau_s
         ):
             merged[-1] = Stay(uid, stay.cell, merged[-1].arrival, stay.departure)
         else:
             merged.append(stay)
     return Trajectory(user_id=uid, stays=tuple(merged))
-
-
-def stay_day_span(stay: Stay, utc_offset_s: int) -> tuple[int, int]:
-    """First and last local epoch-day index the stay overlaps with positive
-    duration."""
-    arr = int(stay.arrival.timestamp()) + utc_offset_s
-    dep = int(stay.departure.timestamp()) + utc_offset_s
-    d0 = arr // DAY_S
-    d1 = max(d0, (dep - 1) // DAY_S)
-    return d0, d1
 
 
 def _longest_consecutive_run(days: Iterable[int]) -> int:
@@ -211,7 +196,7 @@ def filter_active_users(
     for uid, traj in trajectories.items():
         days: set[int] = set()
         for stay in traj.stays:
-            d0, d1 = stay_day_span(stay, off)
+            d0, d1 = local_day_span(stay.arrival, stay.departure, off)
             days.update(range(d0, d1 + 1))
         if _longest_consecutive_run(days) >= cfg.min_consecutive_days:
             retained.add(uid)
@@ -230,7 +215,7 @@ def ingest_trajectories(
         recs = sorted(records_by_user[uid], key=lambda r: r.timestamp)
         stays = extract_stays(recs, cfg, stats)
         if stays:
-            trajectories[uid] = build_trajectory(stays, cfg.tau)
+            trajectories[uid] = build_trajectory(stays, cfg.tau_s)
     retained = filter_active_users(trajectories, cfg)
     trajectories = {u: t for u, t in trajectories.items() if u in retained}
     stats.users_retained = len(trajectories)
@@ -254,6 +239,10 @@ def _parse_timestamp(text: str) -> datetime:
 
 def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _format_epoch_s(epoch_s: int) -> str:
+    return format_timestamp(datetime.fromtimestamp(epoch_s, tz=timezone.utc))
 
 
 def read_records_csv(path) -> tuple[dict[str, list[LocationRecord]], int]:
@@ -314,7 +303,7 @@ def write_stays_csv(stays: Iterable[Stay], path) -> None:
                     s.user_id,
                     s.cell.row,
                     s.cell.col,
-                    format_timestamp(s.arrival),
-                    format_timestamp(s.departure),
+                    _format_epoch_s(s.arrival),
+                    _format_epoch_s(s.departure),
                 ]
             )

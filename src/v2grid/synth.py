@@ -19,9 +19,7 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .geo import CellId, GridSpec
-from .ingest import LocationRecord, Stay, Trajectory
-
-DAY_S = 86400
+from .ingest import DAY_S, LocationRecord, Stay, Trajectory
 
 
 class PlannedStay(NamedTuple):
@@ -281,13 +279,12 @@ def planted_trajectories(cfg: SynthConfig) -> Iterator[tuple[str, Trajectory]]:
     Used where only the downstream battery simulation is under test; the
     ping-level path is exercised via :func:`generate` plus the ingest module.
     """
-    base = cfg.local_midnight_utc
+    base_s = int(cfg.local_midnight_utc.timestamp())
     width = _id_width(cfg.n_users)
     for u in range(cfg.n_users):
         uid = _user_id(u, width)
         stays = [
-            Stay(uid, st.cell, base + timedelta(seconds=st.start_s),
-                 base + timedelta(seconds=st.end_s))
+            Stay(uid, st.cell, base_s + st.start_s, base_s + st.end_s)
             for st in user_stay_plan(cfg, u)
         ]
         if stays:

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import pytest
 
@@ -42,7 +42,7 @@ def window() -> PvWindow:
 
 @pytest.fixture
 def ingest_cfg(grid) -> IngestConfig:
-    return IngestConfig(tau=timedelta(hours=1), min_consecutive_days=5, grid=grid,
+    return IngestConfig(tau_s=3600.0, min_consecutive_days=5, grid=grid,
                         utc_offset_hours=0.0)
 
 
@@ -56,4 +56,4 @@ def ping(uid: str, ts: datetime, grid: GridSpec, cell: CellId) -> LocationRecord
 
 
 def stay(uid: str, cell: CellId, arrival: datetime, departure: datetime) -> Stay:
-    return Stay(uid, cell, arrival, departure)
+    return Stay(uid, cell, int(arrival.timestamp()), int(departure.timestamp()))

@@ -40,7 +40,7 @@ from v2grid import (
 )
 from v2grid.baseline import DemandCurve
 from v2grid.cli import main
-from conftest import ping, utc_dt
+from conftest import ping, stay, utc_dt
 from oracles import brute_force_day, group_events, longest_true_run
 from test_engine import _random_day, _random_params
 
@@ -145,7 +145,7 @@ def test_criterion_05_invariant_suite_at_scale():
         n_events = 0
         for uid, traj in planted_trajectories(cfg):
             for trace in run_scenario(
-                {uid: traj}, params, window, grid, utc_offset_hours=8.0, days=days
+                {uid: traj}, params, window, grid, utc_offset_s=8 * 3600, days=days
             ):
                 n_traces += 1
                 for _t, s in trace.breakpoints:
@@ -197,7 +197,7 @@ def _scenario_events(n_users: int = 400):
     window = PvWindow(9.0, 17.0)
     events = []
     for uid, traj in planted_trajectories(cfg):
-        for trace in run_scenario({uid: traj}, params, window, grid, 8.0):
+        for trace in run_scenario({uid: traj}, params, window, grid, 8 * 3600):
             events.extend(trace.events)
     from v2grid import make_rect_area
 
@@ -259,14 +259,12 @@ def test_criterion_07_pipeline_properties(grid, ingest_cfg):
                 t = t + timedelta(minutes=int(rng.integers(4, 50)))
                 recs.append(ping("u", t, grid, cells[int(rng.integers(0, len(cells)))]))
             stays = extract_stays(recs, ingest_cfg)
-            assert all(s.duration >= ingest_cfg.tau for s in stays)
+            assert all(s.duration_s >= ingest_cfg.tau_s for s in stays)
             shuffled = list(recs)
             rng.shuffle(shuffled)
             shuffled.sort(key=lambda r: r.timestamp)
             assert extract_stays(shuffled, ingest_cfg) == stays
         # consecutive-day filter against the run-length oracle
-        from v2grid import Stay
-
         checked = 0
         day0 = utc_dt(2020, 9, 1)
         for i in range(1000):
@@ -274,7 +272,7 @@ def test_criterion_07_pipeline_properties(grid, ingest_cfg):
             traj = Trajectory(
                 "u",
                 tuple(
-                    Stay(
+                    stay(
                         "u", cells[0],
                         day0 + timedelta(days=int(d), hours=9),
                         day0 + timedelta(days=int(d), hours=11),

@@ -16,8 +16,6 @@ from v2grid import (
     Regime,
     ScalingConfig,
     UNASSIGNED,
-    area_energy_supply,
-    area_peak_demand,
     build_area_index,
     make_rect_area,
     peak_density_and_sizing,
@@ -42,6 +40,12 @@ def paper_scaling(**overrides) -> ScalingConfig:
     kwargs = dict(ev_penetration=0.03, observed_users=72_000, population=5_500_000)
     kwargs.update(overrides)
     return ScalingConfig(**kwargs)
+
+
+def aggregate(events, index, scaling):
+    builder = AggregateBuilder(index, scaling)
+    builder.add_events(events)
+    return builder.aggregates()
 
 
 def ev(cell=IN_CELL, regime=Regime.DISCHARGE, start=18.0, end=19.0, power=6.6,
@@ -73,45 +77,45 @@ class TestAreaEnergySupply:
     def test_ten_kwh_discharge_scales_to_22_92(self, index):
         # 10 kWh * 0.03 / (72000/5.5e6) = 22.91666... kWh
         events = [ev(start=18.0, end=18.0 + 10.0 / 6.6)]
-        out = area_energy_supply(events, index, paper_scaling())
-        assert out[("A", DAY)] == pytest.approx(22.916666666666664, abs=1e-9)
+        out = aggregate(events, index, paper_scaling())
+        assert out[("A", DAY)].e_ev_kwh == pytest.approx(22.916666666666664, abs=1e-9)
 
     def test_identity_scaling_returns_raw_sum(self, index):
         # delta == s makes the factor exactly one
         scaling = ScalingConfig(ev_penetration=0.5, observed_users=50, population=100)
         events = [ev(), ev(start=20.0, end=21.5)]
-        out = area_energy_supply(events, index, scaling)
-        assert out[("A", DAY)] == pytest.approx(6.6 * 2.5, rel=1e-12)
+        out = aggregate(events, index, scaling)
+        assert out[("A", DAY)].e_ev_kwh == pytest.approx(6.6 * 2.5, rel=1e-12)
 
     def test_area_without_discharge_is_absent_or_zero(self, index):
         events = [ev(regime=Regime.PV_CHARGE, start=10.0, end=11.0)]
-        out = area_energy_supply(events, index, paper_scaling())
-        assert out.get(("A", DAY), 0.0) == 0.0
+        out = aggregate(events, index, paper_scaling())
+        assert ("A", DAY) not in out or out[("A", DAY)].e_ev_kwh == 0.0
 
     def test_unmapped_cells_collect_under_reserved_area(self, index):
         events = [ev(cell=OUT_CELL)]
-        out = area_energy_supply(events, index, paper_scaling())
+        out = aggregate(events, index, paper_scaling())
         assert (UNASSIGNED, DAY) in out
-        assert out[(UNASSIGNED, DAY)] > 0
+        assert out[(UNASSIGNED, DAY)].e_ev_kwh > 0
 
 
 class TestAreaPeakDemand:
     def test_full_step_at_rated_power_scales_to_15_125(self, index):
         # 6.6 kW for a full 15-minute step, delta/s = 2.2916666 -> 15.125 kW
         events = [ev(regime=Regime.PV_CHARGE, start=10.0, end=10.25)]
-        out = area_peak_demand(events, index, paper_scaling())
-        profile = out[("A", DAY)]
-        assert profile.peak_kw == pytest.approx(15.125, abs=1e-9)
-        assert profile.peak_step == int(10.0 * 4)
+        out = aggregate(events, index, paper_scaling())
+        agg = out[("A", DAY)]
+        assert agg.p_ev_peak_kw == pytest.approx(15.125, abs=1e-9)
+        assert agg.peak_step == int(10.0 * 4)
 
     def test_partial_step_is_time_averaged(self, index):
         # charging 09:00-09:05 in 15-minute steps: 6.6 * 5/15 = 2.2 kW unscaled
         scaling = ScalingConfig(ev_penetration=0.5, observed_users=50, population=100)
         events = [ev(regime=Regime.NONPV_CHARGE, start=9.0, end=9.0 + 5.0 / 60.0)]
-        out = area_peak_demand(events, index, scaling)
-        profile = out[("A", DAY)]
-        assert profile.profile_kw[36] == pytest.approx(2.2, abs=1e-9)
-        assert profile.peak_kw == pytest.approx(2.2, abs=1e-9)
+        out = aggregate(events, index, scaling)
+        agg = out[("A", DAY)]
+        assert agg.demand_profile[36] == pytest.approx(2.2, abs=1e-9)
+        assert agg.p_ev_peak_kw == pytest.approx(2.2, abs=1e-9)
 
     def test_disjoint_users_do_not_sum_into_the_peak(self, index):
         scaling = ScalingConfig(ev_penetration=0.5, observed_users=50, population=100)
@@ -119,8 +123,8 @@ class TestAreaPeakDemand:
             ev(uid="a", regime=Regime.PV_CHARGE, start=10.0, end=10.25),
             ev(uid="b", regime=Regime.PV_CHARGE, start=12.0, end=12.25),
         ]
-        out = area_peak_demand(events, index, scaling)
-        assert out[("A", DAY)].peak_kw == pytest.approx(6.6, abs=1e-12)
+        out = aggregate(events, index, scaling)
+        assert out[("A", DAY)].p_ev_peak_kw == pytest.approx(6.6, abs=1e-12)
 
     def test_simultaneous_users_do_sum(self, index):
         scaling = ScalingConfig(ev_penetration=0.5, observed_users=50, population=100)
@@ -128,13 +132,13 @@ class TestAreaPeakDemand:
             ev(uid="a", regime=Regime.PV_CHARGE, start=10.0, end=10.25),
             ev(uid="b", regime=Regime.PV_CHARGE, start=10.0, end=10.25),
         ]
-        out = area_peak_demand(events, index, scaling)
-        assert out[("A", DAY)].peak_kw == pytest.approx(13.2, abs=1e-12)
+        out = aggregate(events, index, scaling)
+        assert out[("A", DAY)].p_ev_peak_kw == pytest.approx(13.2, abs=1e-12)
 
     def test_discharge_does_not_enter_the_demand_profile(self, index):
         events = [ev(regime=Regime.DISCHARGE, start=20.0, end=21.0)]
-        out = area_peak_demand(events, index, paper_scaling())
-        assert out[("A", DAY)].peak_kw == 0.0
+        out = aggregate(events, index, paper_scaling())
+        assert out[("A", DAY)].p_ev_peak_kw == 0.0
 
     def test_peak_tie_resolves_to_earliest_step(self, index):
         scaling = ScalingConfig(ev_penetration=0.5, observed_users=50, population=100)
@@ -142,7 +146,7 @@ class TestAreaPeakDemand:
             ev(regime=Regime.PV_CHARGE, start=12.0, end=12.25),
             ev(regime=Regime.PV_CHARGE, start=10.0, end=10.25),
         ]
-        out = area_peak_demand(events, index, scaling)
+        out = aggregate(events, index, scaling)
         assert out[("A", DAY)].peak_step == 40
 
 
@@ -179,8 +183,9 @@ class TestLinearityAndConservation:
             event = ev(cell=cell, start=s, end=min(e, 24.0))
             events.append(event)
             total += event.energy_kwh
-        out = area_energy_supply(events, index, scaling)
-        assert sum(out.values()) / scaling.scale == pytest.approx(total, rel=1e-9)
+        out = aggregate(events, index, scaling)
+        supply = sum(agg.e_ev_kwh for agg in out.values())
+        assert supply / scaling.scale == pytest.approx(total, rel=1e-9)
 
     def test_peak_of_each_area_is_at_least_the_mean(self, index):
         rng = np.random.default_rng(11)
@@ -193,9 +198,9 @@ class TestLinearityAndConservation:
             )
             for _ in range(50)
         ]
-        out = area_peak_demand(events, index, paper_scaling())
-        for profile in out.values():
-            assert profile.peak_kw >= float(np.mean(profile.profile_kw)) - 1e-12
+        out = aggregate(events, index, paper_scaling())
+        for agg in out.values():
+            assert agg.p_ev_peak_kw >= float(np.mean(agg.demand_profile)) - 1e-12
 
     def test_refining_time_step_never_decreases_peak(self, index):
         rng = np.random.default_rng(12)
@@ -205,10 +210,10 @@ class TestLinearityAndConservation:
             events.append(
                 ev(regime=Regime.PV_CHARGE, start=s, end=s + float(rng.uniform(0.01, 0.5)))
             )
-        coarse = area_peak_demand(events, index, paper_scaling(time_step_minutes=15.0))
-        fine = area_peak_demand(events, index, paper_scaling(time_step_minutes=1.0))
+        coarse = aggregate(events, index, paper_scaling(time_step_minutes=15.0))
+        fine = aggregate(events, index, paper_scaling(time_step_minutes=1.0))
         for key in coarse:
-            assert fine[key].peak_kw >= coarse[key].peak_kw - 1e-9
+            assert fine[key].p_ev_peak_kw >= coarse[key].p_ev_peak_kw - 1e-9
 
     def test_merge_is_order_independent(self, index):
         rng = np.random.default_rng(13)

@@ -7,7 +7,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
+from v2grid import make_rect_area, write_planning_areas_geojson
 from v2grid.cli import main
+from v2grid.synth import write_demand_curve_csv
 
 
 def digest(path: Path) -> str:
@@ -161,3 +165,53 @@ class TestRunCommand:
         m2 = json.loads((second / "manifest.json").read_text())
         assert m1["outputs"] == m2["outputs"]
         assert m1["inputs"] == m2["inputs"]
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--pv-start", "25:00"], 2),
+            (["--pv-start", "abc"], 2),
+            (["--pv-end", "24:00"], 0),
+            (["--jobs", "0"], 2),
+        ],
+    )
+    def test_flag_exit_codes(self, tmp_path, flags, code):
+        records = run_synth(tmp_path, "records.csv")
+        out_dir = tmp_path / "out"
+        argv = [
+            "run", str(records), str(tmp_path / "areas.geojson"),
+            str(tmp_path / "demand.csv"), "--out-dir", str(out_dir), *flags,
+        ]
+        assert main(argv) == code
+        # a rejected flag stops the run before any input is read or written
+        assert out_dir.exists() == (code == 0)
+
+    def test_metrics_geojson_mean_agrees_with_coverage(self, tmp_path):
+        # one user stays 09:00-21:00 local in area A on Sep 1 and in area B on
+        # Sep 2: each area has events on one of the two simulated days
+        a = make_rect_area("A", 1.30, 1.31, 103.80, 103.81, area_m2=1e6,
+                           households=1000, monthly_kwh_per_household=300.0)
+        b = make_rect_area("B", 1.30, 1.31, 103.82, 103.83, area_m2=1e6,
+                           households=2000, monthly_kwh_per_household=300.0)
+        write_planning_areas_geojson([a, b], tmp_path / "areas.geojson")
+        write_demand_curve_csv(tmp_path / "demand.csv")
+        records = tmp_path / "records.csv"
+        lines = ["user_id,timestamp,lat,lon"]
+        for day, lon in ((1, 103.805), (2, 103.825)):
+            for hour in range(1, 14):  # 01:00-13:00 UTC is 09:00-21:00 at UTC+8
+                lines.append(f"u,2020-09-0{day}T{hour:02d}:00:00Z,1.305,{lon}")
+        records.write_text("\n".join(lines) + "\n")
+        out_dir = run_pipeline(tmp_path, records, "out", ["--min-days", "1"])
+
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["counts"]["simulated_days"] == 2
+        with open(out_dir / "coverage.csv") as fh:
+            coverage = {r["area_id"]: float(r["e_ev_kwh"]) for r in csv.DictReader(fh)}
+        doc = json.loads((out_dir / "metrics.geojson").read_text())
+        geojson = {
+            f["properties"]["area_id"]: f["properties"]["e_ev_kwh_mean_daily"]
+            for f in doc["features"]
+        }
+        assert set(coverage) == set(geojson) == {"A", "B"}
+        assert all(v > 0 for v in coverage.values())
+        assert geojson == coverage

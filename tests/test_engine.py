@@ -13,6 +13,7 @@ from v2grid import (
     DayStay,
     GridSpec,
     InvalidInputError,
+    PvWindow,
     Regime,
     Trajectory,
     VehicleParams,
@@ -54,6 +55,38 @@ def soc_at_arrival(params: VehicleParams, soc: float) -> VehicleParams:
     from dataclasses import replace
 
     return replace(params, soc_initial=soc)
+
+
+class TestPvWindowFromTimes:
+    @pytest.mark.parametrize(
+        "start, end, hours",
+        [
+            ("09:00", "17:00", (9.0, 17.0)),
+            ("00:00", "24:00", (0.0, 24.0)),
+            ("08:30:36", "24:00:00", (8.51, 24.0)),
+        ],
+    )
+    def test_clock_times_parse_to_hours(self, start, end, hours):
+        window = PvWindow.from_times(start, end)
+        assert (window.start_hour, window.end_hour) == pytest.approx(hours, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            ("25:00", "17:00"),
+            ("abc", "17:00"),
+            ("9:00", "17:00"),
+            ("09:00", "24:01"),
+            ("09:60", "17:00"),
+            ("09:00", "17:00:60"),
+            ("09:00", "17:00+08:00"),
+            ("24:00", "24:00"),
+            ("17:00", "09:00"),
+        ],
+    )
+    def test_malformed_or_out_of_range_rejected(self, start, end):
+        with pytest.raises(InvalidInputError):
+            PvWindow.from_times(start, end)
 
 
 class TestSimulateDayExamples:
@@ -299,17 +332,17 @@ class TestRunScenario:
                 stay("u", B, utc_dt(2020, 9, 2, 10, 0), utc_dt(2020, 9, 2, 12, 0)),
             ),
         )
-        traces = list(run_scenario({"u": traj}, params, window, grid, utc_offset_hours=0.0))
+        traces = list(run_scenario({"u": traj}, params, window, grid, utc_offset_s=0))
         assert [t.day for t in traces] == [date(2020, 9, 1), date(2020, 9, 2)]
 
     def test_midnight_spanning_stay_splits_with_soc_reset(self, params, window, grid):
         traj = Trajectory(
             "u", (stay("u", A, utc_dt(2020, 9, 1, 23, 0), utc_dt(2020, 9, 2, 1, 30)),)
         )
-        by_day = slice_trajectory_days(traj, 0.0)
+        by_day = slice_trajectory_days(traj, 0)
         assert by_day[date(2020, 9, 1)] == [DayStay(A, 23.0, 24.0)]
         assert by_day[date(2020, 9, 2)] == [DayStay(A, 0.0, 1.5)]
-        traces = list(run_scenario({"u": traj}, params, window, grid, utc_offset_hours=0.0))
+        traces = list(run_scenario({"u": traj}, params, window, grid, utc_offset_s=0))
         assert len(traces) == 2
         for t in traces:
             assert t.breakpoints[0] == (0.0, params.soc_initial)
@@ -319,7 +352,7 @@ class TestRunScenario:
         traj = Trajectory(
             "u", (stay("u", A, utc_dt(2020, 9, 1, 15, 0), utc_dt(2020, 9, 1, 17, 0)),)
         )
-        by_day = slice_trajectory_days(traj, 8.0)
+        by_day = slice_trajectory_days(traj, 8 * 3600)
         assert by_day[date(2020, 9, 1)] == [DayStay(A, 23.0, 24.0)]
         assert by_day[date(2020, 9, 2)] == [DayStay(A, 0.0, 1.0)]
 
@@ -331,8 +364,8 @@ class TestRunScenario:
                 stay("u", A, utc_dt(2020, 9, 4, 10, 0), utc_dt(2020, 9, 4, 12, 0)),
             ),
         )
-        days = day_range_of([traj], 0.0)
+        days = day_range_of([traj], 0)
         assert days == [date(2020, 9, d) for d in (1, 2, 3, 4)]
-        traces = list(run_scenario({"u": traj}, params, window, grid, utc_offset_hours=0.0))
+        traces = list(run_scenario({"u": traj}, params, window, grid, utc_offset_s=0))
         assert len(traces) == 4
         assert traces[1].events == [] and traces[2].events == []

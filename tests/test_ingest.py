@@ -14,7 +14,6 @@ from v2grid import (
     IngestStats,
     InvalidInputError,
     LocationRecord,
-    Stay,
     Trajectory,
     build_trajectory,
     extract_stays,
@@ -24,6 +23,7 @@ from v2grid import (
     write_records_csv,
     write_stays_csv,
 )
+from v2grid.ingest import local_day_span
 from conftest import ping, stay, utc_dt
 
 X = CellId(2, 2)
@@ -38,7 +38,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 9, 30), grid, X),
         ]
         stays = extract_stays(recs, ingest_cfg)
-        assert stays == [Stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 30))]
+        assert stays == [stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 30))]
 
     def test_run_shorter_than_tau_is_dropped(self, grid, ingest_cfg):
         recs = [
@@ -60,8 +60,8 @@ class TestExtractStays:
         ]
         stays = extract_stays(recs, ingest_cfg)
         assert stays == [
-            Stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 30)),
-            Stay("u", X, utc_dt(2020, 9, 1, 11, 0), utc_dt(2020, 9, 1, 12, 30)),
+            stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 30)),
+            stay("u", X, utc_dt(2020, 9, 1, 11, 0), utc_dt(2020, 9, 1, 12, 30)),
         ]
 
     def test_zero_gap_same_cell_stays_merge(self, grid, ingest_cfg):
@@ -75,7 +75,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 10, 30), grid, X),
         ]
         stays = extract_stays(recs, ingest_cfg)
-        assert stays == [Stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 10, 30))]
+        assert stays == [stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 10, 30))]
 
     def test_unsorted_input_rejected(self, grid, ingest_cfg):
         recs = [
@@ -93,6 +93,17 @@ class TestExtractStays:
         with pytest.raises(InvalidInputError):
             extract_stays(recs, ingest_cfg)
 
+    def test_sub_second_timestamps_are_truncated(self, grid, ingest_cfg):
+        # 08:00:00.9 and 09:00:00.5 count as 08:00:00 and 09:00:00, so the run
+        # lasts tau in whole seconds although 3599.6 s passed between them
+        recs = [
+            ping("u", utc_dt(2020, 9, 1, 8, 0).replace(microsecond=900_000), grid, X),
+            ping("u", utc_dt(2020, 9, 1, 9, 0).replace(microsecond=500_000), grid, X),
+        ]
+        assert extract_stays(recs, ingest_cfg) == [
+            stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 0))
+        ]
+
     def test_out_of_grid_pings_dropped_and_counted(self, grid, ingest_cfg):
         outside = LocationRecord("u", utc_dt(2020, 9, 1, 8, 30), -5.0, -5.0)
         recs = [
@@ -103,7 +114,7 @@ class TestExtractStays:
         stats = IngestStats()
         stays = extract_stays(recs, ingest_cfg, stats)
         assert stats.records_out_of_grid == 1
-        assert len(stays) == 1 and stays[0].duration == timedelta(hours=1, minutes=30)
+        assert len(stays) == 1 and stays[0].duration_s == 90 * 60
 
 
 def _random_records(grid, rng, n=120, cells=(X, Y, CellId(0, 0))):
@@ -121,7 +132,7 @@ class TestExtractProperties:
         for _ in range(20):
             stays = extract_stays(_random_records(grid, rng), ingest_cfg)
             for s in stays:
-                assert s.duration >= ingest_cfg.tau
+                assert s.duration_s >= ingest_cfg.tau_s
             for a, b in zip(stays, stays[1:]):
                 assert a.departure <= b.arrival
 
@@ -140,8 +151,7 @@ class TestExtractProperties:
         rng = np.random.default_rng(5)
         recs = _random_records(grid, rng, n=60)
         baseline_total = max(
-            (s.duration for s in extract_stays(recs, ingest_cfg)),
-            default=timedelta(0),
+            (s.duration_s for s in extract_stays(recs, ingest_cfg)), default=0
         )
         for i in range(len(recs)):
             is_sole_run_member = (
@@ -156,8 +166,7 @@ class TestExtractProperties:
                 continue
             reduced = recs[:i] + recs[i + 1 :]
             longest = max(
-                (s.duration for s in extract_stays(reduced, ingest_cfg)),
-                default=timedelta(0),
+                (s.duration_s for s in extract_stays(reduced, ingest_cfg)), default=0
             )
             assert longest <= baseline_total
 
@@ -176,15 +185,15 @@ class TestBuildTrajectory:
         # 15 minute gap < 1 h merges into 09:00-12:00
         s1 = stay("u", X, utc_dt(2020, 9, 1, 9, 0), utc_dt(2020, 9, 1, 10, 30))
         s2 = stay("u", X, utc_dt(2020, 9, 1, 10, 45), utc_dt(2020, 9, 1, 12, 0))
-        traj = build_trajectory([s1, s2], tau=timedelta(hours=1))
+        traj = build_trajectory([s1, s2], tau_s=3600.0)
         assert traj.stays == (
-            Stay("u", X, utc_dt(2020, 9, 1, 9, 0), utc_dt(2020, 9, 1, 12, 0)),
+            stay("u", X, utc_dt(2020, 9, 1, 9, 0), utc_dt(2020, 9, 1, 12, 0)),
         )
 
     def test_same_cell_gap_at_tau_stays_split(self):
         s1 = stay("u", X, utc_dt(2020, 9, 1, 9, 0), utc_dt(2020, 9, 1, 10, 30))
         s2 = stay("u", X, utc_dt(2020, 9, 1, 11, 30), utc_dt(2020, 9, 1, 13, 0))
-        traj = build_trajectory([s1, s2], tau=timedelta(hours=1))
+        traj = build_trajectory([s1, s2], tau_s=3600.0)
         assert len(traj.stays) == 2
 
     def test_overlapping_stays_rejected(self):
@@ -229,10 +238,27 @@ class TestFilterActiveUsers:
             "u", (stay("u", X, utc_dt(2020, 9, 1, 17, 0), utc_dt(2020, 9, 1, 19, 0)),)
         )
         assert filter_active_users({"u": traj}, cfg) == {"u"}
-        from v2grid.ingest import stay_day_span
-
-        d0, d1 = stay_day_span(traj.stays[0], cfg.utc_offset_s)
+        s = traj.stays[0]
+        d0, d1 = local_day_span(s.arrival, s.departure, cfg.utc_offset_s)
         assert d0 == d1 == (utc_dt(2020, 9, 2).date() - utc_dt(1970, 1, 1).date()).days
+
+
+class TestLocalDaySpan:
+    @pytest.mark.parametrize(
+        "arrival, departure, offset_h, span",
+        [
+            ((1, 10), (1, 12), 0, (0, 0)),
+            ((1, 23), (2, 0), 0, (0, 0)),  # ends exactly at midnight
+            ((1, 23), (2, 0, 0, 1), 0, (0, 1)),  # one second past midnight
+            ((1, 10), (1, 10), 0, (0, 0)),  # zero length: arrival day
+            ((1, 15), (3, 17), 8, (0, 3)),  # 23:00 Sep 1 to 01:00 Sep 4 local
+        ],
+    )
+    def test_span_in_days_since_sep_1(self, arrival, departure, offset_h, span):
+        day0 = (utc_dt(2020, 9, 1).date() - utc_dt(1970, 1, 1).date()).days
+        s = stay("u", X, utc_dt(2020, 9, *arrival), utc_dt(2020, 9, *departure))
+        d0, d1 = local_day_span(s.arrival, s.departure, offset_h * 3600)
+        assert (d0 - day0, d1 - day0) == span
 
 
 class TestCsv:

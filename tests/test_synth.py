@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-from datetime import timedelta
 
 import pytest
 
@@ -142,7 +141,7 @@ class TestRoundTrip:
             ping_interval_minutes=10.0,
         )
         icfg = IngestConfig(
-            tau=timedelta(hours=1),
+            tau_s=3600.0,
             min_consecutive_days=1,
             grid=grid,
             utc_offset_hours=8.0,
