@@ -7,7 +7,15 @@ the places the user actually dwelled in.
 
 from datetime import datetime, timedelta, timezone
 
-from v2grid import CellId, GridSpec, IngestConfig, LocationRecord, extract_stays, locate
+from v2grid import (
+    CellId,
+    GridSpec,
+    IngestConfig,
+    LocationRecord,
+    Records,
+    extract_stays,
+    locate,
+)
 
 grid = GridSpec(origin_lat=1.25, origin_lon=103.7, cell_size_m=250.0, n_rows=40, n_cols=60)
 cfg = IngestConfig(grid=grid, utc_offset_hours=8.0)
@@ -42,7 +50,7 @@ print(f"{len(records)} pings over one day")
 print(f"first ping lands in cell {locate(records[0].lat, records[0].lon, grid)}")
 print()
 
-stays = extract_stays(records, cfg)
+stays = extract_stays(Records.from_records(records), cfg)
 LOCAL = timezone(timedelta(hours=8))
 print(f"{len(stays)} stays of at least {cfg.tau_s / 3600.0:g} h extracted:")
 for s in stays:

@@ -10,6 +10,7 @@ from v2grid import (
     GridSpec,
     IngestConfig,
     PvWindow,
+    Records,
     ScalingConfig,
     SynthConfig,
     VehicleParams,
@@ -34,15 +35,12 @@ params = VehicleParams()
 window = PvWindow(9.0, 17.0)
 
 print("generating records ...")
-by_user: dict[str, list] = {}
-for rec in generate(cfg, grid):
-    by_user.setdefault(rec.user_id, []).append(rec)
-n_records = sum(len(v) for v in by_user.values())
+records = Records.from_records(generate(cfg, grid))
 
 icfg = IngestConfig(grid=grid, utc_offset_hours=8.0)
-trajectories, stats = ingest_trajectories(by_user, icfg)
+trajectories, stats = ingest_trajectories(records, icfg)
 print(
-    f"{n_records} records -> {stats.stays_emitted} stays, "
+    f"{len(records)} records -> {stats.stays_emitted} stays, "
     f"{stats.users_retained}/{stats.users_total} users retained"
 )
 

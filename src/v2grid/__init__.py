@@ -72,6 +72,7 @@ from .ingest import (
     IngestConfig,
     IngestStats,
     LocationRecord,
+    Records,
     Stay,
     Trajectory,
     build_trajectory,

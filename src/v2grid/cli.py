@@ -14,6 +14,7 @@ every input and output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -52,7 +53,12 @@ from .engine import (
     run_scenario,
     write_events_csv,
 )
-from .errors import DegenerateRegressorError, InvariantViolationError, V2GridError
+from .errors import (
+    DegenerateRegressorError,
+    InvalidConfigError,
+    InvariantViolationError,
+    V2GridError,
+)
 from .geo import GridSpec, build_area_index, load_planning_areas
 from .ingest import (
     IngestConfig,
@@ -211,6 +217,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         pv_charge_target=args.pv_charge_target,
     )
     window = PvWindow.from_times(args.pv_start, args.pv_end)
+    try:
+        # timedelta rounds to whole microseconds: --tau 1.1 is 3960.0 s, not
+        # the 3960.0000000000005 of 1.1 * 3600
+        tau_s = timedelta(hours=args.tau).total_seconds()
+    except (ValueError, OverflowError) as exc:
+        raise InvalidConfigError(f"--tau {args.tau} is not a duration") from exc
+    ingest_cfg = IngestConfig(
+        tau_s=tau_s, min_consecutive_days=args.min_days, utc_offset_hours=args.tz
+    )
+    if not math.isfinite(args.n_pop):
+        raise InvalidConfigError("--n-pop must be finite")
+    # the observed-user count is known only after ingest; everything else
+    # ScalingConfig checks is checked before any input is read
+    ScalingConfig(args.delta, 1, int(args.n_pop), args.time_step)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -229,25 +249,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     grid = _grid_from_areas(areas, args.cell_size)
     index = build_area_index(grid, areas)
     areas_by_id = {a.area_id: a for a in areas}
-    ingest_cfg = IngestConfig(
-        # timedelta rounds to whole microseconds: --tau 1.1 is 3960.0 s, not
-        # the 3960.0000000000005 of 1.1 * 3600
-        tau_s=timedelta(hours=args.tau).total_seconds(),
-        min_consecutive_days=args.min_days,
-        grid=grid,
-        utc_offset_hours=args.tz,
-    )
+    ingest_cfg = dataclasses.replace(ingest_cfg, grid=grid)
 
-    records_by_user, rows_skipped = read_records_csv(args.records)
-    n_rows = sum(len(v) for v in records_by_user.values())
-    trajectories, stats = ingest_trajectories(records_by_user, ingest_cfg)
+    records, rows_skipped = read_records_csv(args.records)
+    n_rows = len(records)
+    trajectories, stats = ingest_trajectories(records, ingest_cfg)
     stats.rows_skipped += rows_skipped
-    del records_by_user
-    if args.stays_csv:
-        write_stays_csv(
-            (s for uid in sorted(trajectories) for s in trajectories[uid].stays),
-            out_dir / "stays.csv",
-        )
+    del records
 
     days = day_range_of(trajectories.values(), ingest_cfg.utc_offset_s)
     users = sorted(trajectories)
@@ -257,6 +265,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         population=int(args.n_pop),
         time_step_minutes=args.time_step,
     )
+    if args.stays_csv:
+        write_stays_csv(
+            (s for uid in users for s in trajectories[uid].stays),
+            out_dir / "stays.csv",
+        )
 
     builder = AggregateBuilder(index, scaling)
     all_events: Optional[list] = [] if args.events_csv else None

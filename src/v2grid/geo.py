@@ -364,32 +364,44 @@ def load_planning_areas(path) -> list[PlanningArea]:
     Optional: name, households, monthly_kwh_per_household.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("type") != "FeatureCollection":
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"planning areas file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise InvalidInputError("planning areas file must be a FeatureCollection")
     areas = []
     for feat in doc.get("features", []):
         props = feat.get("properties") or {}
-        if "area_id" not in props or "area_m2" not in props:
+        if "area_id" not in props or props.get("area_m2") is None:
             raise InvalidInputError(
                 "each planning-area feature needs area_id and area_m2 properties"
             )
-        households = props.get("households")
+        area_id = str(props["area_id"])
         areas.append(
             PlanningArea(
-                area_id=str(props["area_id"]),
-                name=str(props.get("name", props["area_id"])),
+                area_id=area_id,
+                name=str(props.get("name", area_id)),
                 polygon=_geojson_polygon_parts(feat.get("geometry") or {}),
-                area_m2=float(props["area_m2"]),
-                households=None if households is None else int(households),
-                monthly_kwh_per_household=(
-                    None
-                    if props.get("monthly_kwh_per_household") is None
-                    else float(props["monthly_kwh_per_household"])
+                area_m2=_number_property(props, "area_m2", float, area_id),
+                households=_number_property(props, "households", int, area_id),
+                monthly_kwh_per_household=_number_property(
+                    props, "monthly_kwh_per_household", float, area_id
                 ),
             )
         )
     return areas
+
+
+def _number_property(props: dict, key: str, kind, area_id: str):
+    """`kind(props[key])`, None when the property is absent or null."""
+    value = props.get(key)
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"area {area_id}: {key} is not a number: {value!r}") from exc
 
 
 def planning_area_feature(area: PlanningArea, extra_properties: Optional[dict] = None) -> dict:

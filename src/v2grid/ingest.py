@@ -9,8 +9,12 @@ minimum stay time are merged during trajectory assembly (jitter smoothing).
 from __future__ import annotations
 
 import csv
+import gc
+import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from itertools import compress, groupby, islice
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -29,6 +33,59 @@ class LocationRecord:
     timestamp: datetime  # timezone-aware, UTC
     lat: float
     lon: float
+
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Location pings as columns, one array entry per ping.
+
+    Ping i belongs to user ``user_ids[user[i]]``; ``user_ids`` is sorted, so
+    ordering by code orders by user id. ``t`` is the whole UTC epoch second a
+    stay uses (``int(timestamp.timestamp())``), and ``sub_us`` the
+    microseconds from there to the full timestamp, kept only to order pings
+    within one second as their full timestamps order.
+    """
+
+    user_ids: tuple[str, ...]
+    user: np.ndarray  # int64 index into user_ids
+    t: np.ndarray  # int64
+    sub_us: np.ndarray  # int64
+    lat: np.ndarray  # float64
+    lon: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @classmethod
+    def from_records(cls, records: Iterable[LocationRecord]) -> "Records":
+        """The columns of `records`, pings in the order given."""
+        index: dict[str, int] = {}
+        codes, ts, subs, lats, lons = [], [], [], [], []
+        for r in records:
+            codes.append(index.setdefault(r.user_id, len(index)))
+            t, sub = _epoch_parts(r.timestamp)
+            ts.append(t)
+            subs.append(sub)
+            lats.append(r.lat)
+            lons.append(r.lon)
+        return _sorted_users(
+            index,
+            np.array(codes, dtype=np.int64),
+            np.array(ts, dtype=np.int64),
+            np.array(subs, dtype=np.int64),
+            np.array(lats, dtype=np.float64),
+            np.array(lons, dtype=np.float64),
+        )
+
+
+def _sorted_users(index: Mapping[str, int], codes: np.ndarray, *columns) -> Records:
+    """Records whose user codes, given in `index` order, are renumbered to
+    follow the sorted user ids."""
+    names = list(index)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(len(names))
+    return Records(tuple(names[i] for i in order), rank[codes], *columns)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,6 +125,8 @@ class IngestConfig:
             raise InvalidInputError("tau must be positive")
         if self.min_consecutive_days < 1:
             raise InvalidInputError("min_consecutive_days must be >= 1")
+        if not math.isfinite(self.utc_offset_hours):
+            raise InvalidInputError("utc_offset_hours must be finite")
 
     @property
     def utc_offset_s(self) -> int:
@@ -94,57 +153,58 @@ def local_day_span(arrival_s: int, departure_s: int, utc_offset_s: int) -> tuple
 
 
 def extract_stays(
-    records: Sequence[LocationRecord],
-    cfg: IngestConfig,
-    stats: Optional[IngestStats] = None,
+    records: Records, cfg: IngestConfig, stats: Optional[IngestStats] = None
 ) -> list[Stay]:
-    """Turn one user's time-sorted pings into stays of duration >= tau.
+    """Every user's stays of duration >= tau, in (user, arrival) order.
 
-    Maximal runs of consecutive pings in the same cell become candidate
-    intervals [first ping, last ping]; runs shorter than tau are dropped.
-    Pings outside the grid are dropped (counted in stats). Emitted stays that
-    end up exactly adjacent in time in the same cell are merged. Timestamps
-    are truncated to whole seconds.
+    Each user's pings are ordered by time (stable, so pings with equal
+    timestamps keep their input order). Maximal runs of consecutive pings of
+    one user in the same cell become candidate intervals [first ping, last
+    ping]; runs shorter than tau are dropped. Pings outside the grid are
+    dropped (counted in stats). Emitted stays of one user that end up exactly
+    adjacent in time in the same cell are merged.
     """
-    if not records:
-        return []
-    uid = records[0].user_id
-    epochs = np.empty(len(records), dtype=np.int64)
-    lats = np.empty(len(records), dtype=np.float64)
-    lons = np.empty(len(records), dtype=np.float64)
-    for i, r in enumerate(records):
-        if r.user_id != uid:
-            raise InvalidInputError("extract_stays expects records of a single user")
-        epochs[i] = int(r.timestamp.timestamp())
-        lats[i] = r.lat
-        lons[i] = r.lon
-    if np.any(np.diff(epochs) < 0):
-        raise InvalidInputError("records must be sorted by timestamp")
-
-    rows, cols = locate_many(lats, lons, cfg.grid)
+    keys = (records.t, records.user)
+    if records.sub_us.any():  # only sub-second timestamps need the third key
+        keys = (records.sub_us,) + keys
+    order = np.lexsort(keys)
+    user, t = records.user[order], records.t[order]
+    rows, cols = locate_many(records.lat[order], records.lon[order], cfg.grid)
     keep = rows >= 0
     dropped = int(np.count_nonzero(~keep))
     if stats is not None:
         stats.records_out_of_grid += dropped
     if dropped:
-        epochs, rows, cols = epochs[keep], rows[keep], cols[keep]
-    if len(epochs) == 0:
+        user, t, rows, cols = user[keep], t[keep], rows[keep], cols[keep]
+    if len(t) == 0:
         return []
 
-    change = np.flatnonzero((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))
+    change = np.flatnonzero(
+        (user[1:] != user[:-1]) | (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    )
     starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change, [len(epochs) - 1]))
+    ends = np.concatenate((change, [len(t) - 1]))
+    long_enough = t[ends] - t[starts] >= cfg.tau_s
+    starts, ends = starts[long_enough], ends[long_enough]
+    if len(starts) == 0:
+        return []
 
-    stays: list[Stay] = []
-    for s, e in zip(starts, ends):
-        if epochs[e] - epochs[s] < cfg.tau_s:
-            continue
-        cell = CellId(int(rows[s]), int(cols[s]))
-        arrival, departure = int(epochs[s]), int(epochs[e])
-        if stays and stays[-1].cell == cell and stays[-1].departure == arrival:
-            stays[-1] = Stay(uid, cell, stays[-1].arrival, departure)
-        else:
-            stays.append(Stay(uid, cell, arrival, departure))
+    a, b = starts[1:], starts[:-1]
+    touches = (
+        (user[a] == user[b]) & (rows[a] == rows[b]) & (cols[a] == cols[b])
+        & (t[a] == t[ends[:-1]])
+    )
+    first = np.flatnonzero(np.concatenate(([True], ~touches)))
+    last = np.concatenate((first[1:], [len(starts)])) - 1
+    s, e = starts[first], ends[last]
+    names = records.user_ids
+    stays = [
+        Stay(names[u], CellId(r, c), arrival, departure)
+        for u, r, c, arrival, departure in zip(
+            user[s].tolist(), rows[s].tolist(), cols[s].tolist(),
+            t[s].tolist(), t[e].tolist(),
+        )
+    ]
     if stats is not None:
         stats.stays_emitted += len(stays)
     return stays
@@ -204,18 +264,18 @@ def filter_active_users(
 
 
 def ingest_trajectories(
-    records_by_user: Mapping[str, Sequence[LocationRecord]], cfg: IngestConfig
+    records: Records, cfg: IngestConfig
 ) -> tuple[dict[str, Trajectory], IngestStats]:
-    """Full pipeline: per-user stay extraction, trajectory assembly, activity
-    filter. Users are processed in sorted order, so the result is
-    deterministic regardless of input ordering."""
-    stats = IngestStats(users_total=len(records_by_user))
-    trajectories: dict[str, Trajectory] = {}
-    for uid in sorted(records_by_user):
-        recs = sorted(records_by_user[uid], key=lambda r: r.timestamp)
-        stays = extract_stays(recs, cfg, stats)
-        if stays:
-            trajectories[uid] = build_trajectory(stays, cfg.tau_s)
+    """Full pipeline: stay extraction, per-user trajectory assembly, activity
+    filter. Users come out in sorted order, so the result is deterministic
+    regardless of input ordering."""
+    stats = IngestStats(users_total=len(records.user_ids))
+    trajectories = {
+        uid: build_trajectory(list(stays), cfg.tau_s)
+        for uid, stays in groupby(
+            extract_stays(records, cfg, stats), key=attrgetter("user_id")
+        )
+    }
     retained = filter_active_users(trajectories, cfg)
     trajectories = {u: t for u, t in trajectories.items() if u in retained}
     stats.users_retained = len(trajectories)
@@ -230,11 +290,82 @@ RECORDS_HEADER = ["user_id", "timestamp", "lat", "lon"]
 STAYS_HEADER = ["user_id", "cell_row", "cell_col", "arrival", "departure"]
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+_CHUNK_ROWS = 4096  # larger chunks cost memory and gain no speed
+
+# separator positions and characters of YYYY-MM-DDTHH:MM:SSZ
+_SEP_AT = [4, 7, 10, 13, 16, 19]
+_SEP_CODES = np.array([ord(c) for c in "--T::Z"], dtype=np.uint32)
+_DIGIT_AT = [i for i in range(20) if i not in _SEP_AT]
+
+
 def _parse_timestamp(text: str) -> datetime:
     ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
+
+
+def _epoch_parts(ts: datetime) -> tuple[int, int]:
+    """The epoch second a stay uses for `ts` (sub-second parts truncated),
+    and the microseconds from it to `ts`."""
+    t = int(ts.timestamp())
+    return t, (ts - _EPOCH) // _MICROSECOND - t * 1_000_000
+
+
+def _canonical_epochs(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of the texts of the exact form YYYY-MM-DDTHH:MM:SSZ
+    that name a real UTC time, and the mask of those texts.
+
+    Other forms (offsets, fractions, other separators) are left to
+    `_parse_timestamp`: numpy's own datetime parser accepts strings that
+    ``datetime.fromisoformat`` rejects, such as year 0 or a leading sign.
+    """
+    n = len(texts)
+    ok = np.fromiter(map(len, texts), dtype=np.int64, count=n) == 20
+    chars = np.array(texts, dtype="U20").view(np.uint32).reshape(n, 20)
+    digits = chars[:, _DIGIT_AT] - np.uint32(ord("0"))  # non-digits wrap above 9
+    ok &= (chars[:, _SEP_AT] == _SEP_CODES).all(axis=1) & (digits <= 9).all(axis=1)
+    digits = np.where(ok[:, None], digits, 0).astype(np.int64)  # year 0 fails below
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
+    month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
+    months = (year - 1970) * 12 + month - 1
+    month_start = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    month_end = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+    ok &= (day <= month_end - month_start) & (hour < 24) & (minute < 60) & (second < 60)
+    t = (month_start + day - 1) * DAY_S + hour * 3600 + minute * 60 + second
+    return np.where(ok, t, 0), ok
+
+
+def _parse_timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, sub_us, ok) of each text as `_parse_timestamp` reads it; canonical
+    texts take a vectorised path, the rest are parsed one by one."""
+    t, ok = _canonical_epochs(texts)
+    sub_us = np.zeros(len(texts), dtype=np.int64)
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            t[i], sub_us[i] = _epoch_parts(_parse_timestamp(texts[i]))
+        except (ValueError, OverflowError):
+            continue
+        ok[i] = True
+    return t, sub_us, ok
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _parse_floats(texts: Sequence[str]) -> np.ndarray:
+    """float() of each text; NaN where float() rejects it."""
+    try:
+        return np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+    except ValueError:
+        return np.array([_float_or_nan(s) for s in texts], dtype=np.float64)
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -245,42 +376,56 @@ def _format_epoch_s(epoch_s: int) -> str:
     return format_timestamp(datetime.fromtimestamp(epoch_s, tz=timezone.utc))
 
 
-def read_records_csv(path) -> tuple[dict[str, list[LocationRecord]], int]:
+def read_records_csv(path) -> tuple[Records, int]:
     """Read the ingest CSV; malformed rows are skipped and counted.
 
-    Returns (records grouped by user, skipped-row count). Records are not yet
-    sorted; the pipeline sorts per user.
+    A row is malformed when it does not have four fields, its timestamp is
+    not ISO 8601 (naive means UTC), a coordinate is not a float, or a
+    coordinate is out of range. Returns (records, skipped-row count). Rows
+    are read in chunks and kept in file order; ingest sorts them.
     """
-    by_user: dict[str, list[LocationRecord]] = {}
+    # csv.reader makes one list per row. Their number keeps triggering the
+    # cyclic garbage collector, which finds nothing in lists of strings and
+    # took a third of the read's time.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_records_csv(path)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _read_records_csv(path) -> tuple[Records, int]:
+    index: dict[str, int] = {}
+    chunks: list[tuple[np.ndarray, ...]] = []
     skipped = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
-            return {}, 0
-        if [h.strip() for h in header] != RECORDS_HEADER:
+        if header is not None and [h.strip() for h in header] != RECORDS_HEADER:
             raise InvalidInputError(
                 f"records CSV must have header {','.join(RECORDS_HEADER)}"
             )
-        for row in reader:
-            if len(row) != 4:
-                skipped += 1
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            rows = [row for row in chunk if len(row) == 4]
+            skipped += len(chunk) - len(rows)
+            if not rows:
                 continue
-            try:
-                rec = LocationRecord(
-                    user_id=row[0],
-                    timestamp=_parse_timestamp(row[1]),
-                    lat=float(row[2]),
-                    lon=float(row[3]),
-                )
-            except (ValueError, OverflowError):
-                skipped += 1
-                continue
-            if not (-90.0 <= rec.lat <= 90.0 and -180.0 <= rec.lon <= 180.0):
-                skipped += 1
-                continue
-            by_user.setdefault(rec.user_id, []).append(rec)
-    return by_user, skipped
+            uids, stamps, lat_texts, lon_texts = zip(*rows)
+            t, sub_us, ok = _parse_timestamps(stamps)
+            lat, lon = _parse_floats(lat_texts), _parse_floats(lon_texts)
+            ok &= (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+            skipped += len(rows) - int(np.count_nonzero(ok))
+            uids = list(compress(uids, ok))
+            for uid in dict.fromkeys(uids):
+                index.setdefault(uid, len(index))
+            codes = np.fromiter(map(index.__getitem__, uids), dtype=np.int64, count=len(uids))
+            chunks.append((codes, t[ok], sub_us[ok], lat[ok], lon[ok]))
+    # codes, t, sub_us, lat, lon; all there is for a file without data rows
+    empty = (np.empty(0, np.int64),) * 3 + (np.empty(0, np.float64),) * 2
+    columns = [np.concatenate(c) for c in zip(empty, *chunks)]
+    return _sorted_users(index, *columns), skipped
 
 
 def write_records_csv(records: Iterable[LocationRecord], path) -> None:

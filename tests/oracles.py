@@ -2,14 +2,37 @@
 
 Nothing here reuses engine logic beyond the public parameter containers: the
 battery oracle integrates minute by minute, and the attendance oracle scans
-boolean day masks directly.
+boolean day masks directly. The per-user ingest is the path the package used
+before its columnar one: it reads one ``LocationRecord`` per row and extracts
+stays one user at a time, sharing only ``locate_many``, ``build_trajectory``
+and ``filter_active_users`` with the package.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import csv
+from typing import Mapping, Optional, Sequence
 
-from v2grid import DayStay, GridSpec, PvWindow, VehicleParams, haversine_m
+import numpy as np
+
+from v2grid import (
+    CellId,
+    DayStay,
+    GridSpec,
+    IngestConfig,
+    IngestStats,
+    InvalidInputError,
+    LocationRecord,
+    PvWindow,
+    Stay,
+    Trajectory,
+    VehicleParams,
+    build_trajectory,
+    filter_active_users,
+    haversine_m,
+    locate_many,
+)
+from v2grid.ingest import RECORDS_HEADER, _parse_timestamp
 
 
 def brute_force_day(
@@ -114,3 +137,120 @@ def group_events(events, stays: Sequence[DayStay]):
         grouped[key] = grouped.get(key, 0.0) + ev.energy_kwh
         counts[key] = counts.get(key, 0) + 1
     return grouped, counts
+
+
+# ---------------------------------------------------------------------------
+# Per-user ingest: one LocationRecord per row, stays user by user
+# ---------------------------------------------------------------------------
+
+
+def read_records_per_row(path) -> tuple[dict[str, list[LocationRecord]], int]:
+    """Read the ingest CSV row by row into LocationRecords grouped by user;
+    malformed rows are skipped and counted. Returns (records by user,
+    skipped-row count)."""
+    by_user: dict[str, list[LocationRecord]] = {}
+    skipped = 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return {}, 0
+        if [h.strip() for h in header] != RECORDS_HEADER:
+            raise InvalidInputError(
+                f"records CSV must have header {','.join(RECORDS_HEADER)}"
+            )
+        for row in reader:
+            if len(row) != 4:
+                skipped += 1
+                continue
+            try:
+                rec = LocationRecord(
+                    user_id=row[0],
+                    timestamp=_parse_timestamp(row[1]),
+                    lat=float(row[2]),
+                    lon=float(row[3]),
+                )
+            except (ValueError, OverflowError):
+                skipped += 1
+                continue
+            if not (-90.0 <= rec.lat <= 90.0 and -180.0 <= rec.lon <= 180.0):
+                skipped += 1
+                continue
+            by_user.setdefault(rec.user_id, []).append(rec)
+    return by_user, skipped
+
+
+def extract_stays_one_user(
+    records: Sequence[LocationRecord],
+    cfg: IngestConfig,
+    stats: Optional[IngestStats] = None,
+) -> list[Stay]:
+    """Turn one user's time-sorted pings into stays of duration >= tau.
+
+    Maximal runs of consecutive pings in the same cell become candidate
+    intervals [first ping, last ping]; runs shorter than tau are dropped.
+    Pings outside the grid are dropped (counted in stats). Emitted stays that
+    end up exactly adjacent in time in the same cell are merged. Timestamps
+    are truncated to whole seconds.
+    """
+    if not records:
+        return []
+    uid = records[0].user_id
+    epochs = np.empty(len(records), dtype=np.int64)
+    lats = np.empty(len(records), dtype=np.float64)
+    lons = np.empty(len(records), dtype=np.float64)
+    for i, r in enumerate(records):
+        if r.user_id != uid:
+            raise InvalidInputError("extract_stays expects records of a single user")
+        epochs[i] = int(r.timestamp.timestamp())
+        lats[i] = r.lat
+        lons[i] = r.lon
+    if np.any(np.diff(epochs) < 0):
+        raise InvalidInputError("records must be sorted by timestamp")
+
+    rows, cols = locate_many(lats, lons, cfg.grid)
+    keep = rows >= 0
+    dropped = int(np.count_nonzero(~keep))
+    if stats is not None:
+        stats.records_out_of_grid += dropped
+    if dropped:
+        epochs, rows, cols = epochs[keep], rows[keep], cols[keep]
+    if len(epochs) == 0:
+        return []
+
+    change = np.flatnonzero((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))
+    starts = np.concatenate(([0], change + 1))
+    ends = np.concatenate((change, [len(epochs) - 1]))
+
+    stays: list[Stay] = []
+    for s, e in zip(starts, ends):
+        if epochs[e] - epochs[s] < cfg.tau_s:
+            continue
+        cell = CellId(int(rows[s]), int(cols[s]))
+        arrival, departure = int(epochs[s]), int(epochs[e])
+        if stays and stays[-1].cell == cell and stays[-1].departure == arrival:
+            stays[-1] = Stay(uid, cell, stays[-1].arrival, departure)
+        else:
+            stays.append(Stay(uid, cell, arrival, departure))
+    if stats is not None:
+        stats.stays_emitted += len(stays)
+    return stays
+
+
+def ingest_per_user(
+    records_by_user: Mapping[str, Sequence[LocationRecord]], cfg: IngestConfig
+) -> tuple[dict[str, Trajectory], IngestStats]:
+    """Per-user stay extraction, trajectory assembly, activity filter. Users
+    are processed in sorted order; each user's pings are sorted by their full
+    timestamps (stable)."""
+    stats = IngestStats(users_total=len(records_by_user))
+    trajectories: dict[str, Trajectory] = {}
+    for uid in sorted(records_by_user):
+        recs = sorted(records_by_user[uid], key=lambda r: r.timestamp)
+        stays = extract_stays_one_user(recs, cfg, stats)
+        if stays:
+            trajectories[uid] = build_trajectory(stays, cfg.tau_s)
+    retained = filter_active_users(trajectories, cfg)
+    trajectories = {u: t for u, t in trajectories.items() if u in retained}
+    stats.users_retained = len(trajectories)
+    return trajectories, stats

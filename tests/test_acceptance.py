@@ -21,6 +21,7 @@ from v2grid import (
     CellId,
     GridSpec,
     PvWindow,
+    Records,
     Regime,
     ScalingConfig,
     SynthConfig,
@@ -258,12 +259,12 @@ def test_criterion_07_pipeline_properties(grid, ingest_cfg):
             for _ in range(150):
                 t = t + timedelta(minutes=int(rng.integers(4, 50)))
                 recs.append(ping("u", t, grid, cells[int(rng.integers(0, len(cells)))]))
-            stays = extract_stays(recs, ingest_cfg)
+            stays = extract_stays(Records.from_records(recs), ingest_cfg)
             assert all(s.duration_s >= ingest_cfg.tau_s for s in stays)
             shuffled = list(recs)
             rng.shuffle(shuffled)
             shuffled.sort(key=lambda r: r.timestamp)
-            assert extract_stays(shuffled, ingest_cfg) == stays
+            assert extract_stays(Records.from_records(shuffled), ingest_cfg) == stays
         # consecutive-day filter against the run-length oracle
         checked = 0
         day0 = utc_dt(2020, 9, 1)

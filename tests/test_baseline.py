@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from v2grid import (
     DegenerateRegressorError,
@@ -19,6 +22,7 @@ from v2grid import (
     night_fraction,
     read_demand_csv,
 )
+from v2grid.baseline import pearson_r
 
 WINDOW = PvWindow(9.0, 17.0)
 
@@ -186,6 +190,25 @@ class TestCoverageAndStats:
         result = coverage_and_stats(e_ev, e_hh)
         assert "B" not in result.ratios
         assert result.n_paired == 3
+
+
+class TestPearsonR:
+    def test_bit_identical_to_scipy_pearsonr(self):
+        # scipy.stats is the oracle here only: the package does not import it
+        rng = np.random.default_rng(17)
+        for k in range(3000):
+            n = int(rng.integers(3, 60))
+            x = rng.normal(size=n) * 10 ** rng.uniform(-3, 6)
+            y = rng.uniform(-2, 2) * x + rng.normal(size=n) * 10 ** rng.uniform(-3, 6)
+            if k % 5 == 0:
+                y = 2.5 * x + 1.0  # |r| at or near 1
+            if k % 11 == 0:
+                x = np.round(x, 1)  # ties, sometimes constant (r undefined)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = stats.pearsonr(x, y)
+            got = np.array(pearson_r(x, y))
+            assert np.array_equal(got, [want.statistic, want.pvalue], equal_nan=True), k
 
 
 class TestDemandCsv:

@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,6 +176,15 @@ class TestRunCommand:
             (["--pv-start", "abc"], 2),
             (["--pv-end", "24:00"], 0),
             (["--jobs", "0"], 2),
+            (["--time-step", "7"], 2),
+            (["--delta", "0"], 2),
+            (["--n-pop", "0"], 2),
+            (["--n-pop", "nan"], 2),
+            (["--tau", "0"], 2),
+            (["--min-days", "0"], 2),
+            (["--tau", "nan"], 2),
+            (["--tau", "1e300"], 2),
+            (["--tz", "nan"], 2),
         ],
     )
     def test_flag_exit_codes(self, tmp_path, flags, code):
@@ -215,3 +227,49 @@ class TestRunCommand:
         assert set(coverage) == set(geojson) == {"A", "B"}
         assert all(v > 0 for v in coverage.values())
         assert geojson == coverage
+
+    def test_n_pop_below_retained_users_leaves_no_stays_csv(self, tmp_path):
+        records = run_synth(tmp_path, "records.csv")
+        out_dir = tmp_path / "out"
+        argv = [
+            "run", str(records), str(tmp_path / "areas.geojson"),
+            str(tmp_path / "demand.csv"), "--out-dir", str(out_dir),
+            "--n-pop", "1", "--stays-csv",
+        ]
+        assert main(argv) == 2
+        assert not (out_dir / "stays.csv").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["features"][0]["properties"].update(area_m2="big"),
+            lambda doc: doc["features"][0]["properties"].update(households="many"),
+            lambda doc: doc["features"][0]["properties"].update(area_m2=None),
+            lambda doc: "{",  # truncated file
+        ],
+        ids=["area_m2", "households", "area_m2_null", "truncated"],
+    )
+    def test_malformed_areas_exit_2(self, tmp_path, corrupt):
+        records = run_synth(tmp_path, "records.csv")
+        areas = tmp_path / "areas.geojson"
+        doc = json.loads(areas.read_text())
+        replaced = corrupt(doc)
+        areas.write_text(replaced if isinstance(replaced, str) else json.dumps(doc))
+        argv = [
+            "run", str(records), str(areas), str(tmp_path / "demand.csv"),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 2
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about a second and 70 MB at every start
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, v2grid.cli; sys.exit('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
+        timeout=120,
+    )
+    assert proc.returncode == 0

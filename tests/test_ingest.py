@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import csv
+import gc
 import random
 from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from v2grid import (
     CellId,
+    GridSpec,
     IngestConfig,
     IngestStats,
     InvalidInputError,
     LocationRecord,
+    Records,
     Trajectory,
     build_trajectory,
     extract_stays,
@@ -23,11 +29,17 @@ from v2grid import (
     write_records_csv,
     write_stays_csv,
 )
+from v2grid import ingest
 from v2grid.ingest import local_day_span
 from conftest import ping, stay, utc_dt
+from oracles import ingest_per_user, read_records_per_row
 
 X = CellId(2, 2)
 Y = CellId(5, 7)
+
+
+def extract(recs, cfg, stats=None):
+    return extract_stays(Records.from_records(recs), cfg, stats)
 
 
 class TestExtractStays:
@@ -37,7 +49,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 8, 40), grid, X),
             ping("u", utc_dt(2020, 9, 1, 9, 30), grid, X),
         ]
-        stays = extract_stays(recs, ingest_cfg)
+        stays = extract(recs, ingest_cfg)
         assert stays == [stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 30))]
 
     def test_run_shorter_than_tau_is_dropped(self, grid, ingest_cfg):
@@ -45,7 +57,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 10, 0), grid, Y),
             ping("u", utc_dt(2020, 9, 1, 10, 30), grid, Y),
         ]
-        assert extract_stays(recs, ingest_cfg) == []
+        assert extract(recs, ingest_cfg) == []
 
     def test_revisit_with_dropped_middle_run_stays_split(self, grid, ingest_cfg):
         # X(08:00-09:30), Y(10:00-10:30) dropped, X(11:00-12:30): the two X
@@ -58,7 +70,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 11, 0), grid, X),
             ping("u", utc_dt(2020, 9, 1, 12, 30), grid, X),
         ]
-        stays = extract_stays(recs, ingest_cfg)
+        stays = extract(recs, ingest_cfg)
         assert stays == [
             stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 30)),
             stay("u", X, utc_dt(2020, 9, 1, 11, 0), utc_dt(2020, 9, 1, 12, 30)),
@@ -74,24 +86,40 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 9, 0), grid, X),
             ping("u", utc_dt(2020, 9, 1, 10, 30), grid, X),
         ]
-        stays = extract_stays(recs, ingest_cfg)
+        stays = extract(recs, ingest_cfg)
         assert stays == [stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 10, 30))]
 
-    def test_unsorted_input_rejected(self, grid, ingest_cfg):
+    def test_unsorted_input_is_sorted_by_time(self, grid, ingest_cfg):
         recs = [
             ping("u", utc_dt(2020, 9, 1, 9, 0), grid, X),
             ping("u", utc_dt(2020, 9, 1, 8, 0), grid, X),
         ]
-        with pytest.raises(InvalidInputError):
-            extract_stays(recs, ingest_cfg)
-
-    def test_mixed_users_rejected(self, grid, ingest_cfg):
-        recs = [
-            ping("u", utc_dt(2020, 9, 1, 8, 0), grid, X),
-            ping("v", utc_dt(2020, 9, 1, 9, 0), grid, X),
+        assert extract(recs, ingest_cfg) == [
+            stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 0))
         ]
-        with pytest.raises(InvalidInputError):
-            extract_stays(recs, ingest_cfg)
+
+    def test_interleaved_users_are_split_and_sorted_by_user(self, grid, ingest_cfg):
+        recs = [
+            ping("v", utc_dt(2020, 9, 1, 8, 0), grid, X),
+            ping("u", utc_dt(2020, 9, 1, 8, 30), grid, X),
+            ping("v", utc_dt(2020, 9, 1, 9, 0), grid, X),
+            ping("u", utc_dt(2020, 9, 1, 9, 30), grid, X),
+        ]
+        assert extract(recs, ingest_cfg) == [
+            stay("u", X, utc_dt(2020, 9, 1, 8, 30), utc_dt(2020, 9, 1, 9, 30)),
+            stay("v", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 0)),
+        ]
+
+    def test_same_second_pings_order_by_full_timestamp(self, grid, ingest_cfg):
+        # in file order X 07:00, X 08:00:00.9, Y 08:00:00.1, Y 09:00 would give
+        # two one-hour stays; in time order the cells alternate and none lasts
+        recs = [
+            ping("u", utc_dt(2020, 9, 1, 7, 0), grid, X),
+            ping("u", utc_dt(2020, 9, 1, 8, 0).replace(microsecond=900_000), grid, X),
+            ping("u", utc_dt(2020, 9, 1, 8, 0).replace(microsecond=100_000), grid, Y),
+            ping("u", utc_dt(2020, 9, 1, 9, 0), grid, Y),
+        ]
+        assert extract(recs, ingest_cfg) == []
 
     def test_sub_second_timestamps_are_truncated(self, grid, ingest_cfg):
         # 08:00:00.9 and 09:00:00.5 count as 08:00:00 and 09:00:00, so the run
@@ -100,7 +128,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 8, 0).replace(microsecond=900_000), grid, X),
             ping("u", utc_dt(2020, 9, 1, 9, 0).replace(microsecond=500_000), grid, X),
         ]
-        assert extract_stays(recs, ingest_cfg) == [
+        assert extract(recs, ingest_cfg) == [
             stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 0))
         ]
 
@@ -112,7 +140,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 9, 30), grid, X),
         ]
         stats = IngestStats()
-        stays = extract_stays(recs, ingest_cfg, stats)
+        stays = extract(recs, ingest_cfg, stats)
         assert stats.records_out_of_grid == 1
         assert len(stays) == 1 and stays[0].duration_s == 90 * 60
 
@@ -130,7 +158,7 @@ class TestExtractProperties:
     def test_every_stay_at_least_tau_and_disjoint(self, grid, ingest_cfg):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            stays = extract_stays(_random_records(grid, rng), ingest_cfg)
+            stays = extract(_random_records(grid, rng), ingest_cfg)
             for s in stays:
                 assert s.duration_s >= ingest_cfg.tau_s
             for a, b in zip(stays, stays[1:]):
@@ -139,11 +167,11 @@ class TestExtractProperties:
     def test_shuffled_then_sorted_input_gives_identical_stays(self, grid, ingest_cfg):
         rng = np.random.default_rng(4)
         recs = _random_records(grid, rng)
-        baseline = extract_stays(recs, ingest_cfg)
+        baseline = extract(recs, ingest_cfg)
         shuffled = recs[:]
         random.Random(9).shuffle(shuffled)
         shuffled.sort(key=lambda r: r.timestamp)
-        assert extract_stays(shuffled, ingest_cfg) == baseline
+        assert extract(shuffled, ingest_cfg) == baseline
 
     def test_dropping_a_ping_never_lengthens_surviving_stays(self, grid, ingest_cfg):
         # qualified form: removing the sole ping of a cell-run can merge its
@@ -151,7 +179,7 @@ class TestExtractProperties:
         rng = np.random.default_rng(5)
         recs = _random_records(grid, rng, n=60)
         baseline_total = max(
-            (s.duration_s for s in extract_stays(recs, ingest_cfg)), default=0
+            (s.duration_s for s in extract(recs, ingest_cfg)), default=0
         )
         for i in range(len(recs)):
             is_sole_run_member = (
@@ -166,7 +194,7 @@ class TestExtractProperties:
                 continue
             reduced = recs[:i] + recs[i + 1 :]
             longest = max(
-                (s.duration_s for s in extract_stays(reduced, ingest_cfg)), default=0
+                (s.duration_s for s in extract(reduced, ingest_cfg)), default=0
             )
             assert longest <= baseline_total
 
@@ -273,10 +301,48 @@ class TestCsv:
             fh.write("u3,not-a-time,1.0,2.0\n")
             fh.write("u3,2020-09-01T08:00:00Z,91.0,2.0\n")  # latitude out of range
             fh.write("u3,2020-09-01T08:00:00Z,1.0\n")  # short row
-        by_user, skipped = read_records_csv(path)
+        records, skipped = read_records_csv(path)
         assert skipped == 3
-        assert set(by_user) == {"u1", "u2"}
-        assert by_user["u1"][0].timestamp == utc_dt(2020, 9, 1, 8, 0)
+        assert set(records.user_ids) == {"u1", "u2"}
+        u1 = records.user == records.user_ids.index("u1")
+        assert records.t[u1][0] == utc_dt(2020, 9, 1, 8, 0).timestamp()
+
+    @pytest.mark.parametrize(
+        "stamp, epoch",
+        [
+            ("2020-09-01T08:00:00Z", 1598947200),
+            ("2020-09-01T16:00:00+08:00", 1598947200),
+            ("2020-09-01T08:00:00", 1598947200),  # naive means UTC
+            ("2020-09-01T08:00:00.9Z", 1598947200),  # truncated to the second
+            ("2020-02-29T23:59:59Z", 1583020799),
+            ("0001-01-01T00:00:00Z", -62135596800),
+            ("2021-02-29T00:00:00Z", None),
+            ("2020-13-45T99:00:00Z", None),
+            ("0000-01-01T00:00:00Z", None),  # numpy would read year 0
+            ("+2020-09-01T08:00:00", None),  # numpy would read a signed year
+            ("2020-09-01T08:00:00z", None),
+            ("not-a-time", None),
+        ],
+    )
+    def test_timestamp_forms(self, tmp_path, stamp, epoch):
+        path = tmp_path / "records.csv"
+        path.write_text(f"user_id,timestamp,lat,lon\nu,{stamp},1.0,2.0\n")
+        records, skipped = read_records_csv(path)
+        if epoch is None:
+            assert (len(records), skipped) == (0, 1)
+        else:
+            assert (records.t.tolist(), skipped) == ([epoch], 0)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_read_restores_garbage_collector_state(self, tmp_path, enabled):
+        path = tmp_path / "records.csv"
+        path.write_text("user_id,timestamp,lat,lon\nu,2020-09-01T08:00:00Z,1.0,2.0\n")
+        try:
+            (gc.enable if enabled else gc.disable)()
+            read_records_csv(path)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -306,7 +372,7 @@ class TestPipeline:
             ping("b", utc_dt(2020, 9, 1, 8, 0) + timedelta(minutes=m), grid, Y)
             for m in (0, 30, 70)
         ]
-        trajs, stats = ingest_trajectories({"a": active, "b": casual}, cfg)
+        trajs, stats = ingest_trajectories(Records.from_records(active + casual), cfg)
         # user a pings the same cell on both days, so the run bridges the gap
         # into one long stay that overlaps two calendar days
         assert set(trajs) == {"a"}
@@ -314,3 +380,111 @@ class TestPipeline:
         assert stats.users_total == 2
         assert stats.users_retained == 1
         assert stats.stays_emitted == 2
+
+
+# ---------------------------------------------------------------------------
+# Columnar read + ingest against the per-user oracle on random CSV files
+# ---------------------------------------------------------------------------
+
+PROP_GRID = GridSpec(origin_lat=1.25, origin_lon=103.7, cell_size_m=250.0, n_rows=6, n_cols=6)
+PROP_CELLS = [CellId(0, 0), CellId(0, 1), CellId(3, 4)]
+DAY0 = utc_dt(2020, 9, 1)
+
+_cell_coords = st.sampled_from(PROP_CELLS).map(
+    lambda c: tuple(f"{v:.6f}" for v in PROP_GRID.cell_centroid(c))
+)
+_odd_coords = st.sampled_from([
+    ("1.0", "2.0"),  # valid, out of grid
+    ("91.0", "103.7"),  # latitude out of range
+    ("1.25", "-181"),  # longitude out of range
+    ("north", "103.7"),
+    ("nan", "103.7"),
+    ("1.2510", "inf"),
+    (" 1.2505 ", "103.7005"),  # float() strips whitespace
+    ("1_2", "103.7"),  # float() reads 12
+])
+
+
+@st.composite
+def _stamp(draw, ts):
+    form = draw(st.sampled_from(["Z"] * 10 + ["offset", "frac", "frac", "naive", "bad", "junk"]))
+    if form == "offset":
+        hours = draw(st.integers(-12, 14))
+        local = ts + timedelta(hours=hours)
+        return f"{local:%Y-%m-%dT%H:%M:%S}{'+' if hours >= 0 else '-'}{abs(hours):02d}:00"
+    if form == "frac":
+        return f"{ts:%Y-%m-%dT%H:%M:%S}.{draw(st.integers(0, 999_999)):06d}Z"
+    if form == "naive":
+        return f"{ts:%Y-%m-%dT%H:%M:%S}"
+    if form == "bad":  # canonical-shaped or numpy-readable, rejected by fromisoformat
+        return draw(st.sampled_from(["2020-13-45T99:00:00Z", "2021-02-29T00:00:00Z",
+                                     "0000-01-01T00:00:00Z", "+2020-09-01T00:00:00"]))
+    if form == "junk":
+        return draw(st.sampled_from(["", "yesterday", "2020-09-01", "2020-09-01T08:00:00ZZ"]))
+    return f"{ts:%Y-%m-%dT%H:%M:%SZ}"
+
+
+@st.composite
+def _visit(draw):
+    """Rows of one user pinging one place about every 15 min (a candidate
+    stay), some of them malformed, some in the same second as the previous
+    ping."""
+    uid = draw(st.sampled_from(["a", "c,d", "é", ""]))
+    place = draw(st.one_of(*[_cell_coords] * 5, _odd_coords))
+    # whole hours over two days, mostly a few of them, so that visits of one
+    # user often share seconds
+    hour = draw(st.one_of(st.sampled_from([7, 8, 9, 31, 32]), st.integers(0, 47)))
+    ts = DAY0 + timedelta(hours=hour)
+    rows = []
+    for i in range(draw(st.integers(1, 6))):
+        if i:
+            ts += timedelta(seconds=draw(st.sampled_from([900, 900, 900, 0, 1])))
+        row = [uid, draw(_stamp(ts)), *place]
+        shape = draw(st.sampled_from(["ok"] * 12 + ["short", "long"]))
+        rows.append(row[:3] if shape == "short" else row + ["x"] if shape == "long" else row)
+        if draw(st.integers(0, 7)) == 0:
+            # a ping elsewhere in the same second splits the run in two
+            # stays that touch
+            rows.append([uid, draw(_stamp(ts)), *draw(_cell_coords)])
+            rows.append([uid, draw(_stamp(ts)), *place])
+    return rows
+
+
+class TestColumnarMatchesPerUserOracle:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        visits=st.lists(_visit(), max_size=20),
+        shuffle_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        chunk_rows=st.sampled_from([1, 3, 16, 65536]),
+        min_days=st.sampled_from([1, 2]),
+        tau_s=st.sampled_from([1800.0, 3600.0]),
+    )
+    def test_read_and_ingest_equal_oracle(
+        self, tmp_path, visits, shuffle_seed, quoting, newline, chunk_rows, min_days, tau_s
+    ):
+        rows = [row for visit in visits for row in visit]
+        if shuffle_seed is not None:
+            random.Random(shuffle_seed).shuffle(rows)
+        path = tmp_path / "records.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, quoting=quoting, lineterminator=newline)
+            writer.writerow(["user_id", "timestamp", "lat", "lon"])
+            writer.writerows(rows)
+        cfg = IngestConfig(tau_s=tau_s, min_consecutive_days=min_days, grid=PROP_GRID,
+                           utc_offset_hours=8.0)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+            records, skipped = read_records_csv(path)
+        trajs, stats = ingest_trajectories(records, cfg)
+
+        by_user, want_skipped = read_records_per_row(path)
+        want_trajs, want_stats = ingest_per_user(by_user, cfg)
+        assert skipped == want_skipped
+        assert records.user_ids == tuple(sorted(by_user))
+        assert len(records) == sum(len(v) for v in by_user.values())
+        assert list(trajs.items()) == list(want_trajs.items())
+        assert stats == want_stats

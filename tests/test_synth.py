@@ -10,6 +10,7 @@ from v2grid import (
     CellId,
     IngestConfig,
     InvalidConfigError,
+    Records,
     SynthConfig,
     extract_stays,
     generate,
@@ -119,13 +120,9 @@ class TestPlans:
             mean_stays_per_day=3.0,
         )
         icfg = IngestConfig(grid=grid, utc_offset_hours=8.0)
-        records = list(generate(cfg, grid))
-        assert records, "generator produced no pings at all"
-        by_user: dict[str, list] = {}
-        for r in records:
-            by_user.setdefault(r.user_id, []).append(r)
-        for recs in by_user.values():
-            assert extract_stays(sorted(recs, key=lambda r: r.timestamp), icfg) == []
+        records = Records.from_records(generate(cfg, grid))
+        assert len(records), "generator produced no pings at all"
+        assert extract_stays(records, icfg) == []
 
 
 class TestRoundTrip:
@@ -147,10 +144,7 @@ class TestRoundTrip:
             utc_offset_hours=8.0,
         )
         planted = dict(planted_trajectories(cfg))
-        by_user: dict[str, list] = {}
-        for r in generate(cfg, grid):
-            by_user.setdefault(r.user_id, []).append(r)
-        recovered, _stats = ingest_trajectories(by_user, icfg)
+        recovered, _stats = ingest_trajectories(Records.from_records(generate(cfg, grid)), icfg)
         assert set(recovered) == set(planted)
         for uid, traj in recovered.items():
             want = planted[uid].stays
@@ -164,8 +158,7 @@ class TestRoundTrip:
         cfg = small_cfg(grid, n_users=2, n_days=2)
         path = tmp_path / "records.csv"
         write_records_csv(generate(cfg, grid), path)
-        by_user, skipped = read_records_csv(path)
+        records, skipped = read_records_csv(path)
         assert skipped == 0
-        assert set(by_user) == {"u00000", "u00001"}
-        total = sum(len(v) for v in by_user.values())
-        assert total == sum(1 for _ in generate(cfg, grid))
+        assert set(records.user_ids) == {"u00000", "u00001"}
+        assert len(records) == sum(1 for _ in generate(cfg, grid))

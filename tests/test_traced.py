@@ -1,0 +1,50 @@
+"""Smoke test of the benchmark's traced run, ``perfbench/traced.py``.
+
+The traced run wraps, by name, the layer functions ``cli.cmd_run`` calls
+(its ``LAYERS`` table). This checks that those names and call shapes still
+hold: the traced run exits 0 and writes the outputs a plain run writes.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from v2grid.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_run_matches_plain_run(tmp_path):
+    records, areas, demand = (tmp_path / n for n in ("records.csv", "areas.geojson", "demand.csv"))
+    assert main([
+        "synth", "--seed", "3", "--users", "20", "--days", "6", "--out", str(records),
+        "--areas-out", str(areas), "--demand-out", str(demand),
+    ]) == 0
+    inputs = [str(records), str(areas), str(demand)]
+    flags = ["--min-days", "3", "--events-csv", "--stays-csv"]
+    assert main(["run", *inputs, "--out-dir", str(tmp_path / "plain"), *flags]) == 0
+
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), *inputs,
+         "--out-dir", str(tmp_path / "traced"), *flags, "--spans-out", str(spans)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    def outputs(name):
+        return json.loads((tmp_path / name / "manifest.json").read_text())["outputs"]
+
+    plain = outputs("plain")
+    assert len(plain) == 9
+    assert outputs("traced") == plain
+    counts = json.loads(spans.read_text())["counts"]
+    assert counts["ingest.stays_retained"] > 0 and counts["engine.events"] > 0
