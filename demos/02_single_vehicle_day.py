@@ -5,10 +5,10 @@ Writes soc_trace.png next to this script when matplotlib is available;
 always prints the event table.
 """
 
-from datetime import date
 from pathlib import Path
 
 from v2grid import CellId, DayStay, GridSpec, PvWindow, VehicleParams, simulate_day
+from v2grid.ingest import format_epoch
 
 grid = GridSpec(origin_lat=1.25, origin_lon=103.7, cell_size_m=250.0, n_rows=40, n_cols=60)
 params = VehicleParams()  # 25 kWh, 135 km, 6.6 kW, threshold 0.5
@@ -21,9 +21,10 @@ day = [
     DayStay(CellId(5, 5), 20.0, 24.0),    # home again
 ]
 
-trace = simulate_day("commuter", date(2020, 9, 1), day, params, window, grid)
+SEP_1_2020 = 18506  # 2020-09-01 as a local epoch-day: days since 1970-01-01
+trace = simulate_day("commuter", SEP_1_2020, day, params, window, grid)
 
-print(f"initial SOC {trace.soc_initial:.3f} -> final SOC {trace.soc_final:.3f}")
+print(f"{format_epoch(trace.day)}: initial SOC {trace.soc_initial:.3f} -> final SOC {trace.soc_final:.3f}")
 print(f"{len(trace.events)} events, {len(trace.depletion_jumps)} driving depletions\n")
 print(f"{'regime':<13} {'start':>6} {'end':>6} {'kW':>5} {'kWh':>7}")
 for ev in trace.events:

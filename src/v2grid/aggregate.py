@@ -9,22 +9,20 @@ time-averaged within fixed steps of the day.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from datetime import date
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
 from .engine import ChargeEvent, Regime
-from .geo import AreaIndex, PlanningArea, planning_area_feature
+from .geo import AreaIndex, PlanningArea, planning_area_feature, write_feature_collection
+from .ingest import format_epoch, write_csv
 
 UNASSIGNED = "_unassigned"  # reserved id for events in cells outside all areas
 
-AreaDay = tuple[str, date]
+AreaDay = tuple[str, int]  # (area id, local epoch-day)
 
 
 @dataclass(frozen=True)
@@ -67,10 +65,10 @@ class ScalingConfig:
 
 @dataclass
 class AreaAggregate:
-    """Scaled per-area, per-day totals."""
+    """Scaled per-area, per-day totals; `day` is a local epoch-day index."""
 
     area_id: str
-    day: date
+    day: int
     e_ev_kwh: float
     e_pv_charge_kwh: float
     e_nonpv_charge_kwh: float
@@ -245,50 +243,43 @@ def _step_label(step: int, step_minutes: float) -> str:
 
 
 def write_area_energy_csv(aggregates: Mapping[AreaDay, AreaAggregate], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["area_id", "day", "e_ev_kwh", "e_pv_charge_kwh", "e_nonpv_charge_kwh"])
-        for (area_id, day) in sorted(aggregates):
-            agg = aggregates[(area_id, day)]
-            writer.writerow(
-                [area_id, day.isoformat(), repr(agg.e_ev_kwh),
-                 repr(agg.e_pv_charge_kwh), repr(agg.e_nonpv_charge_kwh)]
-            )
+    header = ["area_id", "day", "e_ev_kwh", "e_pv_charge_kwh", "e_nonpv_charge_kwh"]
+    write_csv(path, header, (
+        [area_id, format_epoch(day), repr(agg.e_ev_kwh),
+         repr(agg.e_pv_charge_kwh), repr(agg.e_nonpv_charge_kwh)]
+        for (area_id, day), agg in sorted(aggregates.items())
+    ))
 
 
 def write_area_peak_csv(aggregates: Mapping[AreaDay, AreaAggregate], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["area_id", "day", "p_peak_kw", "p_density_w_m2",
-             "charging_points_abs", "charging_points_per_km2"]
-        )
-        for (area_id, day) in sorted(aggregates):
-            agg = aggregates[(area_id, day)]
-            writer.writerow(
-                [
-                    area_id,
-                    day.isoformat(),
-                    repr(agg.p_ev_peak_kw),
-                    "" if agg.p_peak_density_w_per_m2 is None else repr(agg.p_peak_density_w_per_m2),
-                    "" if agg.charging_points_abs is None else agg.charging_points_abs,
-                    "" if agg.charging_points_per_km2 is None else repr(agg.charging_points_per_km2),
-                ]
-            )
+    header = ["area_id", "day", "p_peak_kw", "p_density_w_m2",
+              "charging_points_abs", "charging_points_per_km2"]
+    write_csv(path, header, (
+        [
+            area_id,
+            format_epoch(day),
+            repr(agg.p_ev_peak_kw),
+            "" if agg.p_peak_density_w_per_m2 is None else repr(agg.p_peak_density_w_per_m2),
+            "" if agg.charging_points_abs is None else agg.charging_points_abs,
+            "" if agg.charging_points_per_km2 is None else repr(agg.charging_points_per_km2),
+        ]
+        for (area_id, day), agg in sorted(aggregates.items())
+    ))
 
 
 def write_area_profile_csv(
     aggregates: Mapping[AreaDay, AreaAggregate], step_minutes: float, path
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["area_id", "day", "step_start", "power_kw"])
-        for (area_id, day) in sorted(aggregates):
-            agg = aggregates[(area_id, day)]
-            for step, power in enumerate(agg.demand_profile):
-                writer.writerow(
-                    [area_id, day.isoformat(), _step_label(step, step_minutes), repr(float(power))]
-                )
+    n_steps = max((len(agg.demand_profile) for agg in aggregates.values()), default=0)
+    step_labels = [_step_label(step, step_minutes) for step in range(n_steps)]
+
+    def rows():
+        for (area_id, day), agg in sorted(aggregates.items()):
+            day_label = format_epoch(day)
+            for step_label, power in zip(step_labels, agg.demand_profile.tolist()):
+                yield [area_id, day_label, step_label, repr(power)]
+
+    write_csv(path, ["area_id", "day", "step_start", "power_kw"], rows())
 
 
 def write_metrics_geojson(
@@ -315,7 +306,4 @@ def write_metrics_geojson(
         if area.area_id in coverage_ratios:
             props["coverage_ratio"] = coverage_ratios[area.area_id]
         features.append(planning_area_feature(area, props))
-    doc = {"type": "FeatureCollection", "features": features}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_feature_collection(features, path)

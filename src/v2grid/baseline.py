@@ -24,6 +24,7 @@ from .errors import (
 )
 from .engine import PvWindow
 from .geo import PlanningArea
+from .ingest import write_csv
 
 
 @dataclass(frozen=True)
@@ -106,12 +107,16 @@ class HouseholdBaseline:
     e_hh_night_kwh: float
 
 
+def check_days_in_month(days_in_month: int) -> None:
+    if days_in_month < 1:
+        raise InvalidInputError("days_in_month must be >= 1")
+
+
 def household_night_energy(
     area: PlanningArea, days_in_month: int, night_frac: float
 ) -> float:
     """Daily night-time household energy of one area, in kWh."""
-    if days_in_month < 1:
-        raise InvalidInputError("days_in_month must be >= 1")
+    check_days_in_month(days_in_month)
     if not 0.0 <= night_frac <= 1.0:
         raise InvalidInputError("night fraction must lie in [0, 1]")
     if not area.has_household_data:
@@ -257,26 +262,20 @@ def write_coverage_csv(
     ratios: Mapping[str, float],
     path,
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["area_id", "e_ev_kwh", "e_hh_kwh", "ratio"])
-        for area_id in sorted(set(e_ev_by_area) & set(e_hh_by_area)):
-            writer.writerow(
-                [
-                    area_id,
-                    repr(e_ev_by_area[area_id]),
-                    repr(e_hh_by_area[area_id]),
-                    repr(ratios[area_id]) if area_id in ratios else "",
-                ]
-            )
+    write_csv(path, ["area_id", "e_ev_kwh", "e_hh_kwh", "ratio"], (
+        [
+            area_id,
+            repr(e_ev_by_area[area_id]),
+            repr(e_hh_by_area[area_id]),
+            repr(ratios[area_id]) if area_id in ratios else "",
+        ]
+        for area_id in sorted(set(e_ev_by_area) & set(e_hh_by_area))
+    ))
 
 
 def write_coverage_hist_csv(histogram: Sequence[tuple[float, float, int]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_low", "bin_high", "count"])
-        for low, high, count in histogram:
-            writer.writerow([repr(low), repr(high), count])
+    rows = ([repr(low), repr(high), count] for low, high, count in histogram)
+    write_csv(path, ["bin_low", "bin_high", "count"], rows)
 
 
 def write_regression_txt(result: CoverageResult, path) -> None:

@@ -38,6 +38,7 @@ from .aggregate import (
 )
 from .baseline import (
     CoverageResult,
+    check_days_in_month,
     coverage_and_stats,
     household_baselines,
     night_fraction,
@@ -228,9 +229,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     if not math.isfinite(args.n_pop):
         raise InvalidConfigError("--n-pop must be finite")
-    # the observed-user count is known only after ingest; everything else
-    # ScalingConfig checks is checked before any input is read
+    # the observed-user count is known only after ingest and the grid extent
+    # only after the areas are read; everything else ScalingConfig and
+    # GridSpec check is checked before any input is read
     ScalingConfig(args.delta, 1, int(args.n_pop), args.time_step)
+    GridSpec(0.0, 0.0, args.cell_size)
+    check_days_in_month(args.days_in_month)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

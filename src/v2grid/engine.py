@@ -20,19 +20,15 @@ traces are exact piecewise-linear curves rather than fixed-step samples.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InvalidInputError, InvariantViolationError
 from .geo import CellId, GridSpec, cell_distance_m
-from .ingest import DAY_S, Trajectory, local_day_span
-
-EPOCH_DATE = date(1970, 1, 1)
+from .ingest import DAY_S, Trajectory, format_epoch, local_day_span, write_csv
 
 
 @dataclass(frozen=True)
@@ -101,11 +97,12 @@ class ChargeEvent:
     """One constant-power energy transfer inside a stay.
 
     power_kw is always positive: grid-to-vehicle for the charging regimes,
-    vehicle-to-grid for DISCHARGE. Hours count from local midnight of `day`.
+    vehicle-to-grid for DISCHARGE. Hours count from local midnight of `day`,
+    a local epoch-day index.
     """
 
     user_id: str
-    day: date
+    day: int
     cell: CellId
     regime: Regime
     start_hour: float
@@ -136,10 +133,10 @@ class DayStay(NamedTuple):
 
 @dataclass
 class SocTrace:
-    """Piecewise-linear state of charge of one user over one day."""
+    """Piecewise-linear state of charge of one user over one local epoch-day."""
 
     user_id: str
-    day: date
+    day: int
     breakpoints: list[tuple[float, float]]
     events: list[ChargeEvent]
     depletion_jumps: list[DepletionJump]
@@ -179,7 +176,7 @@ def _window_segments(
 
 def simulate_day(
     user_id: str,
-    day: date,
+    day: int,
     stays: Sequence[DayStay],
     params: VehicleParams,
     window: PvWindow,
@@ -272,7 +269,7 @@ def simulate_day(
     mark(24.0, soc)
     if not -1e-12 <= soc <= 1.0 + 1e-12:
         raise InvariantViolationError(
-            f"SOC {soc} escaped [0, 1] for user {user_id} on {day}"
+            f"SOC {soc} escaped [0, 1] for user {user_id} on {format_epoch(day)}"
         )
     return SocTrace(
         user_id=user_id,
@@ -288,10 +285,10 @@ def simulate_day(
 
 def slice_trajectory_days(
     trajectory: Trajectory, utc_offset_s: int
-) -> dict[date, list[DayStay]]:
-    """Clip a trajectory's stays to local days. Stays spanning midnight are
-    split at the boundary; each part lands in its own day."""
-    by_day: dict[date, list[DayStay]] = {}
+) -> dict[int, list[DayStay]]:
+    """Clip a trajectory's stays to local epoch-days. Stays spanning midnight
+    are split at the boundary; each part lands in its own day."""
+    by_day: dict[int, list[DayStay]] = {}
     for stay in trajectory.stays:
         if stay.departure <= stay.arrival:
             continue
@@ -301,18 +298,15 @@ def slice_trajectory_days(
             s = max(stay.arrival - midnight, 0)
             e = min(stay.departure - midnight, DAY_S)
             if e > s:
-                by_day.setdefault(epoch_day_to_date(k), []).append(
+                by_day.setdefault(k, []).append(
                     DayStay(stay.cell, s / 3600.0, e / 3600.0)
                 )
     return by_day
 
 
-def epoch_day_to_date(day_index: int) -> date:
-    return EPOCH_DATE + timedelta(days=day_index)
-
-
-def day_range_of(trajectories: Iterable[Trajectory], utc_offset_s: int) -> list[date]:
-    """All local days between the first and last observed stay, inclusive."""
+def day_range_of(trajectories: Iterable[Trajectory], utc_offset_s: int) -> list[int]:
+    """All local epoch-days between the first and last observed stay,
+    inclusive."""
     spans = [
         local_day_span(stay.arrival, stay.departure, utc_offset_s)
         for traj in trajectories
@@ -322,7 +316,7 @@ def day_range_of(trajectories: Iterable[Trajectory], utc_offset_s: int) -> list[
         return []
     lo = min(d0 for d0, _ in spans)
     hi = max(d1 for _, d1 in spans)
-    return [epoch_day_to_date(k) for k in range(lo, hi + 1)]
+    return list(range(lo, hi + 1))
 
 
 def run_scenario(
@@ -331,7 +325,7 @@ def run_scenario(
     window: PvWindow,
     grid: GridSpec,
     utc_offset_s: int = 8 * 3600,
-    days: Optional[Sequence[date]] = None,
+    days: Optional[Sequence[int]] = None,
 ) -> Iterator[SocTrace]:
     """One SocTrace per user per day, streamed in (user, day) order.
 
@@ -359,27 +353,19 @@ EVENTS_HEADER = [
 ]
 
 
-def _local_instant(day: date, hour: float) -> str:
-    base = datetime.combine(day, time(0, 0))
-    return (base + timedelta(seconds=round(hour * 3600.0))).isoformat()
-
-
 def write_events_csv(events: Iterable[ChargeEvent], path) -> None:
     """Local-clock event dump; timestamps rounded to whole seconds."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVENTS_HEADER)
-        for e in events:
-            writer.writerow(
-                [
-                    e.user_id,
-                    e.day.isoformat(),
-                    e.cell.row,
-                    e.cell.col,
-                    e.regime.value,
-                    _local_instant(e.day, e.start_hour),
-                    _local_instant(e.day, e.end_hour),
-                    repr(e.power_kw),
-                    repr(e.energy_kwh),
-                ]
-            )
+    write_csv(path, EVENTS_HEADER, (
+        [
+            e.user_id,
+            format_epoch(e.day),
+            e.cell.row,
+            e.cell.col,
+            e.regime.value,
+            format_epoch(e.day, round(e.start_hour * 3600.0)),
+            format_epoch(e.day, round(e.end_hour * 3600.0)),
+            repr(e.power_kw),
+            repr(e.energy_kwh),
+        ]
+        for e in events
+    ))

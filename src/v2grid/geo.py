@@ -296,10 +296,6 @@ class AreaIndex:
         return None if code < 0 else self._area_ids[code]
 
     @property
-    def area_ids(self) -> list[str]:
-        return list(self._area_ids)
-
-    @property
     def n_unassigned(self) -> int:
         return int(np.count_nonzero(self._codes < 0))
 
@@ -344,17 +340,20 @@ def build_area_index(grid: GridSpec, areas: Iterable[PlanningArea]) -> AreaIndex
 
 def _geojson_polygon_parts(geometry: dict) -> PolygonParts:
     gtype = geometry.get("type")
-    if gtype == "Polygon":
-        raw_parts = [geometry["coordinates"]]
-    elif gtype == "MultiPolygon":
-        raw_parts = geometry["coordinates"]
-    else:
+    if gtype not in ("Polygon", "MultiPolygon"):
         raise InvalidGeometryError(f"unsupported geometry type {gtype!r}")
-    # GeoJSON positions are (lon, lat); flip to internal (lat, lon)
-    return tuple(
-        tuple(np.asarray([(pt[1], pt[0]) for pt in ring], dtype=np.float64) for ring in part)
-        for part in raw_parts
-    )
+    try:
+        coordinates = geometry["coordinates"]
+        raw_parts = [coordinates] if gtype == "Polygon" else coordinates
+        # GeoJSON positions are (lon, lat); flip to internal (lat, lon)
+        return tuple(
+            tuple(np.asarray([(pt[1], pt[0]) for pt in ring], dtype=np.float64) for ring in part)
+            for part in raw_parts
+        )
+    except (TypeError, ValueError, LookupError) as exc:
+        raise InvalidInputError(
+            f"{gtype} coordinates are not lists of (lon, lat) positions: {exc!r}"
+        ) from exc
 
 
 def load_planning_areas(path) -> list[PlanningArea]:
@@ -370,9 +369,13 @@ def load_planning_areas(path) -> list[PlanningArea]:
             raise InvalidInputError(f"planning areas file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise InvalidInputError("planning areas file must be a FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise InvalidInputError("planning areas file: features must be a JSON array")
     areas = []
-    for feat in doc.get("features", []):
-        props = feat.get("properties") or {}
+    for feat in features:
+        feat = _json_object(feat, "planning-area feature")
+        props = _json_object(feat.get("properties") or {}, "feature properties")
         if "area_id" not in props or props.get("area_m2") is None:
             raise InvalidInputError(
                 "each planning-area feature needs area_id and area_m2 properties"
@@ -382,7 +385,9 @@ def load_planning_areas(path) -> list[PlanningArea]:
             PlanningArea(
                 area_id=area_id,
                 name=str(props.get("name", area_id)),
-                polygon=_geojson_polygon_parts(feat.get("geometry") or {}),
+                polygon=_geojson_polygon_parts(
+                    _json_object(feat.get("geometry") or {}, "feature geometry")
+                ),
                 area_m2=_number_property(props, "area_m2", float, area_id),
                 households=_number_property(props, "households", int, area_id),
                 monthly_kwh_per_household=_number_property(
@@ -391,6 +396,14 @@ def load_planning_areas(path) -> list[PlanningArea]:
             )
         )
     return areas
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidInputError(
+            f"planning areas file: {what} is a JSON {type(value).__name__}, not an object"
+        )
+    return value
 
 
 def _number_property(props: dict, key: str, kind, area_id: str):
@@ -429,11 +442,15 @@ def planning_area_feature(area: PlanningArea, extra_properties: Optional[dict] =
     return {"type": "Feature", "geometry": geometry, "properties": props}
 
 
-def write_planning_areas_geojson(areas: Iterable[PlanningArea], path) -> None:
-    doc = {
-        "type": "FeatureCollection",
-        "features": [planning_area_feature(a) for a in sorted(areas, key=lambda a: a.area_id)],
-    }
+def write_feature_collection(features: list[dict], path) -> None:
+    """A compact GeoJSON FeatureCollection with sorted keys, one line."""
+    doc = {"type": "FeatureCollection", "features": features}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+
+
+def write_planning_areas_geojson(areas: Iterable[PlanningArea], path) -> None:
+    write_feature_collection(
+        [planning_area_feature(a) for a in sorted(areas, key=lambda a: a.area_id)], path
+    )

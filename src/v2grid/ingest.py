@@ -23,6 +23,24 @@ from .errors import InvalidInputError
 from .geo import CellId, GridSpec, locate_many
 
 DAY_S = 86400
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def format_epoch(day: int, seconds: Optional[int] = None) -> str:
+    """ISO 8601 text of epoch-day `day` (``YYYY-MM-DD``) or, given `seconds`
+    past its midnight, of that instant (``YYYY-MM-DDTHH:MM:SS``, no zone).
+    `seconds` may exceed a day, so ``format_epoch(0, epoch_s)`` renders epoch
+    seconds. Years are zero-padded to four digits."""
+    text = (_EPOCH + timedelta(days=day, seconds=seconds or 0)).isoformat()
+    return text[:10] if seconds is None else text[:19]
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """`header` and `rows` as UTF-8 CSV with ``\\n`` line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,7 +240,7 @@ def build_trajectory(stays: Sequence[Stay], tau_s: float = 3600.0) -> Trajectory
         if cur.arrival < prev.departure:
             raise InvalidInputError(
                 f"overlapping stays for user {uid}: "
-                f"{_format_epoch_s(prev.departure)} > {_format_epoch_s(cur.arrival)}"
+                f"{format_epoch(0, prev.departure)}Z > {format_epoch(0, cur.arrival)}Z"
             )
     merged: list[Stay] = []
     for stay in ordered:
@@ -290,7 +308,6 @@ RECORDS_HEADER = ["user_id", "timestamp", "lat", "lon"]
 STAYS_HEADER = ["user_id", "cell_row", "cell_col", "arrival", "departure"]
 
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 _CHUNK_ROWS = 4096  # larger chunks cost memory and gain no speed
 
@@ -372,10 +389,6 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _format_epoch_s(epoch_s: int) -> str:
-    return format_timestamp(datetime.fromtimestamp(epoch_s, tz=timezone.utc))
-
-
 def read_records_csv(path) -> tuple[Records, int]:
     """Read the ingest CSV; malformed rows are skipped and counted.
 
@@ -429,26 +442,20 @@ def _read_records_csv(path) -> tuple[Records, int]:
 
 
 def write_records_csv(records: Iterable[LocationRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORDS_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.user_id, format_timestamp(r.timestamp), f"{r.lat:.6f}", f"{r.lon:.6f}"]
-            )
+    write_csv(path, RECORDS_HEADER, (
+        [r.user_id, format_timestamp(r.timestamp), f"{r.lat:.6f}", f"{r.lon:.6f}"]
+        for r in records
+    ))
 
 
 def write_stays_csv(stays: Iterable[Stay], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STAYS_HEADER)
-        for s in stays:
-            writer.writerow(
-                [
-                    s.user_id,
-                    s.cell.row,
-                    s.cell.col,
-                    _format_epoch_s(s.arrival),
-                    _format_epoch_s(s.departure),
-                ]
-            )
+    write_csv(path, STAYS_HEADER, (
+        [
+            s.user_id,
+            s.cell.row,
+            s.cell.col,
+            format_epoch(0, s.arrival) + "Z",
+            format_epoch(0, s.departure) + "Z",
+        ]
+        for s in stays
+    ))

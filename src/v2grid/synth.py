@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .geo import CellId, GridSpec
-from .ingest import DAY_S, LocationRecord, Stay, Trajectory
+from .ingest import DAY_S, LocationRecord, Stay, Trajectory, write_csv
 
 
 class PlannedStay(NamedTuple):
@@ -340,13 +340,9 @@ def synthetic_demand_curve_values(samples: int = 48) -> list[float]:
 
 
 def write_demand_curve_csv(path, samples: int = 48) -> None:
-    import csv
-
     values = synthetic_demand_curve_values(samples)
     step_min = 24 * 60 // samples
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time_of_day", "demand"])
-        for i, v in enumerate(values):
-            minutes = i * step_min
-            writer.writerow([f"{minutes // 60:02d}:{minutes % 60:02d}", repr(v)])
+    write_csv(path, ["time_of_day", "demand"], (
+        [f"{minutes // 60:02d}:{minutes % 60:02d}", repr(v)]
+        for minutes, v in zip(range(0, samples * step_min, step_min), values)
+    ))

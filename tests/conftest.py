@@ -50,6 +50,11 @@ def utc_dt(y: int, mo: int, d: int, h: int = 0, m: int = 0, s: int = 0) -> datet
     return datetime(y, mo, d, h, m, s, tzinfo=UTC)
 
 
+def epoch_day(y: int, mo: int, d: int) -> int:
+    """The epoch-day index of a calendar date, as engine and aggregate key days."""
+    return int(utc_dt(y, mo, d).timestamp()) // 86400
+
+
 def ping(uid: str, ts: datetime, grid: GridSpec, cell: CellId) -> LocationRecord:
     lat, lon = grid.cell_centroid(cell)
     return LocationRecord(uid, ts, lat, lon)

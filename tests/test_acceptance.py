@@ -41,7 +41,7 @@ from v2grid import (
 )
 from v2grid.baseline import DemandCurve
 from v2grid.cli import main
-from conftest import ping, stay, utc_dt
+from conftest import epoch_day, ping, stay, utc_dt
 from oracles import brute_force_day, group_events, longest_true_run
 from test_engine import _random_day, _random_params
 
@@ -139,7 +139,7 @@ def test_criterion_05_invariant_suite_at_scale():
         cfg = SynthConfig.demo(grid, rng_seed=20200901, n_users=10_000, n_days=7)
         params = VehicleParams()
         window = PvWindow(9.0, 17.0)
-        days = [date(2020, 9, 1) + timedelta(days=k) for k in range(7)]
+        days = [epoch_day(2020, 9, 1) + k for k in range(7)]
         thr = params.soc_threshold
         cap = params.capacity_kwh
         n_traces = 0

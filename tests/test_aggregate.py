@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from datetime import date
-
 import numpy as np
 import pytest
 
@@ -21,8 +19,9 @@ from v2grid import (
     peak_density_and_sizing,
     pv_sufficiency,
 )
+from conftest import epoch_day
 
-DAY = date(2020, 9, 1)
+DAY = epoch_day(2020, 9, 1)
 IN_CELL = CellId(1, 1)  # covered by area A below
 OUT_CELL = CellId(8, 8)  # outside every area
 

@@ -185,6 +185,8 @@ class TestRunCommand:
             (["--tau", "nan"], 2),
             (["--tau", "1e300"], 2),
             (["--tz", "nan"], 2),
+            (["--days-in-month", "0", "--stays-csv"], 2),
+            (["--cell-size", "0"], 2),
         ],
     )
     def test_flag_exit_codes(self, tmp_path, flags, code):
@@ -246,8 +248,16 @@ class TestRunCommand:
             lambda doc: doc["features"][0]["properties"].update(households="many"),
             lambda doc: doc["features"][0]["properties"].update(area_m2=None),
             lambda doc: "{",  # truncated file
+            lambda doc: doc["features"].insert(0, "x"),
+            lambda doc: doc.update(features=5),
+            lambda doc: doc["features"][0].update(properties=["area_id", "area_m2"]),
+            lambda doc: doc["features"][0].update(geometry="x"),
+            lambda doc: doc["features"][0]["geometry"]["coordinates"][0].insert(1, [3]),
+            lambda doc: doc["features"][0]["geometry"].pop("coordinates"),
         ],
-        ids=["area_m2", "households", "area_m2_null", "truncated"],
+        ids=["area_m2", "households", "area_m2_null", "truncated", "feature_string",
+             "features_number", "properties_list", "geometry_string", "short_position",
+             "no_coordinates"],
     )
     def test_malformed_areas_exit_2(self, tmp_path, corrupt):
         records = run_synth(tmp_path, "records.csv")

@@ -23,7 +23,7 @@ from v2grid import (
     simulate_day,
     slice_trajectory_days,
 )
-from conftest import stay, utc_dt
+from conftest import epoch_day, stay, utc_dt
 from oracles import brute_force_day, group_events
 
 DAY = date(2020, 9, 1)
@@ -333,15 +333,15 @@ class TestRunScenario:
             ),
         )
         traces = list(run_scenario({"u": traj}, params, window, grid, utc_offset_s=0))
-        assert [t.day for t in traces] == [date(2020, 9, 1), date(2020, 9, 2)]
+        assert [t.day for t in traces] == [epoch_day(2020, 9, 1), epoch_day(2020, 9, 2)]
 
     def test_midnight_spanning_stay_splits_with_soc_reset(self, params, window, grid):
         traj = Trajectory(
             "u", (stay("u", A, utc_dt(2020, 9, 1, 23, 0), utc_dt(2020, 9, 2, 1, 30)),)
         )
         by_day = slice_trajectory_days(traj, 0)
-        assert by_day[date(2020, 9, 1)] == [DayStay(A, 23.0, 24.0)]
-        assert by_day[date(2020, 9, 2)] == [DayStay(A, 0.0, 1.5)]
+        assert by_day[epoch_day(2020, 9, 1)] == [DayStay(A, 23.0, 24.0)]
+        assert by_day[epoch_day(2020, 9, 2)] == [DayStay(A, 0.0, 1.5)]
         traces = list(run_scenario({"u": traj}, params, window, grid, utc_offset_s=0))
         assert len(traces) == 2
         for t in traces:
@@ -353,8 +353,8 @@ class TestRunScenario:
             "u", (stay("u", A, utc_dt(2020, 9, 1, 15, 0), utc_dt(2020, 9, 1, 17, 0)),)
         )
         by_day = slice_trajectory_days(traj, 8 * 3600)
-        assert by_day[date(2020, 9, 1)] == [DayStay(A, 23.0, 24.0)]
-        assert by_day[date(2020, 9, 2)] == [DayStay(A, 0.0, 1.0)]
+        assert by_day[epoch_day(2020, 9, 1)] == [DayStay(A, 23.0, 24.0)]
+        assert by_day[epoch_day(2020, 9, 2)] == [DayStay(A, 0.0, 1.0)]
 
     def test_day_range_covers_all_observed_days(self, params, window, grid):
         traj = Trajectory(
@@ -365,7 +365,7 @@ class TestRunScenario:
             ),
         )
         days = day_range_of([traj], 0)
-        assert days == [date(2020, 9, d) for d in (1, 2, 3, 4)]
+        assert days == [epoch_day(2020, 9, d) for d in (1, 2, 3, 4)]
         traces = list(run_scenario({"u": traj}, params, window, grid, utc_offset_s=0))
         assert len(traces) == 4
         assert traces[1].events == [] and traces[2].events == []

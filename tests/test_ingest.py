@@ -5,11 +5,11 @@ from __future__ import annotations
 import csv
 import gc
 import random
-from datetime import timedelta
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from v2grid import (
@@ -18,8 +18,11 @@ from v2grid import (
     IngestConfig,
     IngestStats,
     InvalidInputError,
+    ChargeEvent,
     LocationRecord,
     Records,
+    Regime,
+    Stay,
     Trajectory,
     build_trajectory,
     extract_stays,
@@ -29,8 +32,9 @@ from v2grid import (
     write_records_csv,
     write_stays_csv,
 )
+from v2grid.engine import write_events_csv
 from v2grid import ingest
-from v2grid.ingest import local_day_span
+from v2grid.ingest import format_epoch, local_day_span
 from conftest import ping, stay, utc_dt
 from oracles import ingest_per_user, read_records_per_row
 
@@ -358,6 +362,92 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "user_id,cell_row,cell_col,arrival,departure"
         assert lines[1] == "u,2,2,2020-09-01T08:00:00Z,2020-09-01T09:30:00Z"
+
+    def test_stays_csv_pads_years_below_1000(self, tmp_path):
+        path = tmp_path / "stays.csv"
+        write_stays_csv(
+            [stay("u", X, utc_dt(999, 5, 1, 0, 0), utc_dt(999, 5, 1, 1, 30))], path
+        )
+        assert path.read_text().splitlines()[1] == (
+            "u,2,2,0999-05-01T00:00:00Z,0999-05-01T01:30:00Z"
+        )
+
+
+EPOCH_DATE = date(1970, 1, 1)
+FIRST_DAY = (date(1, 1, 1) - EPOCH_DATE).days
+LAST_DAY = (date(9999, 12, 31) - EPOCH_DATE).days
+
+
+class TestOutputTimeText:
+    """Days and instants in the output files, against the `date` and
+    `datetime` rendering the writers used before days became ints."""
+
+    @staticmethod
+    def old_day_label(day: int) -> str:
+        return (EPOCH_DATE + timedelta(days=day)).isoformat()
+
+    @staticmethod
+    def old_local_instant(day: int, hour: float) -> str:
+        base = datetime.combine(EPOCH_DATE + timedelta(days=day), time(0, 0))
+        return (base + timedelta(seconds=round(hour * 3600.0))).isoformat()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        spans=st.lists(
+            st.tuples(
+                st.integers(FIRST_DAY, LAST_DAY),
+                st.floats(0.0, 24.0),
+                st.floats(0.0, 24.0),
+            ),
+            min_size=1, max_size=5,
+        )
+    )
+    def test_day_labels_and_event_instants(self, tmp_path, spans):
+        events = [
+            ChargeEvent("u", day, X, Regime.DISCHARGE, min(a, b), max(a, b), 6.6, 1.0)
+            for day, a, b in spans
+        ]
+        path = tmp_path / "events.csv"
+        try:
+            want = [
+                (self.old_day_label(e.day), self.old_local_instant(e.day, e.start_hour),
+                 self.old_local_instant(e.day, e.end_hour))
+                for e in events
+            ]
+        except OverflowError:  # 24:00 on 9999-12-31 falls in year 10000
+            with pytest.raises(OverflowError):
+                write_events_csv(events, path)
+            return
+        write_events_csv(events, path)
+        with open(path, newline="") as fh:
+            got = [(r["day"], r["start"], r["end"]) for r in csv.DictReader(fh)]
+        assert got == want
+        assert [format_epoch(day) for day, _a, _b in spans] == [w[0] for w in want]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        stamps=st.lists(
+            st.integers(
+                int(utc_dt(1, 1, 1).timestamp()), int(utc_dt(9999, 12, 31, 23, 59, 59).timestamp())
+            ),
+            min_size=2, max_size=10,
+        )
+    )
+    @example(stamps=[int(utc_dt(999, 5, 1).timestamp())] * 2)
+    def test_stays_csv_stamps_parse_back(self, tmp_path, stamps):
+        stamps.sort()
+        stays = [Stay("u", X, a, b) for a, b in zip(stamps, stamps[1:])]
+        path = tmp_path / "stays.csv"
+        write_stays_csv(stays, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [
+            (ingest._parse_timestamp(r["arrival"]).timestamp(),
+             ingest._parse_timestamp(r["departure"]).timestamp())
+            for r in rows
+        ] == [(s.arrival, s.departure) for s in stays]
 
 
 class TestPipeline:
