@@ -46,7 +46,7 @@ class ScalingConfig:
         if not self.time_step_minutes > 0:
             raise InvalidConfigError("time_step_minutes must be positive")
         steps = 24.0 * 60.0 / self.time_step_minutes
-        if abs(steps - round(steps)) > 1e-9:
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
             raise InvalidConfigError("time_step_minutes must divide 24 h")
 
     @property
@@ -80,89 +80,82 @@ class AreaAggregate:
     charging_points_per_km2: Optional[float] = None
 
 
-class _Accumulator:
-    __slots__ = ("discharge", "pv", "nonpv", "profile")
-
-    def __init__(self, steps: int):
-        self.discharge = 0.0
-        self.pv = 0.0
-        self.nonpv = 0.0
-        self.profile = np.zeros(steps)
+# column of each regime's energy in AggregateBuilder._energy
+_COLUMN = {Regime.DISCHARGE: 0, Regime.PV_CHARGE: 1, Regime.NONPV_CHARGE: 2}
 
 
 class AggregateBuilder:
     """Streaming reduction of charge events into per-(area, day) sums.
 
-    The reduction is commutative and associative up to float rounding; for
-    bit-stable results feed events in a fixed order and merge partial
-    builders in a fixed order.
+    Each area-day is a row of `_energy` (discharge, PV-charge and non-PV
+    charge kWh) and of `_profile` (kW per step), numbered as it first
+    appears. Every sum adds its terms in event order and, within one event,
+    in step order, so the bits depend on the order of the events but not on
+    how they are split into batches.
     """
 
     def __init__(self, index: AreaIndex, scaling: ScalingConfig):
         self.index = index
         self.scaling = scaling
-        self._acc: dict[AreaDay, _Accumulator] = {}
         self.events_unassigned = 0
-        self._step_h = 24.0 / scaling.steps_per_day
-
-    def _slot(self, key: AreaDay) -> _Accumulator:
-        acc = self._acc.get(key)
-        if acc is None:
-            acc = self._acc[key] = _Accumulator(self.scaling.steps_per_day)
-        return acc
-
-    def add_event(self, event: ChargeEvent) -> None:
-        area = self.index.area_of(event.cell)
-        if area is None:
-            area = UNASSIGNED
-            self.events_unassigned += 1
-        acc = self._slot((area, event.day))
-        if event.regime is Regime.DISCHARGE:
-            acc.discharge += event.energy_kwh
-            return
-        if event.regime is Regime.PV_CHARGE:
-            acc.pv += event.energy_kwh
-        else:
-            acc.nonpv += event.energy_kwh
-        # time-averaged power contribution of the event to each step it overlaps
-        dt = self._step_h
-        i0 = int(math.floor(event.start_hour / dt))
-        i1 = min(int(math.ceil(event.end_hour / dt)), self.scaling.steps_per_day)
-        for i in range(i0, i1):
-            overlap = min(event.end_hour, (i + 1) * dt) - max(event.start_hour, i * dt)
-            if overlap > 0:
-                acc.profile[i] += event.power_kw * overlap / dt
+        self._rows: dict[AreaDay, int] = {}
+        self._energy = np.zeros((0, 3))
+        self._profile = np.zeros((0, scaling.steps_per_day))
 
     def add_events(self, events: Iterable[ChargeEvent]) -> None:
-        for ev in events:
-            self.add_event(ev)
+        """Add a batch of events. A cell outside the grid raises
+        `InvalidInputError` and leaves the builder as it was."""
+        keys, cols, values = [], [], []
+        unassigned = 0
+        for e in events:
+            area = self.index.area_of(e.cell)
+            if area is None:
+                area = UNASSIGNED
+                unassigned += 1
+            keys.append((area, e.day))
+            cols.append(_COLUMN[e.regime])
+            values.append((e.energy_kwh, e.start_hour, e.end_hour, e.power_kw))
+        self.events_unassigned += unassigned
+        rows = [self._rows.setdefault(key, len(self._rows)) for key in keys]
+        extra = len(self._rows) - len(self._energy)
+        if extra:
+            self._energy = np.pad(self._energy, ((0, extra), (0, 0)))
+            self._profile = np.pad(self._profile, ((0, extra), (0, 0)))
+        row = np.array(rows, dtype=np.intp)
+        col = np.array(cols, dtype=np.intp)
+        energy, start, end, power = np.array(values, dtype=float).reshape(-1, 4).T
+        np.add.at(self._energy, (row, col), energy)
 
-    def merge(self, other: "AggregateBuilder") -> None:
-        if other.scaling != self.scaling:
-            raise InvalidConfigError("cannot merge builders with different scaling")
-        for key, acc in other._acc.items():
-            mine = self._slot(key)
-            mine.discharge += acc.discharge
-            mine.pv += acc.pv
-            mine.nonpv += acc.nonpv
-            mine.profile += acc.profile
-        self.events_unassigned += other.events_unassigned
+        # time-averaged power of each charging event in each step it overlaps,
+        # as (event, step) terms in event-major order, which np.add.at keeps
+        row, start, end, power = (a[col > 0] for a in (row, start, end, power))
+        steps = self.scaling.steps_per_day
+        dt = 24.0 / steps
+        i0 = np.floor(start / dt).astype(np.intp)
+        i1 = np.minimum(np.ceil(end / dt), steps).astype(np.intp)
+        n = np.maximum(i1 - i0, 0)
+        ev = np.repeat(np.arange(len(n)), n)
+        i = i0[ev] + np.arange(len(ev)) - np.repeat(np.cumsum(n) - n, n)
+        overlap = np.minimum(end[ev], (i + 1) * dt) - np.maximum(start[ev], i * dt)
+        kept = overlap > 0
+        np.add.at(self._profile, (row[ev][kept], i[kept]),
+                  (power[ev] * overlap / dt)[kept])
 
     def aggregates(self) -> dict[AreaDay, AreaAggregate]:
         scale = self.scaling.scale
         out: dict[AreaDay, AreaAggregate] = {}
-        for key in sorted(self._acc, key=lambda k: (k[0], k[1])):
-            acc = self._acc[key]
-            profile = acc.profile * scale
-            peak_step = int(np.argmax(profile)) if profile.size else 0
+        for key, row in sorted(self._rows.items()):
+            discharge, pv, nonpv = self._energy[row].tolist()
+            profile = self._profile[row] * scale
+            peak_step = int(np.argmax(profile))
             out[key] = AreaAggregate(
                 area_id=key[0],
                 day=key[1],
-                e_ev_kwh=acc.discharge * scale,
-                e_pv_charge_kwh=acc.pv * scale,
-                e_nonpv_charge_kwh=acc.nonpv * scale,
+                e_ev_kwh=discharge * scale,
+                e_pv_charge_kwh=pv * scale,
+                e_nonpv_charge_kwh=nonpv * scale,
                 demand_profile=profile,
-                p_ev_peak_kw=float(profile[peak_step]) if profile.size else 0.0,
+                p_ev_peak_kw=float(profile[peak_step]),
                 peak_step=peak_step,
             )
         return out

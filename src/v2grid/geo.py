@@ -43,8 +43,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.origin_lat) and math.isfinite(self.origin_lon)):
             raise InvalidInputError("grid origin coordinates must be finite")
-        if not self.cell_size_m > 0:
-            raise InvalidInputError("cell_size_m must be positive")
+        if not (math.isfinite(self.cell_size_m) and self.cell_size_m > 0):
+            raise InvalidInputError("cell_size_m must be finite and positive")
         if self.n_rows < 1 or self.n_cols < 1:
             raise InvalidInputError("grid needs at least one row and one column")
 

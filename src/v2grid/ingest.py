@@ -309,6 +309,7 @@ STAYS_HEADER = ["user_id", "cell_row", "cell_col", "arrival", "departure"]
 
 
 _MICROSECOND = timedelta(microseconds=1)
+_SECOND = timedelta(seconds=1)
 _CHUNK_ROWS = 4096  # larger chunks cost memory and gain no speed
 
 # separator positions and characters of YYYY-MM-DDTHH:MM:SSZ
@@ -386,7 +387,9 @@ def _parse_floats(texts: Sequence[str]) -> np.ndarray:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """`ts` (timezone-aware) as ``YYYY-MM-DDTHH:MM:SSZ`` in UTC, sub-second
+    parts truncated."""
+    return format_epoch(0, (ts - _EPOCH) // _SECOND) + "Z"
 
 
 def read_records_csv(path) -> tuple[Records, int]:

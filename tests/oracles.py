@@ -5,18 +5,25 @@ battery oracle integrates minute by minute, and the attendance oracle scans
 boolean day masks directly. The per-user ingest is the path the package used
 before its columnar one: it reads one ``LocationRecord`` per row and extracts
 stays one user at a time, sharing only ``locate_many``, ``build_trajectory``
-and ``filter_active_users`` with the package.
+and ``filter_active_users`` with the package. The per-event aggregation is
+the loop the package used before its batch reduction: one event at a time,
+one profile step at a time.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import Mapping, Optional, Sequence
+import math
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from v2grid import (
+    UNASSIGNED,
+    AreaAggregate,
+    AreaIndex,
     CellId,
+    ChargeEvent,
     DayStay,
     GridSpec,
     IngestConfig,
@@ -24,6 +31,8 @@ from v2grid import (
     InvalidInputError,
     LocationRecord,
     PvWindow,
+    Regime,
+    ScalingConfig,
     Stay,
     Trajectory,
     VehicleParams,
@@ -254,3 +263,49 @@ def ingest_per_user(
     trajectories = {u: t for u, t in trajectories.items() if u in retained}
     stats.users_retained = len(trajectories)
     return trajectories, stats
+
+
+# ---------------------------------------------------------------------------
+# Per-event aggregation: one event and one profile step at a time
+# ---------------------------------------------------------------------------
+
+
+def aggregate_per_event(
+    index: AreaIndex, scaling: ScalingConfig, events: Iterable[ChargeEvent]
+) -> tuple[dict[tuple[str, int], AreaAggregate], int]:
+    """Scaled per-(area, day) aggregates of `events` summed one by one, and
+    the number of events in cells outside every area."""
+    steps = scaling.steps_per_day
+    dt = 24.0 / steps
+    sums: dict[tuple[str, int], list] = {}  # [discharge, pv, nonpv, profile]
+    unassigned = 0
+    for event in events:
+        area = index.area_of(event.cell)
+        if area is None:
+            area = UNASSIGNED
+            unassigned += 1
+        acc = sums.setdefault((area, event.day), [0.0, 0.0, 0.0, np.zeros(steps)])
+        if event.regime is Regime.DISCHARGE:
+            acc[0] += event.energy_kwh
+            continue
+        if event.regime is Regime.PV_CHARGE:
+            acc[1] += event.energy_kwh
+        else:
+            acc[2] += event.energy_kwh
+        i0 = int(math.floor(event.start_hour / dt))
+        i1 = min(int(math.ceil(event.end_hour / dt)), steps)
+        for i in range(i0, i1):
+            overlap = min(event.end_hour, (i + 1) * dt) - max(event.start_hour, i * dt)
+            if overlap > 0:
+                acc[3][i] += event.power_kw * overlap / dt
+    scale = scaling.scale
+    out = {}
+    for key in sorted(sums):
+        discharge, pv, nonpv, profile = sums[key]
+        profile = profile * scale
+        peak_step = int(np.argmax(profile))
+        out[key] = AreaAggregate(
+            key[0], key[1], discharge * scale, pv * scale, nonpv * scale,
+            profile, float(profile[peak_step]), peak_step,
+        )
+    return out, unassigned

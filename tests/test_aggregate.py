@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2grid import (
     AggregateBuilder,
     CellId,
     ChargeEvent,
+    GridSpec,
     InvalidConfigError,
     InvalidInputError,
     Regime,
@@ -20,6 +25,7 @@ from v2grid import (
     pv_sufficiency,
 )
 from conftest import epoch_day
+from oracles import aggregate_per_event
 
 DAY = epoch_day(2020, 9, 1)
 IN_CELL = CellId(1, 1)  # covered by area A below
@@ -70,6 +76,9 @@ class TestScalingConfig:
     def test_time_step_must_divide_day(self):
         with pytest.raises(InvalidConfigError):
             paper_scaling(time_step_minutes=7.0)
+        # 24 h / 1e13 min rounds to zero steps
+        with pytest.raises(InvalidConfigError):
+            paper_scaling(time_step_minutes=1e13)
 
 
 class TestAreaEnergySupply:
@@ -214,32 +223,92 @@ class TestLinearityAndConservation:
         for key in coarse:
             assert fine[key].p_ev_peak_kw >= coarse[key].p_ev_peak_kw - 1e-9
 
-    def test_merge_is_order_independent(self, index):
-        rng = np.random.default_rng(13)
-        events = [
-            ev(
-                uid=f"u{i}",
-                regime=Regime.PV_CHARGE if i % 2 else Regime.DISCHARGE,
-                start=float(rng.uniform(0, 23)),
-                end=float(rng.uniform(23, 24)),
-                cell=CellId(int(rng.integers(0, 20)), int(rng.integers(0, 20))),
-            )
-            for i in range(40)
-        ]
-        whole = AggregateBuilder(index, paper_scaling())
-        whole.add_events(events)
-        left = AggregateBuilder(index, paper_scaling())
-        right = AggregateBuilder(index, paper_scaling())
-        left.add_events(events[:20])
-        right.add_events(events[20:])
-        left.merge(right)
-        a, b = whole.aggregates(), left.aggregates()
-        assert set(a) == set(b)
-        for key in a:
-            assert a[key].e_ev_kwh == pytest.approx(b[key].e_ev_kwh, rel=1e-12)
-            np.testing.assert_allclose(
-                a[key].demand_profile, b[key].demand_profile, rtol=1e-12
-            )
+
+def _bits(agg) -> list:
+    """Every field of an AreaAggregate, floats by repr and arrays by bytes."""
+    return [
+        (v.dtype.str, v.tobytes()) if isinstance(v, np.ndarray) else repr(v)
+        for v in dataclasses.astuple(agg)
+    ]
+
+
+def _two_area_index():
+    grid = GridSpec(origin_lat=0.0, origin_lon=0.0, cell_size_m=250.0, n_rows=20, n_cols=20)
+    lat1, lon1 = grid.unproject(1000.0, 1000.0)
+    _, lon2 = grid.unproject(2000.0, 1000.0)
+    return build_area_index(grid, [
+        make_rect_area("A", grid.origin_lat, lat1, grid.origin_lon, lon1, area_m2=1e6),
+        make_rect_area("B", grid.origin_lat, lat1, lon1, lon2, area_m2=1e6),
+    ])
+
+
+TWO_AREAS = _two_area_index()
+# in area A, in area B, outside every area
+REDUCTION_CELLS = (IN_CELL, CellId(1, 5), OUT_CELL)
+
+
+class TestBatchReduction:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), step_minutes=st.sampled_from([1.0, 5.0]))
+    def test_equals_the_per_event_loop(self, data, step_minutes):
+        scaling = paper_scaling(time_step_minutes=step_minutes)
+        dt = 24.0 / scaling.steps_per_day
+        # on a step boundary or at any second; lengths of zero, of whole
+        # steps or of up to a day, so that some events end past 24 h
+        seconds = st.integers(0, 86_400).map(lambda s: s / 3600.0)
+        hours = st.one_of(st.integers(0, scaling.steps_per_day).map(lambda k: k * dt), seconds)
+        lengths = st.one_of(st.just(0.0), st.integers(1, 60).map(lambda k: k * dt), seconds)
+        # half the events share one area-day, so that profile steps sum
+        # several terms and a change of summation order shows
+        slots = st.one_of(st.just((IN_CELL, DAY)),
+                          st.tuples(st.sampled_from(REDUCTION_CELLS),
+                                    st.sampled_from([DAY, DAY + 1])))
+        event = st.builds(
+            lambda slot, regime, start, length, power, energy: ChargeEvent(
+                "u", slot[1], slot[0], regime, start, start + length, power, energy),
+            slots, st.sampled_from(list(Regime)), hours, lengths,
+            st.floats(0.1, 22.0), st.floats(0.0, 60.0),
+        )
+        events = data.draw(st.lists(event, min_size=8, max_size=60))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(events)), max_size=4)))
+        batches = [events[a:b] for a, b in zip([0, *cuts], [*cuts, len(events)])]
+
+        builder = AggregateBuilder(TWO_AREAS, scaling)
+        for batch in batches:
+            builder.add_events(batch)
+        got = builder.aggregates()
+        want, unassigned = aggregate_per_event(TWO_AREAS, scaling, events)
+        assert list(got) == list(want)
+        for key in want:
+            assert _bits(got[key]) == _bits(want[key])
+        assert builder.events_unassigned == unassigned
+
+    def test_profile_steps_sum_in_event_order(self):
+        # three events that start one step apart and end together, so the
+        # last step sums 1 kW and then two 1e-16 kW terms, each lost against
+        # the 1 kW; in the reverse order the two small terms add up first
+        scaling = paper_scaling(time_step_minutes=5.0)
+        dt = 24.0 / scaling.steps_per_day
+        events = [ev(regime=Regime.PV_CHARGE, start=k * dt, end=3 * dt, power=power)
+                  for k, power in enumerate((1.0, 1e-16, 1e-16))]
+        builder = AggregateBuilder(TWO_AREAS, scaling)
+        builder.add_events(events)
+        (key, got), = builder.aggregates().items()
+        want = aggregate_per_event(TWO_AREAS, scaling, events)[0][key]
+        reverse = aggregate_per_event(TWO_AREAS, scaling, events[::-1])[0][key]
+        assert reverse.demand_profile[2] != want.demand_profile[2]
+        assert _bits(got) == _bits(want)
+
+    def test_cell_outside_the_grid_leaves_the_builder_as_it_was(self, index):
+        builder = AggregateBuilder(index, paper_scaling())
+        builder.add_events([ev(regime=Regime.PV_CHARGE)])
+        before = builder.aggregates()
+        with pytest.raises(InvalidInputError):
+            builder.add_events([ev(), ev(cell=OUT_CELL), ev(cell=CellId(99, 99))])
+        after = builder.aggregates()
+        assert list(after) == list(before)
+        assert all(_bits(after[k]) == _bits(before[k]) for k in before)
+        assert builder.events_unassigned == 0
 
 
 class TestSizing:

@@ -68,6 +68,15 @@ class TestSynthCommand:
         out = run_synth(tmp_path, "records.csv")
         assert out.read_text().splitlines()[0] == "user_id,timestamp,lat,lon"
 
+    def test_years_before_1000_are_zero_padded_and_read_back(self, tmp_path):
+        records = run_synth(tmp_path, "records.csv", ["--start-date", "0999-05-01"])
+        # local midnight at UTC+8 is 16:00 UTC of the day before
+        assert records.read_text().splitlines()[1].split(",")[1].startswith("0999-04-30T")
+        out_dir = run_pipeline(tmp_path, records, "out")
+        counts = json.loads((out_dir / "manifest.json").read_text())["counts"]
+        assert counts["rows_read"] > 0
+        assert counts["rows_skipped"] == 0
+
 
 class TestRunCommand:
     def test_outputs_and_manifest_parameter_echo(self, tmp_path):
@@ -187,6 +196,8 @@ class TestRunCommand:
             (["--tz", "nan"], 2),
             (["--days-in-month", "0", "--stays-csv"], 2),
             (["--cell-size", "0"], 2),
+            (["--cell-size", "inf"], 2),
+            (["--time-step", "1e13"], 2),
         ],
     )
     def test_flag_exit_codes(self, tmp_path, flags, code):
