@@ -65,7 +65,6 @@ from .geo import (
     locate,
     locate_many,
     make_rect_area,
-    points_in_polygon,
     write_planning_areas_geojson,
 )
 from .ingest import (

@@ -43,6 +43,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.origin_lat) and math.isfinite(self.origin_lon)):
             raise InvalidInputError("grid origin coordinates must be finite")
+        if not -90.0 <= self.origin_lat <= 90.0:
+            raise InvalidInputError("grid origin latitude must lie in [-90, 90]")
         if not (math.isfinite(self.cell_size_m) and self.cell_size_m > 0):
             raise InvalidInputError("cell_size_m must be finite and positive")
         if self.n_rows < 1 or self.n_cols < 1:
@@ -148,11 +150,15 @@ def cell_distance_m(a: CellId, b: CellId, grid: GridSpec) -> float:
 Ring = np.ndarray
 PolygonParts = tuple[tuple[Ring, ...], ...]
 
+_MAX_ON_EDGE_TESTS = 1 << 18  # per batch, which bounds peak memory
+
 
 def _normalise_ring(ring: Sequence[Sequence[float]]) -> Ring:
     arr = np.asarray(ring, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidGeometryError("ring must be a sequence of (lat, lon) pairs")
+    if not np.all(np.abs(arr) <= (90.0, 180.0)):  # False for NaN too
+        raise InvalidGeometryError("ring vertex out of range or not finite")
     if len(arr) >= 2 and bool(np.all(arr[0] == arr[-1])):
         closed = arr
     else:
@@ -223,59 +229,6 @@ def make_rect_area(
                         polygon=((ring,),), area_m2=area_m2, **kwargs)
 
 
-def _ring_even_odd(lats: np.ndarray, lons: np.ndarray, ring: Ring) -> np.ndarray:
-    """Even-odd crossing flags for each point against one ring."""
-    y0, x0 = ring[:-1, 0], ring[:-1, 1]
-    y1, x1 = ring[1:, 0], ring[1:, 1]
-    inside = np.zeros(lats.shape, dtype=bool)
-    for j in range(len(y0)):
-        if y0[j] == y1[j]:
-            continue  # horizontal edge never crosses the horizontal ray test
-        cond = (y0[j] > lats) != (y1[j] > lats)
-        if not np.any(cond):
-            continue
-        x_at = x0[j] + (lats - y0[j]) * (x1[j] - x0[j]) / (y1[j] - y0[j])
-        inside ^= cond & (lons < x_at)
-    return inside
-
-
-def _ring_boundary(
-    lats: np.ndarray, lons: np.ndarray, ring: Ring, eps: float = 1e-12
-) -> np.ndarray:
-    """Flags points lying on any edge of the ring (within eps, degree units)."""
-    on = np.zeros(lats.shape, dtype=bool)
-    y0, x0 = ring[:-1, 0], ring[:-1, 1]
-    y1, x1 = ring[1:, 0], ring[1:, 1]
-    for j in range(len(y0)):
-        dy, dx = y1[j] - y0[j], x1[j] - x0[j]
-        cross = dx * (lats - y0[j]) - dy * (lons - x0[j])
-        lo_y, hi_y = min(y0[j], y1[j]) - eps, max(y0[j], y1[j]) + eps
-        lo_x, hi_x = min(x0[j], x1[j]) - eps, max(x0[j], x1[j]) + eps
-        on |= (
-            (np.abs(cross) <= eps)
-            & (lats >= lo_y) & (lats <= hi_y)
-            & (lons >= lo_x) & (lons <= hi_x)
-        )
-    return on
-
-
-def points_in_polygon(
-    lats: np.ndarray, lons: np.ndarray, polygon: PolygonParts
-) -> np.ndarray:
-    """Boundary-inclusive even-odd point-in-polygon test, vectorised over points."""
-    lats = np.asarray(lats, dtype=np.float64)
-    lons = np.asarray(lons, dtype=np.float64)
-    result = np.zeros(lats.shape, dtype=bool)
-    for part in polygon:
-        inside = np.zeros(lats.shape, dtype=bool)
-        for ring in part:
-            inside ^= _ring_even_odd(lats, lons, ring)
-        for ring in part:
-            inside |= _ring_boundary(lats, lons, ring)
-        result |= inside
-    return result
-
-
 class AreaIndex:
     """Mapping from grid cells to planning-area ids.
 
@@ -308,30 +261,76 @@ class AreaIndex:
         )
 
 
+def _centroid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Centroid latitude of each row and longitude of each column, both
+    non-decreasing (each step is monotone for |origin_lat| <= 90)."""
+    y = (np.arange(grid.n_rows, dtype=np.float64) + 0.5) * grid.cell_size_m
+    x = (np.arange(grid.n_cols, dtype=np.float64) + 0.5) * grid.cell_size_m
+    lat = grid.origin_lat + np.degrees(y / EARTH_RADIUS_M)
+    lon = grid.origin_lon + np.degrees(
+        x / (EARTH_RADIUS_M * math.cos(math.radians(grid.origin_lat)))
+    )
+    return lat, lon
+
+
+def _spans(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with first[i] <= j < stop[i], ordered by i, then j."""
+    counts = stop - first
+    owner = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - offsets[owner] + first[owner]
+
+
+def _part_hits(lat: np.ndarray, lon: np.ndarray, part: tuple[Ring, ...]) -> np.ndarray:
+    """Boundary-inclusive even-odd test of every cell centroid against one
+    polygon part (exterior and holes), as a (rows, cols) mask.
+
+    Both tests evaluate the same float expressions per (edge, centroid) as a
+    point-by-point test would, only for the centroids where they can hold.
+    """
+    y0, x0, y1, x1 = np.concatenate([np.hstack([r[:-1], r[1:]]) for r in part]).T
+    # an edge crosses row r when min(y0, y1) <= lat[r] < max(y0, y1); the
+    # crossing flips the parity of the columns [0, k) with lon < x_at
+    e, r = _spans(np.searchsorted(lat, np.minimum(y0, y1)),
+                  np.searchsorted(lat, np.maximum(y0, y1)))
+    x_at = x0[e] + (lat[r] - y0[e]) * (x1[e] - x0[e]) / (y1[e] - y0[e])
+    crossings = np.zeros((len(lat), len(lon) + 1), dtype=np.int64)
+    np.add.at(crossings, (r, np.searchsorted(lon, x_at)), 1)
+    inside = np.cumsum(crossings[:, :0:-1], axis=1)[:, ::-1] % 2 == 1
+
+    # centroids on an edge, tested only inside its eps-widened bounding box
+    eps = 1e-12  # degrees
+    dy, dx = y1 - y0, x1 - x0
+    col_first = np.searchsorted(lon, np.minimum(x0, x1) - eps, "left")
+    col_stop = np.searchsorted(lon, np.maximum(x0, x1) + eps, "right")
+    box_e, box_r = _spans(np.searchsorted(lat, np.minimum(y0, y1) - eps, "left"),
+                          np.searchsorted(lat, np.maximum(y0, y1) + eps, "right"))
+    ends = np.cumsum(col_stop[box_e] - col_first[box_e])
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(_MAX_ON_EDGE_TESTS, total, _MAX_ON_EDGE_TESTS))
+    for row_e, row_r in zip(np.split(box_e, cuts), np.split(box_r, cuts)):
+        i, c = _spans(col_first[row_e], col_stop[row_e])
+        e, r = row_e[i], row_r[i]
+        on = np.abs(dx[e] * (lat[r] - y0[e]) - dy[e] * (lon[c] - x0[e])) <= eps
+        inside[r[on], c[on]] = True
+    return inside
+
+
 def build_area_index(grid: GridSpec, areas: Iterable[PlanningArea]) -> AreaIndex:
     """Assign every cell centroid to a planning area (or none)."""
     ordered = sorted(areas, key=lambda a: a.area_id)
     ids = [a.area_id for a in ordered]
     if len(set(ids)) != len(ids):
         raise InvalidInputError("duplicate area_id in planning areas")
-    rows = np.arange(grid.n_rows, dtype=np.float64)
-    cols = np.arange(grid.n_cols, dtype=np.float64)
-    y = (rows + 0.5) * grid.cell_size_m
-    x = (cols + 0.5) * grid.cell_size_m
-    lat = grid.origin_lat + np.degrees(y / EARTH_RADIUS_M)
-    lon = grid.origin_lon + np.degrees(
-        x / (EARTH_RADIUS_M * math.cos(math.radians(grid.origin_lat)))
-    )
-    lat_g, lon_g = np.meshgrid(lat, lon, indexing="ij")
-    lats, lons = lat_g.ravel(), lon_g.ravel()
-    codes = np.full(lats.shape, -1, dtype=np.int32)
+    lat, lon = _centroid_axes(grid)
+    codes = np.full((grid.n_rows, grid.n_cols), -1, dtype=np.int32)
     for i, area in enumerate(ordered):
         open_mask = codes < 0
         if not np.any(open_mask):
             break
-        hit = points_in_polygon(lats, lons, area.polygon)
+        hit = np.logical_or.reduce([_part_hits(lat, lon, part) for part in area.polygon])
         codes[open_mask & hit] = i
-    return AreaIndex(grid, codes.reshape(grid.n_rows, grid.n_cols), ids)
+    return AreaIndex(grid, codes, ids)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ class Records:
 
     Ping i belongs to user ``user_ids[user[i]]``; ``user_ids`` is sorted, so
     ordering by code orders by user id. ``t`` is the whole UTC epoch second a
-    stay uses (``int(timestamp.timestamp())``), and ``sub_us`` the
+    stay uses (the timestamp floored to the second), and ``sub_us`` the
     microseconds from there to the full timestamp, kept only to order pings
     within one second as their full timestamps order.
     """
@@ -326,10 +326,9 @@ def _parse_timestamp(text: str) -> datetime:
 
 
 def _epoch_parts(ts: datetime) -> tuple[int, int]:
-    """The epoch second a stay uses for `ts` (sub-second parts truncated),
-    and the microseconds from it to `ts`."""
-    t = int(ts.timestamp())
-    return t, (ts - _EPOCH) // _MICROSECOND - t * 1_000_000
+    """The epoch second a stay uses for `ts` (sub-second parts floored),
+    and the microseconds in [0, 10**6) from it to `ts`."""
+    return divmod((ts - _EPOCH) // _MICROSECOND, 1_000_000)
 
 
 def _canonical_epochs(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +387,7 @@ def _parse_floats(texts: Sequence[str]) -> np.ndarray:
 
 def format_timestamp(ts: datetime) -> str:
     """`ts` (timezone-aware) as ``YYYY-MM-DDTHH:MM:SSZ`` in UTC, sub-second
-    parts truncated."""
+    parts floored."""
     return format_epoch(0, (ts - _EPOCH) // _SECOND) + "Z"
 
 

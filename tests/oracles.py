@@ -7,13 +7,16 @@ before its columnar one: it reads one ``LocationRecord`` per row and extracts
 stays one user at a time, sharing only ``locate_many``, ``build_trajectory``
 and ``filter_active_users`` with the package. The per-event aggregation is
 the loop the package used before its batch reduction: one event at a time,
-one profile step at a time.
+one profile step at a time. The per-area index tests every cell centroid
+against every polygon edge, one edge at a time, as the package did before its
+scanline index.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from datetime import datetime, timedelta, timezone
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -30,6 +33,7 @@ from v2grid import (
     IngestStats,
     InvalidInputError,
     LocationRecord,
+    PlanningArea,
     PvWindow,
     Regime,
     ScalingConfig,
@@ -41,7 +45,10 @@ from v2grid import (
     haversine_m,
     locate_many,
 )
+from v2grid.geo import EARTH_RADIUS_M, PolygonParts, Ring
 from v2grid.ingest import RECORDS_HEADER, _parse_timestamp
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def brute_force_day(
@@ -200,7 +207,7 @@ def extract_stays_one_user(
     intervals [first ping, last ping]; runs shorter than tau are dropped.
     Pings outside the grid are dropped (counted in stats). Emitted stays that
     end up exactly adjacent in time in the same cell are merged. Timestamps
-    are truncated to whole seconds.
+    are floored to whole seconds.
     """
     if not records:
         return []
@@ -211,7 +218,7 @@ def extract_stays_one_user(
     for i, r in enumerate(records):
         if r.user_id != uid:
             raise InvalidInputError("extract_stays expects records of a single user")
-        epochs[i] = int(r.timestamp.timestamp())
+        epochs[i] = (r.timestamp - _EPOCH) // timedelta(seconds=1)
         lats[i] = r.lat
         lons[i] = r.lon
     if np.any(np.diff(epochs) < 0):
@@ -309,3 +316,88 @@ def aggregate_per_event(
             profile, float(profile[peak_step]), peak_step,
         )
     return out, unassigned
+
+
+# ---------------------------------------------------------------------------
+# Per-area index: every centroid against every edge, one edge at a time
+# ---------------------------------------------------------------------------
+
+
+def _ring_even_odd(lats: np.ndarray, lons: np.ndarray, ring: Ring) -> np.ndarray:
+    """Even-odd crossing flags for each point against one ring."""
+    y0, x0 = ring[:-1, 0], ring[:-1, 1]
+    y1, x1 = ring[1:, 0], ring[1:, 1]
+    inside = np.zeros(lats.shape, dtype=bool)
+    for j in range(len(y0)):
+        if y0[j] == y1[j]:
+            continue  # horizontal edge never crosses the horizontal ray test
+        cond = (y0[j] > lats) != (y1[j] > lats)
+        if not np.any(cond):
+            continue
+        x_at = x0[j] + (lats - y0[j]) * (x1[j] - x0[j]) / (y1[j] - y0[j])
+        inside ^= cond & (lons < x_at)
+    return inside
+
+
+def _ring_boundary(
+    lats: np.ndarray, lons: np.ndarray, ring: Ring, eps: float = 1e-12
+) -> np.ndarray:
+    """Flags points lying on any edge of the ring (within eps, degree units)."""
+    on = np.zeros(lats.shape, dtype=bool)
+    y0, x0 = ring[:-1, 0], ring[:-1, 1]
+    y1, x1 = ring[1:, 0], ring[1:, 1]
+    for j in range(len(y0)):
+        dy, dx = y1[j] - y0[j], x1[j] - x0[j]
+        cross = dx * (lats - y0[j]) - dy * (lons - x0[j])
+        lo_y, hi_y = min(y0[j], y1[j]) - eps, max(y0[j], y1[j]) + eps
+        lo_x, hi_x = min(x0[j], x1[j]) - eps, max(x0[j], x1[j]) + eps
+        on |= (
+            (np.abs(cross) <= eps)
+            & (lats >= lo_y) & (lats <= hi_y)
+            & (lons >= lo_x) & (lons <= hi_x)
+        )
+    return on
+
+
+def points_in_polygon(
+    lats: np.ndarray, lons: np.ndarray, polygon: PolygonParts
+) -> np.ndarray:
+    """Boundary-inclusive even-odd point-in-polygon test, vectorised over points."""
+    lats = np.asarray(lats, dtype=np.float64)
+    lons = np.asarray(lons, dtype=np.float64)
+    result = np.zeros(lats.shape, dtype=bool)
+    for part in polygon:
+        inside = np.zeros(lats.shape, dtype=bool)
+        for ring in part:
+            inside ^= _ring_even_odd(lats, lons, ring)
+        for ring in part:
+            inside |= _ring_boundary(lats, lons, ring)
+        result |= inside
+    return result
+
+
+def build_area_index_per_area(grid: GridSpec, areas: Iterable[PlanningArea]) -> AreaIndex:
+    """Assign every cell centroid to a planning area (or none), testing the
+    scattered centroids against each area's polygon in area_id order."""
+    ordered = sorted(areas, key=lambda a: a.area_id)
+    ids = [a.area_id for a in ordered]
+    if len(set(ids)) != len(ids):
+        raise InvalidInputError("duplicate area_id in planning areas")
+    rows = np.arange(grid.n_rows, dtype=np.float64)
+    cols = np.arange(grid.n_cols, dtype=np.float64)
+    y = (rows + 0.5) * grid.cell_size_m
+    x = (cols + 0.5) * grid.cell_size_m
+    lat = grid.origin_lat + np.degrees(y / EARTH_RADIUS_M)
+    lon = grid.origin_lon + np.degrees(
+        x / (EARTH_RADIUS_M * math.cos(math.radians(grid.origin_lat)))
+    )
+    lat_g, lon_g = np.meshgrid(lat, lon, indexing="ij")
+    lats, lons = lat_g.ravel(), lon_g.ravel()
+    codes = np.full(lats.shape, -1, dtype=np.int32)
+    for i, area in enumerate(ordered):
+        open_mask = codes < 0
+        if not np.any(open_mask):
+            break
+        hit = points_in_polygon(lats, lons, area.polygon)
+        codes[open_mask & hit] = i
+    return AreaIndex(grid, codes.reshape(grid.n_rows, grid.n_cols), ids)

@@ -265,10 +265,16 @@ class TestRunCommand:
             lambda doc: doc["features"][0].update(geometry="x"),
             lambda doc: doc["features"][0]["geometry"]["coordinates"][0].insert(1, [3]),
             lambda doc: doc["features"][0]["geometry"].pop("coordinates"),
+            lambda doc: doc["features"][0]["geometry"]["coordinates"][0][1].__setitem__(
+                0, float("nan")),
+            lambda doc: doc["features"][0]["geometry"]["coordinates"][0][1].__setitem__(
+                0, float("inf")),
+            lambda doc: doc["features"][0]["geometry"]["coordinates"][0][1].__setitem__(
+                1, 95.0),
         ],
         ids=["area_m2", "households", "area_m2_null", "truncated", "feature_string",
              "features_number", "properties_list", "geometry_string", "short_position",
-             "no_coordinates"],
+             "no_coordinates", "nan_vertex", "inf_vertex", "lat_95_vertex"],
     )
     def test_malformed_areas_exit_2(self, tmp_path, corrupt):
         records = run_synth(tmp_path, "records.csv")

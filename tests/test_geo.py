@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from v2grid import (
     CellId,
+    GridSpec,
     InvalidGeometryError,
     InvalidInputError,
     PlanningArea,
@@ -19,9 +22,11 @@ from v2grid import (
     locate,
     locate_many,
     make_rect_area,
-    points_in_polygon,
     write_planning_areas_geojson,
 )
+from v2grid import geo
+from v2grid.geo import EARTH_RADIUS_M, _centroid_axes
+from oracles import build_area_index_per_area, points_in_polygon
 
 
 class TestLocate:
@@ -157,6 +162,17 @@ class TestAreaIndex:
                 polygon=(([(0.0, 0.0), (0.0, 1.0)],),), area_m2=1.0,
             )
 
+    @pytest.mark.parametrize(
+        "vertex", [(float("nan"), 1.0), (1.0, float("inf")), (95.0, 1.0), (1.0, -180.5)],
+        ids=["nan", "inf", "lat_95", "lon_-180.5"],
+    )
+    def test_non_finite_or_out_of_range_vertex_rejected(self, vertex):
+        with pytest.raises(InvalidGeometryError):
+            PlanningArea(
+                area_id="BAD", name="bad",
+                polygon=(([(0.0, 0.0), (0.0, 1.0), vertex],),), area_m2=1.0,
+            )
+
     def test_mapped_centroids_lie_inside_their_area(self, grid):
         lat1, lon1 = grid.unproject(2000.0, 2000.0)
         lat2, lon2 = grid.unproject(4000.0, 4000.0)
@@ -175,6 +191,82 @@ class TestAreaIndex:
                 assert points_in_polygon(
                     np.array([lat]), np.array([lon]), by_id[aid].polygon
                 )[0]
+
+
+@st.composite
+def grids_and_areas(draw):
+    """A grid of 1-15 rows and columns and 1-4 areas of 1-2 parts of 1-2
+    rings. Vertices lie on centroids, halfway between them, beyond the grid
+    or at the ends of the coordinate ranges; a vertex may keep the latitude
+    of the one before it (a horizontal edge, often through a centroid row)
+    or be shared with other areas."""
+    grid = GridSpec(
+        draw(st.sampled_from([-45.0, 0.0, 1.25, 59.9])),
+        draw(st.sampled_from([-120.0, 0.0, 103.7])),
+        draw(st.sampled_from([100.0, 250.0, 1000.0])),
+        draw(st.integers(1, 15)),
+        draw(st.integers(1, 15)),
+    )
+    lat, lon = _centroid_axes(grid)
+    d_lat = math.degrees(grid.cell_size_m / EARTH_RADIUS_M)
+    d_lon = d_lat / math.cos(math.radians(grid.origin_lat))
+    lats = [*lat.tolist(), *(lat + d_lat / 2).tolist(),
+            lat[0] - 2 * d_lat, lat[-1] + 2 * d_lat, -90.0, 90.0]
+    lons = [*lon.tolist(), *(lon + d_lon / 2).tolist(),
+            lon[0] - 2 * d_lon, lon[-1] + 2 * d_lon, -180.0, 180.0]
+    vertex = st.tuples(st.sampled_from(lats), st.sampled_from(lons))
+    shared = draw(st.lists(vertex, min_size=2, max_size=4))
+    any_vertex = st.one_of(vertex, st.sampled_from(shared))
+
+    def ring():
+        points = []
+        for (la, lo), same_row in draw(
+            st.lists(st.tuples(any_vertex, st.booleans()), min_size=3, max_size=7)
+        ):
+            points.append((points[-1][0] if same_row and points else la, lo))
+        assume(len(set(points)) >= 3)
+        return points
+
+    def polygon():
+        return tuple(
+            tuple(ring() for _ in range(draw(st.integers(1, 2))))
+            for _ in range(draw(st.integers(1, 2)))
+        )
+
+    ids = draw(st.permutations(["A1", "A2", "A3", "A4"]))[: draw(st.integers(1, 4))]
+    return grid, [PlanningArea(aid, aid, polygon(), area_m2=1.0) for aid in ids]
+
+
+# The edge from the south pole crosses row 1 at exactly the longitude of
+# column 1, yet the on-edge cross product of that centroid rounds to 7e-12,
+# above the 1e-12 tolerance: only the even-odd test decides the cell, and it
+# must not count a crossing at the centroid's own longitude.
+LONG_EDGE = (
+    GridSpec(59.9, 179.0, 250.0, 3, 3),
+    [PlanningArea("A1", "A1", (([(-90.0, -117.5), (60.403372451363964, 179.99571742620955),
+                                 (60.403372451363964, 180.0)],),), area_m2=1.0)],
+)
+
+
+class TestScanlineIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(case=grids_and_areas())
+    @example(case=LONG_EDGE)
+    def test_equals_the_per_area_oracle(self, case):
+        grid, areas = case
+        assert build_area_index(grid, areas) == build_area_index_per_area(grid, areas)
+
+    def test_on_edge_tests_in_many_batches(self, grid, monkeypatch):
+        # edges through centroids (the equatorial lattice has equal steps, so
+        # the diagonal too), tested three cells at a time
+        lat, lon = _centroid_axes(grid)
+        diagonal = [(lat[0], lon[0]), (lat[15], lon[15]), (lat[0], lon[15])]
+        areas = [
+            _square("A01", lat[2], lat[9], lon[3], lon[12]),
+            PlanningArea("A02", "A02", ((diagonal,),), area_m2=1.0),
+        ]
+        monkeypatch.setattr(geo, "_MAX_ON_EDGE_TESTS", 3)
+        assert build_area_index(grid, areas) == build_area_index_per_area(grid, areas)
 
 
 class TestPolygonWithHole:
@@ -214,6 +306,12 @@ class TestGeoJson:
         )
         with pytest.raises(InvalidInputError):
             load_planning_areas(path)
+
+
+def test_grid_origin_beyond_a_pole_rejected():
+    # centroid longitudes would run westward, against the index's lattice
+    with pytest.raises(InvalidInputError):
+        GridSpec(90.5, 0.0, 250.0, 2, 2)
 
 
 def test_haversine_matches_textbook_value():

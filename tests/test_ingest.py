@@ -317,7 +317,9 @@ class TestCsv:
             ("2020-09-01T08:00:00Z", 1598947200),
             ("2020-09-01T16:00:00+08:00", 1598947200),
             ("2020-09-01T08:00:00", 1598947200),  # naive means UTC
-            ("2020-09-01T08:00:00.9Z", 1598947200),  # truncated to the second
+            ("2020-09-01T08:00:00.9Z", 1598947200),  # floored to the second
+            ("1969-12-31T23:59:59.5Z", -1),  # floored, not truncated to 0
+            ("9999-12-31T23:59:59.999999Z", 253402300799),  # no float rounding up
             ("2020-02-29T23:59:59Z", 1583020799),
             ("0001-01-01T00:00:00Z", -62135596800),
             ("2021-02-29T00:00:00Z", None),
