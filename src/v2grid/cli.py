@@ -2,13 +2,16 @@
 
 ``v2grid synth`` writes a reproducible synthetic location-records CSV (plus,
 optionally, matching planning areas and a demand curve). ``v2grid run``
-executes the full pipeline: ingest records, simulate every user-day,
-aggregate per planning area, and compare against the household baseline.
+executes the full pipeline: ingest records, simulate every user-day in one
+serial (user, day) stream, aggregate per planning area, and compare against
+the household baseline.
 
 Exit codes: 0 success, 2 usage or config error, 3 internal invariant
-violation. Two runs with identical inputs and flags produce byte-identical
-output files regardless of ``--jobs``; the manifest records sha256 digests of
-every input and output.
+violation. A run that exits 2 on a flag or an input does not make the output
+directory: it is made only after every input is read and checked.
+Two runs with identical inputs and flags produce byte-identical output files
+(``--jobs`` is accepted but has no effect yet); the manifest records sha256
+digests of every input and output.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from datetime import date, datetime, timedelta, timezone
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .aggregate import (
@@ -49,6 +51,7 @@ from .baseline import (
 )
 from .engine import (
     PvWindow,
+    SocTrace,
     VehicleParams,
     day_range_of,
     run_scenario,
@@ -57,6 +60,7 @@ from .engine import (
 from .errors import (
     DegenerateRegressorError,
     InvalidConfigError,
+    InvalidInputError,
     InvariantViolationError,
     V2GridError,
 )
@@ -76,7 +80,9 @@ from .synth import (
 )
 from .geo import write_planning_areas_geojson
 
-_CHUNK_USERS = 128  # fixed sharding so results never depend on --jobs
+_CHUNK_USER_DAYS = 1024  # bounds the charge events held at once
+# 4096 x 4096 cells: build_area_index takes about 0.5 s and 470 MB there (2-vCPU VM)
+_MAX_GRID_CELLS = 1 << 24
 
 
 def _sha256(path: Path) -> str:
@@ -138,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tz", type=float, default=8.0, help="UTC offset hours")
     p_run.add_argument("--days-in-month", type=int, default=30,
                        help="divisor for monthly household consumption")
-    p_run.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="must be >= 1; no effect until the records read is parallel")
     p_run.add_argument("--events-csv", action="store_true",
                        help="also dump every charge event")
     p_run.add_argument("--stays-csv", action="store_true",
@@ -186,18 +193,32 @@ def _grid_from_areas(areas, cell_size_m: float) -> GridSpec:
     x_max, y_max = probe.project(lat_max, lon_max)
     n_cols = max(1, int(math.ceil(x_max / cell_size_m - 1e-9)))
     n_rows = max(1, int(math.ceil(y_max / cell_size_m - 1e-9)))
+    if n_rows * n_cols > _MAX_GRID_CELLS:
+        raise InvalidInputError(
+            f"planning areas span a {n_rows} x {n_cols} grid of {cell_size_m:g} m cells, "
+            f"more than {_MAX_GRID_CELLS} cells: look for stray vertices or raise --cell-size"
+        )
     return GridSpec(lat_min, lon_min, cell_size_m, n_rows, n_cols)
 
 
-def _simulate_chunk(payload) -> tuple[list, int, int]:
-    """Worker task: simulate a chunk of users; returns (events, range_exceeded,
-    n_traces). Events keep user order, so parent-side aggregation order is
-    independent of the worker count."""
-    chunk, params, window, grid, utc_offset_s, days = payload
+def _check_out_dir(out_dir: Path) -> None:
+    """Reject an ``--out-dir`` that an existing file blocks, before any input
+    is read."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise InvalidConfigError(f"--out-dir {out_dir}: {path} is not a directory")
+            return
+
+
+def _simulate_chunk(traces: Iterator[SocTrace]) -> tuple[list, int, int]:
+    """Simulate the next ``_CHUNK_USER_DAYS`` user-days of a ``run_scenario``
+    stream; returns (events, range_exceeded, n_traces), events in (user, day)
+    order."""
     events = []
     range_exceeded = 0
     n_traces = 0
-    for trace in run_scenario(dict(chunk), params, window, grid, utc_offset_s, days):
+    for trace in islice(traces, _CHUNK_USER_DAYS):
         events.extend(trace.events)
         range_exceeded += trace.range_exceeded
         n_traces += 1
@@ -237,7 +258,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     check_days_in_month(args.days_in_month)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _check_out_dir(out_dir)
     started = datetime.now(timezone.utc)
 
     for path in (args.records, args.areas, args.demand):
@@ -249,7 +270,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not areas:
         print("error: planning areas file contains no features", file=sys.stderr)
         return 2
-    demand_curve = read_demand_csv(args.demand)
+    night_frac = night_fraction(read_demand_csv(args.demand), window)
     grid = _grid_from_areas(areas, args.cell_size)
     index = build_area_index(grid, areas)
     areas_by_id = {a.area_id: a for a in areas}
@@ -269,6 +290,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         population=int(args.n_pop),
         time_step_minutes=args.time_step,
     )
+    # every input is read and checked: a failure above leaves no directory
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot make --out-dir {out_dir}: {exc}") from exc
     if args.stays_csv:
         write_stays_csv(
             (s for uid in users for s in trajectories[uid].stays),
@@ -280,26 +306,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     range_exceeded = 0
     n_traces = 0
     n_events = 0
-    chunks = [
-        [(u, trajectories[u]) for u in users[i : i + _CHUNK_USERS]]
-        for i in range(0, len(users), _CHUNK_USERS)
-    ]
-    payloads = ((c, params, window, grid, ingest_cfg.utc_offset_s, days) for c in chunks)
-    parallel = args.jobs > 1 and len(chunks) > 1
-    with ProcessPoolExecutor(max_workers=args.jobs) if parallel else nullcontext() as pool:
-        for events, rexc, traces in (pool.map if parallel else map)(_simulate_chunk, payloads):
-            builder.add_events(events)
-            n_events += len(events)
-            if all_events is not None:
-                all_events.extend(events)
-            range_exceeded += rexc
-            n_traces += traces
+    traces = run_scenario(trajectories, params, window, grid, ingest_cfg.utc_offset_s, days)
+    for _ in range(0, len(users) * len(days), _CHUNK_USER_DAYS):
+        events, rexc, n = _simulate_chunk(traces)
+        builder.add_events(events)
+        n_events += len(events)
+        if all_events is not None:
+            all_events.extend(events)
+        range_exceeded += rexc
+        n_traces += n
 
     aggregates = builder.aggregates()
     attach_sizing(aggregates, areas_by_id, params.charge_power_kw)
 
     # household comparison: mean daily V2G supply per area vs night baseline
-    night_frac = night_fraction(demand_curve, window)
     baselines, skipped_areas = household_baselines(
         areas, args.days_in_month, night_frac
     )

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from v2grid import make_rect_area, write_planning_areas_geojson
+from v2grid import cli, make_rect_area, write_planning_areas_geojson
 from v2grid.cli import main
+from v2grid.errors import InvalidInputError
 from v2grid.synth import write_demand_curve_csv
 
 
@@ -141,6 +142,37 @@ class TestRunCommand:
             ]
         )
         assert code == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("demand.csv", "time_of_day,demand\n00:00,1.0\n"),
+            ("demand.csv", "time_of_day,demand\n00:00,0\n12:00,0\n"),
+            ("records.csv", "user,timestamp,lat,lon\n"),
+        ],
+        ids=["demand_one_row", "demand_sums_to_zero", "records_header"],
+    )
+    def test_bad_input_exits_2_before_out_dir(self, tmp_path, name, text):
+        records = run_synth(tmp_path, "records.csv")
+        (tmp_path / name).write_text(text)
+        out_dir = tmp_path / "out"
+        argv = [
+            "run", str(records), str(tmp_path / "areas.geojson"),
+            str(tmp_path / "demand.csv"), "--out-dir", str(out_dir), "--stays-csv",
+        ]
+        assert main(argv) == 2
+        assert not out_dir.exists()
+
+    def test_out_dir_mkdir_error_exits_2(self, tmp_path):
+        records = run_synth(tmp_path, "records.csv")
+        out_dir = tmp_path / "dangling"
+        out_dir.symlink_to(tmp_path / "missing")
+        argv = [
+            "run", str(records), str(tmp_path / "areas.geojson"),
+            str(tmp_path / "demand.csv"), "--out-dir", str(out_dir),
+        ]
+        assert main(argv) == 2
 
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
         records = run_synth(tmp_path, "records.csv")
@@ -198,9 +230,12 @@ class TestRunCommand:
             (["--cell-size", "0"], 2),
             (["--cell-size", "inf"], 2),
             (["--time-step", "1e13"], 2),
+            (["--out-dir", "records.csv"], 2),
+            (["--out-dir", "records.csv/sub"], 2),
         ],
     )
-    def test_flag_exit_codes(self, tmp_path, flags, code):
+    def test_flag_exit_codes(self, tmp_path, monkeypatch, flags, code):
+        monkeypatch.chdir(tmp_path)  # so a relative --out-dir names the records file
         records = run_synth(tmp_path, "records.csv")
         out_dir = tmp_path / "out"
         argv = [
@@ -271,10 +306,15 @@ class TestRunCommand:
                 0, float("inf")),
             lambda doc: doc["features"][0]["geometry"]["coordinates"][0][1].__setitem__(
                 1, 95.0),
+            # asks for a 26 145 x 126 142 grid of 250 m cells, 3.3 G cells
+            lambda doc: (
+                doc["features"][0]["geometry"]["coordinates"][0][1].__setitem__(1, 60.0),
+                doc["features"][0]["geometry"]["coordinates"][0][2].__setitem__(0, -180.0)),
         ],
         ids=["area_m2", "households", "area_m2_null", "truncated", "feature_string",
              "features_number", "properties_list", "geometry_string", "short_position",
-             "no_coordinates", "nan_vertex", "inf_vertex", "lat_95_vertex"],
+             "no_coordinates", "nan_vertex", "inf_vertex", "lat_95_vertex",
+             "stray_vertices"],
     )
     def test_malformed_areas_exit_2(self, tmp_path, corrupt):
         records = run_synth(tmp_path, "records.csv")
@@ -287,12 +327,26 @@ class TestRunCommand:
             "--out-dir", str(tmp_path / "out"),
         ]
         assert main(argv) == 2
+        assert not (tmp_path / "out").exists()
+
+
+def test_grid_size_is_capped(monkeypatch):
+    areas = [make_rect_area("A", 1.30, 1.31, 103.80, 103.82, area_m2=1e6)]
+    n_cells = cli._grid_from_areas(areas, 250.0).n_cells
+    assert n_cells > 1
+    monkeypatch.setattr(cli, "_MAX_GRID_CELLS", n_cells)
+    assert cli._grid_from_areas(areas, 250.0).n_cells == n_cells
+    monkeypatch.setattr(cli, "_MAX_GRID_CELLS", n_cells - 1)
+    with pytest.raises(InvalidInputError, match="stray vertices or raise --cell-size"):
+        cli._grid_from_areas(areas, 250.0)
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about a second and 70 MB at every start
+    # scipy.stats costs about a second and 70 MB at every start; multiprocessing
+    # would mean a process pool is back on the run path
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, v2grid.cli; sys.exit('scipy.stats' in sys.modules)"
+    code = ("import sys, v2grid.cli; "
+            "sys.exit('scipy.stats' in sys.modules or 'multiprocessing' in sys.modules)")
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
