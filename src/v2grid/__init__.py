@@ -74,9 +74,7 @@ from .ingest import (
     Records,
     Stay,
     Trajectory,
-    build_trajectory,
     extract_stays,
-    filter_active_users,
     ingest_trajectories,
     read_records_csv,
     write_records_csv,

@@ -43,11 +43,12 @@ class ScalingConfig:
             raise InvalidConfigError("population must be positive")
         if self.observed_users > self.population:
             raise InvalidConfigError("observed_users cannot exceed population")
-        if not self.time_step_minutes > 0:
-            raise InvalidConfigError("time_step_minutes must be positive")
-        steps = 24.0 * 60.0 / self.time_step_minutes
-        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
-            raise InvalidConfigError("time_step_minutes must divide 24 h")
+        # step_start labels are HH:MM, so a step must be whole minutes
+        step = self.time_step_minutes
+        if not (step > 0 and float(step).is_integer() and 1440 % step == 0):
+            raise InvalidConfigError(
+                "time_step_minutes must be a whole number of minutes that divides 24 h"
+            )
 
     @property
     def market_share(self) -> float:

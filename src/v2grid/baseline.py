@@ -47,21 +47,24 @@ class DemandCurve:
 def read_demand_csv(path) -> DemandCurve:
     """CSV with header time_of_day,demand; times HH:MM from 00:00, uniform."""
     rows: list[tuple[int, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["time_of_day", "demand"]:
-            raise InvalidInputError("demand CSV must have header time_of_day,demand")
-        for row in reader:
-            if len(row) != 2:
-                raise InvalidInputError(f"bad demand row: {row!r}")
-            try:
-                hh, mm = row[0].split(":")
-                minutes = int(hh) * 60 + int(mm)
-                value = float(row[1])
-            except ValueError as exc:
-                raise InvalidInputError(f"bad demand row: {row!r}") from exc
-            rows.append((minutes, value))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["time_of_day", "demand"]:
+                raise InvalidInputError("demand CSV must have header time_of_day,demand")
+            for row in reader:
+                if len(row) != 2:
+                    raise InvalidInputError(f"bad demand row: {row!r}")
+                try:
+                    hh, mm = row[0].split(":")
+                    minutes = int(hh) * 60 + int(mm)
+                    value = float(row[1])
+                except ValueError as exc:
+                    raise InvalidInputError(f"bad demand row: {row!r}") from exc
+                rows.append((minutes, value))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidInputError(f"demand CSV {path} cannot be read: {exc}") from exc
     if len(rows) < 2:
         raise InvalidInputError("demand curve needs at least 2 samples")
     step = rows[1][0] - rows[0][0]

@@ -27,6 +27,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .aggregate import (
     UNASSIGNED,
@@ -191,14 +193,16 @@ def _grid_from_areas(areas, cell_size_m: float) -> GridSpec:
         raise V2GridError("no polygon vertices found in planning areas")
     probe = GridSpec(lat_min, lon_min, cell_size_m, 1, 1)
     x_max, y_max = probe.project(lat_max, lon_max)
-    n_cols = max(1, int(math.ceil(x_max / cell_size_m - 1e-9)))
-    n_rows = max(1, int(math.ceil(y_max / cell_size_m - 1e-9)))
+    # float counts: a tiny cell size makes them infinite, which int() rejects
+    n_cols = max(1.0, float(np.ceil(x_max / cell_size_m - 1e-9)))
+    n_rows = max(1.0, float(np.ceil(y_max / cell_size_m - 1e-9)))
     if n_rows * n_cols > _MAX_GRID_CELLS:
         raise InvalidInputError(
-            f"planning areas span a {n_rows} x {n_cols} grid of {cell_size_m:g} m cells, "
-            f"more than {_MAX_GRID_CELLS} cells: look for stray vertices or raise --cell-size"
+            f"planning areas span a {n_rows:.0f} x {n_cols:.0f} grid of {cell_size_m:g} m "
+            f"cells, more than {_MAX_GRID_CELLS} cells: look for stray vertices or raise "
+            "--cell-size"
         )
-    return GridSpec(lat_min, lon_min, cell_size_m, n_rows, n_cols)
+    return GridSpec(lat_min, lon_min, cell_size_m, int(n_rows), int(n_cols))
 
 
 def _check_out_dir(out_dir: Path) -> None:

@@ -170,18 +170,19 @@ def local_day_span(arrival_s: int, departure_s: int, utc_offset_s: int) -> tuple
     return d0, max(d0, (departure_s + utc_offset_s - 1) // DAY_S)
 
 
-def extract_stays(
-    records: Records, cfg: IngestConfig, stats: Optional[IngestStats] = None
-) -> list[Stay]:
-    """Every user's stays of duration >= tau, in (user, arrival) order.
+def _runs(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each run of a non-empty sequence, where
+    ``breaks[i]`` starts a new run at entry i + 1 (one entry fewer than the
+    sequence)."""
+    cut = np.flatnonzero(breaks)
+    return np.concatenate(([0], cut + 1)), np.concatenate((cut, [len(breaks)]))
 
-    Each user's pings are ordered by time (stable, so pings with equal
-    timestamps keep their input order). Maximal runs of consecutive pings of
-    one user in the same cell become candidate intervals [first ping, last
-    ping]; runs shorter than tau are dropped. Pings outside the grid are
-    dropped (counted in stats). Emitted stays of one user that end up exactly
-    adjacent in time in the same cell are merged.
-    """
+
+def _stay_columns(
+    records: Records, cfg: IngestConfig, stats: Optional[IngestStats]
+) -> tuple[np.ndarray, ...]:
+    """(user, row, col, arrival, departure) of every stay, as `extract_stays`
+    returns them."""
     keys = (records.t, records.user)
     if records.sub_us.any():  # only sub-second timestamps need the third key
         keys = (records.sub_us,) + keys
@@ -195,107 +196,89 @@ def extract_stays(
     if dropped:
         user, t, rows, cols = user[keep], t[keep], rows[keep], cols[keep]
     if len(t) == 0:
-        return []
+        return (t,) * 5
 
-    change = np.flatnonzero(
+    starts, ends = _runs(
         (user[1:] != user[:-1]) | (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     )
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change, [len(t) - 1]))
     long_enough = t[ends] - t[starts] >= cfg.tau_s
     starts, ends = starts[long_enough], ends[long_enough]
     if len(starts) == 0:
-        return []
+        return (t[:0],) * 5
 
     a, b = starts[1:], starts[:-1]
     touches = (
         (user[a] == user[b]) & (rows[a] == rows[b]) & (cols[a] == cols[b])
         & (t[a] == t[ends[:-1]])
     )
-    first = np.flatnonzero(np.concatenate(([True], ~touches)))
-    last = np.concatenate((first[1:], [len(starts)])) - 1
+    first, last = _runs(~touches)
     s, e = starts[first], ends[last]
-    names = records.user_ids
-    stays = [
-        Stay(names[u], CellId(r, c), arrival, departure)
-        for u, r, c, arrival, departure in zip(
-            user[s].tolist(), rows[s].tolist(), cols[s].tolist(),
-            t[s].tolist(), t[e].tolist(),
+    if stats is not None:
+        stats.stays_emitted += len(s)
+    return user[s], rows[s], cols[s], t[s], t[e]
+
+
+def _stays(names: Sequence[str], user, row, col, arrival, departure) -> list[Stay]:
+    return [
+        Stay(names[u], CellId(r, c), a, d)
+        for u, r, c, a, d in zip(
+            user.tolist(), row.tolist(), col.tolist(), arrival.tolist(), departure.tolist()
         )
     ]
-    if stats is not None:
-        stats.stays_emitted += len(stays)
-    return stays
 
 
-def build_trajectory(stays: Sequence[Stay], tau_s: float = 3600.0) -> Trajectory:
-    """Sort one user's stays and merge same-cell stays separated by < tau."""
-    if not stays:
-        return Trajectory(user_id="", stays=())
-    uid = stays[0].user_id
-    if any(s.user_id != uid for s in stays):
-        raise InvalidInputError("build_trajectory expects stays of a single user")
-    ordered = sorted(stays, key=lambda s: (s.arrival, s.departure))
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur.arrival < prev.departure:
-            raise InvalidInputError(
-                f"overlapping stays for user {uid}: "
-                f"{format_epoch(0, prev.departure)}Z > {format_epoch(0, cur.arrival)}Z"
-            )
-    merged: list[Stay] = []
-    for stay in ordered:
-        if (
-            merged
-            and stay.cell == merged[-1].cell
-            and stay.arrival - merged[-1].departure < tau_s
-        ):
-            merged[-1] = Stay(uid, stay.cell, merged[-1].arrival, stay.departure)
-        else:
-            merged.append(stay)
-    return Trajectory(user_id=uid, stays=tuple(merged))
+def extract_stays(
+    records: Records, cfg: IngestConfig, stats: Optional[IngestStats] = None
+) -> list[Stay]:
+    """Every user's stays of duration >= tau, in (user, arrival) order.
 
-
-def _longest_consecutive_run(days: Iterable[int]) -> int:
-    best = run = 0
-    prev = None
-    for d in sorted(set(days)):
-        run = run + 1 if prev is not None and d == prev + 1 else 1
-        best = max(best, run)
-        prev = d
-    return best
-
-
-def filter_active_users(
-    trajectories: Mapping[str, Trajectory], cfg: IngestConfig
-) -> set[str]:
-    """Users with stays on >= min_consecutive_days consecutive local days."""
-    retained = set()
-    off = cfg.utc_offset_s
-    for uid, traj in trajectories.items():
-        days: set[int] = set()
-        for stay in traj.stays:
-            d0, d1 = local_day_span(stay.arrival, stay.departure, off)
-            days.update(range(d0, d1 + 1))
-        if _longest_consecutive_run(days) >= cfg.min_consecutive_days:
-            retained.add(uid)
-    return retained
+    Each user's pings are ordered by time (stable, so pings with equal
+    timestamps keep their input order). Maximal runs of consecutive pings of
+    one user in the same cell become candidate intervals [first ping, last
+    ping]; runs shorter than tau are dropped. Pings outside the grid are
+    dropped (counted in stats). Emitted stays of one user that end up exactly
+    adjacent in time in the same cell are merged.
+    """
+    return _stays(records.user_ids, *_stay_columns(records, cfg, stats))
 
 
 def ingest_trajectories(
     records: Records, cfg: IngestConfig
 ) -> tuple[dict[str, Trajectory], IngestStats]:
-    """Full pipeline: stay extraction, per-user trajectory assembly, activity
-    filter. Users come out in sorted order, so the result is deterministic
-    regardless of input ordering."""
+    """Full pipeline over all users at once: stay extraction, the merge of
+    same-cell stays less than tau apart, and the activity filter, which keeps
+    users with stays on >= min_consecutive_days consecutive local days.
+    `Stay`s are built for retained users only. Users come out in sorted
+    order, so the result is deterministic regardless of input ordering."""
     stats = IngestStats(users_total=len(records.user_ids))
+    user, row, col, arrival, departure = _stay_columns(records, cfg, stats)
+    if len(user) == 0:
+        return {}, stats
+    # stays never overlap and come in (user, arrival) order, so a same-cell
+    # stay less than tau after the one before continues it
+    first, last = _runs(
+        (user[1:] != user[:-1]) | (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+        | (arrival[1:] - departure[:-1] >= cfg.tau_s)
+    )
+    user, row, col = user[first], row[first], col[first]
+    arrival, departure = arrival[first], departure[last]
+
+    # local_day_span per stay (stays last at least tau > 0, so d1 >= d0);
+    # each user's spans are in order and may share their end days, so a run
+    # of consecutive days is a run of spans each starting at most one day
+    # after the previous one ends
+    off = cfg.utc_offset_s
+    d0 = (arrival + off) // DAY_S
+    d1 = (departure + off - 1) // DAY_S
+    first, last = _runs((user[1:] != user[:-1]) | (d0[1:] > d1[:-1] + 1))
+    active = np.zeros(len(records.user_ids), dtype=bool)
+    active[user[first[d1[last] - d0[first] + 1 >= cfg.min_consecutive_days]]] = True
+    kept = active[user]
+    stays = _stays(records.user_ids, *(c[kept] for c in (user, row, col, arrival, departure)))
     trajectories = {
-        uid: build_trajectory(list(stays), cfg.tau_s)
-        for uid, stays in groupby(
-            extract_stays(records, cfg, stats), key=attrgetter("user_id")
-        )
+        uid: Trajectory(uid, tuple(user_stays))
+        for uid, user_stays in groupby(stays, key=attrgetter("user_id"))
     }
-    retained = filter_active_users(trajectories, cfg)
-    trajectories = {u: t for u, t in trajectories.items() if u in retained}
     stats.users_retained = len(trajectories)
     return trajectories, stats
 
@@ -406,6 +389,8 @@ def read_records_csv(path) -> tuple[Records, int]:
     gc.disable()
     try:
         return _read_records_csv(path)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidInputError(f"records CSV {path} cannot be read: {exc}") from exc
     finally:
         if collecting:
             gc.enable()

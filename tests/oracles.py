@@ -3,13 +3,14 @@
 Nothing here reuses engine logic beyond the public parameter containers: the
 battery oracle integrates minute by minute, and the attendance oracle scans
 boolean day masks directly. The per-user ingest is the path the package used
-before its columnar one: it reads one ``LocationRecord`` per row and extracts
-stays one user at a time, sharing only ``locate_many``, ``build_trajectory``
-and ``filter_active_users`` with the package. The per-event aggregation is
-the loop the package used before its batch reduction: one event at a time,
-one profile step at a time. The per-area index tests every cell centroid
-against every polygon edge, one edge at a time, as the package did before its
-scanline index.
+before its columnar one: it reads one ``LocationRecord`` per row, extracts
+stays one user at a time, merges them per user with ``build_trajectory`` and
+applies the activity filter with ``filter_active_users``, one stay and one
+day at a time; it shares only ``locate_many`` and ``local_day_span`` with the
+package. The per-event aggregation is the loop the package used before its
+batch reduction: one event at a time, one profile step at a time. The
+per-area index tests every cell centroid against every polygon edge, one
+edge at a time, as the package did before its scanline index.
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ from v2grid import (
     Stay,
     Trajectory,
     VehicleParams,
-    build_trajectory,
-    filter_active_users,
     haversine_m,
     locate_many,
 )
 from v2grid.geo import EARTH_RADIUS_M, PolygonParts, Ring
-from v2grid.ingest import RECORDS_HEADER, _parse_timestamp
+from v2grid.ingest import RECORDS_HEADER, _parse_timestamp, format_epoch, local_day_span
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -251,6 +250,59 @@ def extract_stays_one_user(
     if stats is not None:
         stats.stays_emitted += len(stays)
     return stays
+
+
+def build_trajectory(stays: Sequence[Stay], tau_s: float = 3600.0) -> Trajectory:
+    """Sort one user's stays and merge same-cell stays separated by < tau."""
+    if not stays:
+        return Trajectory(user_id="", stays=())
+    uid = stays[0].user_id
+    if any(s.user_id != uid for s in stays):
+        raise InvalidInputError("build_trajectory expects stays of a single user")
+    ordered = sorted(stays, key=lambda s: (s.arrival, s.departure))
+    for prev, cur in zip(ordered, ordered[1:]):
+        if cur.arrival < prev.departure:
+            raise InvalidInputError(
+                f"overlapping stays for user {uid}: "
+                f"{format_epoch(0, prev.departure)}Z > {format_epoch(0, cur.arrival)}Z"
+            )
+    merged: list[Stay] = []
+    for stay in ordered:
+        if (
+            merged
+            and stay.cell == merged[-1].cell
+            and stay.arrival - merged[-1].departure < tau_s
+        ):
+            merged[-1] = Stay(uid, stay.cell, merged[-1].arrival, stay.departure)
+        else:
+            merged.append(stay)
+    return Trajectory(user_id=uid, stays=tuple(merged))
+
+
+def _longest_consecutive_run(days: Iterable[int]) -> int:
+    best = run = 0
+    prev = None
+    for d in sorted(set(days)):
+        run = run + 1 if prev is not None and d == prev + 1 else 1
+        best = max(best, run)
+        prev = d
+    return best
+
+
+def filter_active_users(
+    trajectories: Mapping[str, Trajectory], cfg: IngestConfig
+) -> set[str]:
+    """Users with stays on >= min_consecutive_days consecutive local days."""
+    retained = set()
+    off = cfg.utc_offset_s
+    for uid, traj in trajectories.items():
+        days: set[int] = set()
+        for stay in traj.stays:
+            d0, d1 = local_day_span(stay.arrival, stay.departure, off)
+            days.update(range(d0, d1 + 1))
+        if _longest_consecutive_run(days) >= cfg.min_consecutive_days:
+            retained.add(uid)
+    return retained
 
 
 def ingest_per_user(

@@ -25,13 +25,12 @@ from v2grid import (
     Regime,
     ScalingConfig,
     SynthConfig,
-    Trajectory,
     VehicleParams,
     build_area_index,
     coverage_and_stats,
     drive_depletion_kwh,
     extract_stays,
-    filter_active_users,
+    ingest_trajectories,
     night_fraction,
     peak_density_and_sizing,
     planted_trajectories,
@@ -41,7 +40,7 @@ from v2grid import (
 )
 from v2grid.baseline import DemandCurve
 from v2grid.cli import main
-from conftest import epoch_day, ping, stay, utc_dt
+from conftest import epoch_day, ping, utc_dt
 from oracles import brute_force_day, group_events, longest_true_run
 from test_engine import _random_day, _random_params
 
@@ -265,27 +264,27 @@ def test_criterion_07_pipeline_properties(grid, ingest_cfg):
             rng.shuffle(shuffled)
             shuffled.sort(key=lambda r: r.timestamp)
             assert extract_stays(Records.from_records(shuffled), ingest_cfg) == stays
-        # consecutive-day filter against the run-length oracle
-        checked = 0
+        # consecutive-day filter against the run-length oracle, through the
+        # whole ingest: one user per pattern, one two-hour visit per active
+        # day in a cell of that day's own, so that no merge bridges a missing day
         day0 = utc_dt(2020, 9, 1)
-        for i in range(1000):
-            pattern = rng.random(14) < 0.55
-            traj = Trajectory(
-                "u",
-                tuple(
-                    stay(
-                        "u", cells[0],
-                        day0 + timedelta(days=int(d), hours=9),
-                        day0 + timedelta(days=int(d), hours=11),
-                    )
-                    for d in np.flatnonzero(pattern)
-                ),
-            )
-            retained = filter_active_users({"u": traj}, ingest_cfg)
-            expected = longest_true_run(list(pattern)) >= ingest_cfg.min_consecutive_days
-            assert (len(retained) == 1) == expected, (i, pattern)
-            checked += 1
-        assert checked == 1000
+        patterns = rng.random((1000, 14)) < 0.55
+        recs = [
+            ping(f"u{i:04d}", day0 + timedelta(days=int(d), hours=h), grid,
+                 CellId(int(d), int(d)))
+            for i, pattern in enumerate(patterns)
+            for d in np.flatnonzero(pattern)
+            for h in (9, 11)
+        ]
+        trajs, stats = ingest_trajectories(Records.from_records(recs), ingest_cfg)
+        expected = {
+            f"u{i:04d}"
+            for i, pattern in enumerate(patterns)
+            if longest_true_run(list(pattern)) >= ingest_cfg.min_consecutive_days
+        }
+        assert 0 < len(expected) < len(patterns)
+        assert set(trajs) == expected
+        assert stats.users_retained == len(expected)
 
 
 def test_criterion_08_statistics_unit_checks():

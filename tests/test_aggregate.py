@@ -79,6 +79,10 @@ class TestScalingConfig:
         # 24 h / 1e13 min rounds to zero steps
         with pytest.raises(InvalidConfigError):
             paper_scaling(time_step_minutes=1e13)
+        # divide 24 h, but HH:MM step labels cannot name their starts
+        for minutes in (0.5, 7.5):
+            with pytest.raises(InvalidConfigError):
+                paper_scaling(time_step_minutes=minutes)
 
 
 class TestAreaEnergySupply:

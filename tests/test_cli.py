@@ -145,17 +145,23 @@ class TestRunCommand:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
-        "name, text",
+        "name, data",
         [
-            ("demand.csv", "time_of_day,demand\n00:00,1.0\n"),
-            ("demand.csv", "time_of_day,demand\n00:00,0\n12:00,0\n"),
-            ("records.csv", "user,timestamp,lat,lon\n"),
+            ("demand.csv", b"time_of_day,demand\n00:00,1.0\n"),
+            ("demand.csv", b"time_of_day,demand\n00:00,0\n12:00,0\n"),
+            ("records.csv", b"user,timestamp,lat,lon\n"),
+            ("records.csv", b"user_id,timestamp,lat,lon\nu\xff,2020-09-01T08:00:00Z,1.3,103.8\n"),
+            ("demand.csv", b"time_of_day,demand\n00:00,1\xff\n12:00,1\n"),
+            # csv.reader's default field size limit is 131 072 characters
+            ("records.csv", b'user_id,timestamp,lat,lon\n"' + b"u" * 131_073
+             + b'",2020-09-01T08:00:00Z,1.3,103.8\n'),
         ],
-        ids=["demand_one_row", "demand_sums_to_zero", "records_header"],
+        ids=["demand_one_row", "demand_sums_to_zero", "records_header",
+             "records_not_utf8", "demand_not_utf8", "records_field_too_large"],
     )
-    def test_bad_input_exits_2_before_out_dir(self, tmp_path, name, text):
+    def test_bad_input_exits_2_before_out_dir(self, tmp_path, name, data):
         records = run_synth(tmp_path, "records.csv")
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(data)
         out_dir = tmp_path / "out"
         argv = [
             "run", str(records), str(tmp_path / "areas.geojson"),
@@ -230,6 +236,9 @@ class TestRunCommand:
             (["--cell-size", "0"], 2),
             (["--cell-size", "inf"], 2),
             (["--time-step", "1e13"], 2),
+            (["--time-step", "0.5"], 2),
+            (["--time-step", "7.5"], 2),
+            (["--cell-size", "1e-320"], 2),
             (["--out-dir", "records.csv"], 2),
             (["--out-dir", "records.csv/sub"], 2),
         ],

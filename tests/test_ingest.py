@@ -24,9 +24,7 @@ from v2grid import (
     Regime,
     Stay,
     Trajectory,
-    build_trajectory,
     extract_stays,
-    filter_active_users,
     ingest_trajectories,
     read_records_csv,
     write_records_csv,
@@ -36,7 +34,7 @@ from v2grid.engine import write_events_csv
 from v2grid import ingest
 from v2grid.ingest import format_epoch, local_day_span
 from conftest import ping, stay, utc_dt
-from oracles import ingest_per_user, read_records_per_row
+from oracles import build_trajectory, filter_active_users, ingest_per_user, read_records_per_row
 
 X = CellId(2, 2)
 Y = CellId(5, 7)
@@ -473,6 +471,67 @@ class TestPipeline:
         assert stats.users_retained == 1
         assert stats.stays_emitted == 2
 
+    @pytest.mark.parametrize("gap_s, n_stays", [(3599, 1), (3600, 2)])
+    def test_same_cell_stays_less_than_tau_apart_merge(self, grid, gap_s, n_stays):
+        # X 08:00-09:00, a dropped Y ping, X again gap_s after 09:00 for an hour
+        cfg = IngestConfig(tau_s=3600.0, min_consecutive_days=1, grid=grid,
+                           utc_offset_hours=0.0)
+        back = utc_dt(2020, 9, 1, 9, 0) + timedelta(seconds=gap_s)
+        recs = [
+            ping("u", utc_dt(2020, 9, 1, 8, 0), grid, X),
+            ping("u", utc_dt(2020, 9, 1, 9, 0), grid, X),
+            ping("u", utc_dt(2020, 9, 1, 9, 30), grid, Y),
+            ping("u", back, grid, X),
+            ping("u", back + timedelta(hours=1), grid, X),
+        ]
+        trajs, stats = ingest_trajectories(Records.from_records(recs), cfg)
+        assert stats.stays_emitted == 2
+        assert len(trajs["u"].stays) == n_stays
+        assert trajs["u"].stays[0].arrival == int(utc_dt(2020, 9, 1, 8, 0).timestamp())
+        assert trajs["u"].stays[-1].departure == int((back + timedelta(hours=1)).timestamp())
+
+    def test_same_cell_stays_of_two_users_stay_apart(self, grid):
+        cfg = IngestConfig(min_consecutive_days=1, grid=grid, utc_offset_hours=0.0)
+        recs = [
+            ping(uid, utc_dt(2020, 9, 1, h, 0), grid, X) for uid in ("u", "v") for h in (8, 10)
+        ]
+        trajs, _ = ingest_trajectories(Records.from_records(recs), cfg)
+        visit = (utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 10, 0))
+        assert trajs == {uid: Trajectory(uid, (stay(uid, X, *visit),)) for uid in ("u", "v")}
+
+    def test_merge_bridges_a_day_without_pings(self, grid):
+        # two 30 h stays in X, 25.5 h apart with one Y ping between them and
+        # none on Sep 2: merged, they cover Aug 31 to Sep 4, five days
+        cfg = IngestConfig(tau_s=30 * 3600.0, min_consecutive_days=5, grid=grid,
+                           utc_offset_hours=0.0)
+        recs = [
+            ping("u", utc_dt(2020, 8, 31, 17, 0), grid, X),
+            ping("u", utc_dt(2020, 9, 1, 23, 0), grid, X),
+            ping("u", utc_dt(2020, 9, 1, 23, 30), grid, Y),
+            ping("u", utc_dt(2020, 9, 3, 0, 30), grid, X),
+            ping("u", utc_dt(2020, 9, 4, 6, 30), grid, X),
+        ]
+        trajs, stats = ingest_trajectories(Records.from_records(recs), cfg)
+        assert stats.stays_emitted == 2
+        assert trajs == {"u": Trajectory("u", (
+            stay("u", X, utc_dt(2020, 8, 31, 17, 0), utc_dt(2020, 9, 4, 6, 30)),
+        ))}
+
+    def test_stays_are_built_for_retained_users_only(self, grid, monkeypatch):
+        cfg = IngestConfig(min_consecutive_days=2, grid=grid, utc_offset_hours=0.0)
+        recs = [  # a cell per day, so that no stay spans days
+            ping(uid, utc_dt(2020, 9, d, h, 0), grid, CellId(d, d))
+            for uid, days in (("a", (1, 2)), ("b", (1, 3)), ("c", (5,)))
+            for d in days
+            for h in (8, 10)
+        ]
+        built = []
+        monkeypatch.setattr(ingest, "Stay", lambda *args: built.append(args) or Stay(*args))
+        trajs, stats = ingest_trajectories(Records.from_records(recs), cfg)
+        assert list(trajs) == ["a"]
+        assert stats.stays_emitted == 5
+        assert [args[0] for args in built] == ["a", "a"]
+
 
 # ---------------------------------------------------------------------------
 # Columnar read + ingest against the per-user oracle on random CSV files
@@ -523,9 +582,9 @@ def _visit(draw):
     ping."""
     uid = draw(st.sampled_from(["a", "c,d", "é", ""]))
     place = draw(st.one_of(*[_cell_coords] * 5, _odd_coords))
-    # whole hours over two days, mostly a few of them, so that visits of one
-    # user often share seconds
-    hour = draw(st.one_of(st.sampled_from([7, 8, 9, 31, 32]), st.integers(0, 47)))
+    # whole hours over four days, mostly a few of them, so that visits of one
+    # user often share seconds and some users are active on three days
+    hour = draw(st.one_of(st.sampled_from([7, 8, 9, 31, 32, 55]), st.integers(0, 95)))
     ts = DAY0 + timedelta(hours=hour)
     rows = []
     for i in range(draw(st.integers(1, 6))):
@@ -551,7 +610,7 @@ class TestColumnarMatchesPerUserOracle:
         quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
         newline=st.sampled_from(["\n", "\r\n"]),
         chunk_rows=st.sampled_from([1, 3, 16, 65536]),
-        min_days=st.sampled_from([1, 2]),
+        min_days=st.sampled_from([1, 2, 3]),
         tau_s=st.sampled_from([1800.0, 3600.0]),
     )
     def test_read_and_ingest_equal_oracle(
