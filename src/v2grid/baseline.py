@@ -192,6 +192,9 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return r, float(2 * special.betaincc(ab, ab, (abs(r) + 1) / 2))
 
 
+_MAX_HIST_BINS = 2000  # ratios up to 100 at the default bin width
+
+
 def coverage_and_stats(
     e_ev_by_area: Mapping[str, float],
     e_hh_by_area: Mapping[str, float],
@@ -204,6 +207,9 @@ def coverage_and_stats(
     are excluded pairwise. With fewer than 3 pairs the statistics are
     withheld (ratios are still computed). A household series with zero
     variance cannot anchor a regression and raises DegenerateRegressorError.
+    The ratio histogram has at most ``_MAX_HIST_BINS`` bins of `bin_width`
+    from 0, plus one row from their end to the largest ratio when it lies
+    past them.
     """
     if bin_width <= 0:
         raise InvalidInputError("bin_width must be positive")
@@ -216,13 +222,16 @@ def coverage_and_stats(
     hist: list[tuple[float, float, int]] = []
     if ratios:
         vals = np.array([ratios[a] for a in paired])
-        n_bins = max(1, int(math.ceil(float(vals.max()) / bin_width - 1e-12)))
+        top = float(vals.max())
+        n_bins = max(1, math.ceil(min(top / bin_width, _MAX_HIST_BINS) - 1e-12))
         edges = np.arange(n_bins + 1) * bin_width
         counts, _ = np.histogram(vals, bins=edges)
         hist = [
             (float(edges[i]), float(edges[i + 1]), int(counts[i]))
             for i in range(n_bins)
         ]
+        if top / bin_width > _MAX_HIST_BINS:
+            hist.append((float(edges[-1]), top, int(np.count_nonzero(vals > edges[-1]))))
 
     if len(paired) < 3:
         return CoverageResult(

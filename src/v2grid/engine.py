@@ -2,15 +2,15 @@
 
 Each user-day is simulated midnight-to-midnight in the configured local
 clock, starting from a fixed state of charge. During a stay the vehicle
-follows one of four rules, re-evaluated at the solar-window boundaries:
+follows one of three rules, re-evaluated at the solar-window boundaries:
 
 * inside the solar window: charge at full power until the PV charge target
   (default: full battery), then idle;
 * outside the window with SOC above the threshold: discharge at full power
   down to the threshold, then idle;
-* outside the window with SOC below the threshold: charge at full power up
-  to the threshold, then idle;
-* outside the window at exactly the threshold: idle.
+* otherwise: charge at full power up to the threshold, then idle.
+
+A vehicle already at or past its target idles for the whole segment.
 
 Between consecutive stays of the same day the SOC drops instantaneously at
 arrival by (centroid distance) / (vehicle range), clamped at zero. The
@@ -45,8 +45,8 @@ class VehicleParams:
 
     def __post_init__(self) -> None:
         for name in ("capacity_kwh", "range_km", "charge_power_kw", "discharge_power_kw"):
-            if not getattr(self, name) > 0:
-                raise InvalidInputError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be finite and positive")
         for name in ("soc_threshold", "soc_initial", "pv_charge_target"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -181,7 +181,6 @@ def simulate_day(
     params: VehicleParams,
     window: PvWindow,
     grid: GridSpec,
-    dist_cache: Optional[dict] = None,
 ) -> SocTrace:
     """Simulate one user-day; see the module docstring for the rule set."""
     prev_end = 0.0
@@ -206,14 +205,7 @@ def simulate_day(
     prev_cell: Optional[CellId] = None
     for st in stays:
         if prev_cell is not None and st.cell != prev_cell:
-            if dist_cache is not None and (prev_cell, st.cell) in dist_cache:
-                dist_km = dist_cache[(prev_cell, st.cell)]
-            else:
-                dist_km = cell_distance_m(prev_cell, st.cell, grid) / 1000.0
-                if dist_cache is not None:
-                    dist_cache[(prev_cell, st.cell)] = dist_km
-                    dist_cache[(st.cell, prev_cell)] = dist_km
-            drop = dist_km / params.range_km
+            drop = cell_distance_m(prev_cell, st.cell, grid) / 1000.0 / params.range_km
             if drop > 0.0:
                 mark(st.start_hour, soc)
                 clamped = drop > soc
@@ -226,26 +218,20 @@ def simulate_day(
 
         for seg_s, seg_e, inside in _window_segments(st.start_hour, st.end_hour, window):
             if inside:
-                target, rate, regime, up = (
-                    params.pv_charge_target, params.charge_power_kw, Regime.PV_CHARGE, True,
+                target, rate, regime = (
+                    params.pv_charge_target, params.charge_power_kw, Regime.PV_CHARGE
                 )
-                active = soc < target
             elif soc > params.soc_threshold:
-                target, rate, regime, up = (
-                    params.soc_threshold, params.discharge_power_kw, Regime.DISCHARGE, False,
+                target, rate, regime = (
+                    params.soc_threshold, params.discharge_power_kw, Regime.DISCHARGE
                 )
-                active = True
-            elif soc < params.soc_threshold:
-                target, rate, regime, up = (
-                    params.soc_threshold, params.charge_power_kw, Regime.NONPV_CHARGE, True,
-                )
-                active = True
             else:
-                active = False
-            if not active:
-                continue
+                target, rate, regime = (
+                    params.soc_threshold, params.charge_power_kw, Regime.NONPV_CHARGE
+                )
+            up = regime is not Regime.DISCHARGE
             gap = (target - soc) if up else (soc - target)
-            if gap * cap < 1e-12:  # rounding dust, not a real transfer
+            if gap * cap < 1e-12:  # at or past the target, or rounding dust
                 continue
             need_h = gap * cap / rate
             if need_h <= seg_e - seg_s:
@@ -290,8 +276,6 @@ def slice_trajectory_days(
     are split at the boundary; each part lands in its own day."""
     by_day: dict[int, list[DayStay]] = {}
     for stay in trajectory.stays:
-        if stay.departure <= stay.arrival:
-            continue
         d0, d1 = local_day_span(stay.arrival, stay.departure, utc_offset_s)
         for k in range(d0, d1 + 1):
             midnight = k * DAY_S - utc_offset_s
@@ -334,13 +318,10 @@ def run_scenario(
     """
     if days is None:
         days = day_range_of(trajectories.values(), utc_offset_s)
-    dist_cache: dict = {}
     for uid in sorted(trajectories):
         by_day = slice_trajectory_days(trajectories[uid], utc_offset_s)
         for day in days:
-            yield simulate_day(
-                uid, day, by_day.get(day, ()), params, window, grid, dist_cache
-            )
+            yield simulate_day(uid, day, by_day.get(day, ()), params, window, grid)
 
 
 # ---------------------------------------------------------------------------

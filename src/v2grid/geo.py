@@ -8,6 +8,7 @@ between cells use the haversine great-circle formula on cell centroids.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -135,9 +136,8 @@ def cell_distance_m(a: CellId, b: CellId, grid: GridSpec) -> float:
         raise InvalidInputError("cells must lie inside the grid")
     if a == b:
         return 0.0
-    lat1, lon1 = grid.cell_centroid(a)
-    lat2, lon2 = grid.cell_centroid(b)
-    return haversine_m(lat1, lon1, lat2, lon2)
+    lat, lon = _centroid_axes(grid)
+    return haversine_m(lat[a.row], lon[a.col], lat[b.row], lon[b.col])
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +261,19 @@ class AreaIndex:
         )
 
 
+@functools.lru_cache(maxsize=4)
 def _centroid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Centroid latitude of each row and longitude of each column, both
-    non-decreasing (each step is monotone for |origin_lat| <= 90)."""
+    non-decreasing (each step is monotone for |origin_lat| <= 90) and equal
+    to :meth:`GridSpec.cell_centroid` to the bit. Cached per grid, so the
+    arrays are read-only."""
     y = (np.arange(grid.n_rows, dtype=np.float64) + 0.5) * grid.cell_size_m
     x = (np.arange(grid.n_cols, dtype=np.float64) + 0.5) * grid.cell_size_m
     lat = grid.origin_lat + np.degrees(y / EARTH_RADIUS_M)
     lon = grid.origin_lon + np.degrees(
         x / (EARTH_RADIUS_M * math.cos(math.radians(grid.origin_lat)))
     )
+    lat.flags.writeable = lon.flags.writeable = False
     return lat, lon
 
 

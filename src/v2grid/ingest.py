@@ -58,39 +58,33 @@ class Records:
     """Location pings as columns, one array entry per ping.
 
     Ping i belongs to user ``user_ids[user[i]]``; ``user_ids`` is sorted, so
-    ordering by code orders by user id. ``t`` is the whole UTC epoch second a
-    stay uses (the timestamp floored to the second), and ``sub_us`` the
-    microseconds from there to the full timestamp, kept only to order pings
-    within one second as their full timestamps order.
+    ordering by code orders by user id. ``t_us`` is the UTC epoch microsecond
+    of the timestamp; pings order by it, and stays floor it to the second.
     """
 
     user_ids: tuple[str, ...]
     user: np.ndarray  # int64 index into user_ids
-    t: np.ndarray  # int64
-    sub_us: np.ndarray  # int64
+    t_us: np.ndarray  # int64
     lat: np.ndarray  # float64
     lon: np.ndarray  # float64
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.t_us)
 
     @classmethod
     def from_records(cls, records: Iterable[LocationRecord]) -> "Records":
         """The columns of `records`, pings in the order given."""
         index: dict[str, int] = {}
-        codes, ts, subs, lats, lons = [], [], [], [], []
+        codes, ts, lats, lons = [], [], [], []
         for r in records:
             codes.append(index.setdefault(r.user_id, len(index)))
-            t, sub = _epoch_parts(r.timestamp)
-            ts.append(t)
-            subs.append(sub)
+            ts.append((r.timestamp - _EPOCH) // _MICROSECOND)
             lats.append(r.lat)
             lons.append(r.lon)
         return _sorted_users(
             index,
             np.array(codes, dtype=np.int64),
             np.array(ts, dtype=np.int64),
-            np.array(subs, dtype=np.int64),
             np.array(lats, dtype=np.float64),
             np.array(lons, dtype=np.float64),
         )
@@ -131,6 +125,13 @@ class Trajectory:
         return len(self.stays)
 
 
+def utc_offset_seconds(hours: float) -> int:
+    """A UTC offset in whole seconds; real offsets lie in [-12, 14] hours."""
+    if not -12.0 <= hours <= 14.0:  # False for NaN too
+        raise InvalidInputError(f"UTC offset {hours} h is not in [-12, 14] h")
+    return int(round(hours * 3600))
+
+
 @dataclass(frozen=True)
 class IngestConfig:
     tau_s: float = 3600.0  # minimum stay time
@@ -143,12 +144,11 @@ class IngestConfig:
             raise InvalidInputError("tau must be positive")
         if self.min_consecutive_days < 1:
             raise InvalidInputError("min_consecutive_days must be >= 1")
-        if not math.isfinite(self.utc_offset_hours):
-            raise InvalidInputError("utc_offset_hours must be finite")
+        utc_offset_seconds(self.utc_offset_hours)
 
     @property
     def utc_offset_s(self) -> int:
-        return int(round(self.utc_offset_hours * 3600))
+        return utc_offset_seconds(self.utc_offset_hours)
 
 
 @dataclass
@@ -183,11 +183,8 @@ def _stay_columns(
 ) -> tuple[np.ndarray, ...]:
     """(user, row, col, arrival, departure) of every stay, as `extract_stays`
     returns them."""
-    keys = (records.t, records.user)
-    if records.sub_us.any():  # only sub-second timestamps need the third key
-        keys = (records.sub_us,) + keys
-    order = np.lexsort(keys)
-    user, t = records.user[order], records.t[order]
+    order = np.lexsort((records.t_us, records.user))
+    user, t = records.user[order], records.t_us[order] // 1_000_000
     rows, cols = locate_many(records.lat[order], records.lon[order], cfg.grid)
     keep = rows >= 0
     dropped = int(np.count_nonzero(~keep))
@@ -308,12 +305,6 @@ def _parse_timestamp(text: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def _epoch_parts(ts: datetime) -> tuple[int, int]:
-    """The epoch second a stay uses for `ts` (sub-second parts floored),
-    and the microseconds in [0, 10**6) from it to `ts`."""
-    return divmod((ts - _EPOCH) // _MICROSECOND, 1_000_000)
-
-
 def _canonical_epochs(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Epoch seconds of the texts of the exact form YYYY-MM-DDTHH:MM:SSZ
     that name a real UTC time, and the mask of those texts.
@@ -339,18 +330,18 @@ def _canonical_epochs(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok, t, 0), ok
 
 
-def _parse_timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, sub_us, ok) of each text as `_parse_timestamp` reads it; canonical
-    texts take a vectorised path, the rest are parsed one by one."""
+def _parse_timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(epoch microseconds, ok) of each text as `_parse_timestamp` reads it;
+    canonical texts take a vectorised path, the rest are parsed one by one."""
     t, ok = _canonical_epochs(texts)
-    sub_us = np.zeros(len(texts), dtype=np.int64)
+    t_us = t * 1_000_000
     for i in np.flatnonzero(~ok).tolist():
         try:
-            t[i], sub_us[i] = _epoch_parts(_parse_timestamp(texts[i]))
+            t_us[i] = (_parse_timestamp(texts[i]) - _EPOCH) // _MICROSECOND
         except (ValueError, OverflowError):
             continue
         ok[i] = True
-    return t, sub_us, ok
+    return t_us, ok
 
 
 def _float_or_nan(text: str) -> float:
@@ -413,7 +404,7 @@ def _read_records_csv(path) -> tuple[Records, int]:
             if not rows:
                 continue
             uids, stamps, lat_texts, lon_texts = zip(*rows)
-            t, sub_us, ok = _parse_timestamps(stamps)
+            t_us, ok = _parse_timestamps(stamps)
             lat, lon = _parse_floats(lat_texts), _parse_floats(lon_texts)
             ok &= (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
             skipped += len(rows) - int(np.count_nonzero(ok))
@@ -421,9 +412,9 @@ def _read_records_csv(path) -> tuple[Records, int]:
             for uid in dict.fromkeys(uids):
                 index.setdefault(uid, len(index))
             codes = np.fromiter(map(index.__getitem__, uids), dtype=np.int64, count=len(uids))
-            chunks.append((codes, t[ok], sub_us[ok], lat[ok], lon[ok]))
-    # codes, t, sub_us, lat, lon; all there is for a file without data rows
-    empty = (np.empty(0, np.int64),) * 3 + (np.empty(0, np.float64),) * 2
+            chunks.append((codes, t_us[ok], lat[ok], lon[ok]))
+    # codes, t_us, lat, lon; all there is for a file without data rows
+    empty = (np.empty(0, np.int64),) * 2 + (np.empty(0, np.float64),) * 2
     columns = [np.concatenate(c) for c in zip(empty, *chunks)]
     return _sorted_users(index, *columns), skipped
 

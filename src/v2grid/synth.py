@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .geo import CellId, GridSpec
-from .ingest import DAY_S, LocationRecord, Stay, Trajectory, write_csv
+from .ingest import DAY_S, LocationRecord, Stay, Trajectory, utc_offset_seconds, write_csv
 
 
 class PlannedStay(NamedTuple):
@@ -86,6 +86,7 @@ class SynthConfig:
             raise InvalidConfigError("work_fraction must lie in [0, 1]")
         if self.mean_stays_per_day < 0:
             raise InvalidConfigError("mean_stays_per_day must be >= 0")
+        utc_offset_seconds(self.utc_offset_hours)
         # normalising here also validates the weight vectors
         _normalised_weights(self.home_weights, len(self.home_cells))
         if self.work_cells:
@@ -95,7 +96,7 @@ class SynthConfig:
 
     @property
     def utc_offset_s(self) -> int:
-        return int(round(self.utc_offset_hours * 3600))
+        return utc_offset_seconds(self.utc_offset_hours)
 
     @property
     def local_midnight_utc(self) -> datetime:

@@ -1,8 +1,11 @@
 """Independent reference implementations used to cross-check the fast paths.
 
-Nothing here reuses engine logic beyond the public parameter containers: the
-battery oracle integrates minute by minute, and the attendance oracle scans
-boolean day masks directly. The per-user ingest is the path the package used
+The battery oracle integrates minute by minute, and the attendance oracle
+scans boolean day masks directly; neither reuses engine logic beyond the
+public parameter containers. The reference event engine is ``simulate_day``
+as it was before its regime rule and distance source were simplified; it
+shares only ``_window_segments`` and ``haversine_m`` with the package. The
+per-user ingest is the path the package used
 before its columnar one: it reads one ``LocationRecord`` per row, extracts
 stays one user at a time, merges them per user with ``build_trajectory`` and
 applies the activity filter with ``filter_active_users``, one stay and one
@@ -29,21 +32,25 @@ from v2grid import (
     CellId,
     ChargeEvent,
     DayStay,
+    DepletionJump,
     GridSpec,
     IngestConfig,
     IngestStats,
     InvalidInputError,
+    InvariantViolationError,
     LocationRecord,
     PlanningArea,
     PvWindow,
     Regime,
     ScalingConfig,
+    SocTrace,
     Stay,
     Trajectory,
     VehicleParams,
     haversine_m,
     locate_many,
 )
+from v2grid.engine import _window_segments
 from v2grid.geo import EARTH_RADIUS_M, PolygonParts, Ring
 from v2grid.ingest import RECORDS_HEADER, _parse_timestamp, format_epoch, local_day_span
 
@@ -152,6 +159,117 @@ def group_events(events, stays: Sequence[DayStay]):
         grouped[key] = grouped.get(key, 0.0) + ev.energy_kwh
         counts[key] = counts.get(key, 0) + 1
     return grouped, counts
+
+
+# ---------------------------------------------------------------------------
+# Event engine before its simplification
+# ---------------------------------------------------------------------------
+
+
+def simulate_day_reference(
+    user_id: str,
+    day: int,
+    stays: Sequence[DayStay],
+    params: VehicleParams,
+    window: PvWindow,
+    grid: GridSpec,
+) -> SocTrace:
+    """The event engine as it was before its regime rule and its distance
+    source were simplified: four regime cases and an ``active`` flag, and
+    each trip's distance from two ``GridSpec.cell_centroid`` unprojections."""
+    prev_end = 0.0
+    for st in stays:
+        if not (0.0 <= st.start_hour < st.end_hour <= 24.0):
+            raise InvalidInputError(f"stay {st} outside the day bounds")
+        if st.start_hour < prev_end:
+            raise InvalidInputError("stays must be ordered and non-overlapping")
+        prev_end = st.end_hour
+
+    soc = params.soc_initial
+    breakpoints: list[tuple[float, float]] = [(0.0, soc)]
+    events: list[ChargeEvent] = []
+    jumps: list[DepletionJump] = []
+    range_exceeded = 0
+    cap = params.capacity_kwh
+
+    def mark(t: float, s: float) -> None:
+        if breakpoints[-1] != (t, s):
+            breakpoints.append((t, s))
+
+    prev_cell: Optional[CellId] = None
+    for st in stays:
+        if prev_cell is not None and st.cell != prev_cell:
+            dist_km = haversine_m(
+                *grid.cell_centroid(prev_cell), *grid.cell_centroid(st.cell)
+            ) / 1000.0
+            drop = dist_km / params.range_km
+            if drop > 0.0:
+                mark(st.start_hour, soc)
+                clamped = drop > soc
+                applied = soc if clamped else drop
+                if clamped:
+                    range_exceeded += 1
+                soc = 0.0 if clamped else soc - applied
+                jumps.append(DepletionJump(st.start_hour, applied, prev_cell, st.cell, clamped))
+                mark(st.start_hour, soc)
+
+        for seg_s, seg_e, inside in _window_segments(st.start_hour, st.end_hour, window):
+            if inside:
+                target, rate, regime, up = (
+                    params.pv_charge_target, params.charge_power_kw, Regime.PV_CHARGE, True,
+                )
+                active = soc < target
+            elif soc > params.soc_threshold:
+                target, rate, regime, up = (
+                    params.soc_threshold, params.discharge_power_kw, Regime.DISCHARGE, False,
+                )
+                active = True
+            elif soc < params.soc_threshold:
+                target, rate, regime, up = (
+                    params.soc_threshold, params.charge_power_kw, Regime.NONPV_CHARGE, True,
+                )
+                active = True
+            else:
+                active = False
+            if not active:
+                continue
+            gap = (target - soc) if up else (soc - target)
+            if gap * cap < 1e-12:  # rounding dust, not a real transfer
+                continue
+            need_h = gap * cap / rate
+            if need_h <= seg_e - seg_s:
+                energy = gap * cap
+                t1 = seg_s + need_h
+                new_soc = target
+            else:
+                energy = rate * (seg_e - seg_s)
+                t1 = seg_e
+                delta = energy / cap
+                new_soc = min(soc + delta, target) if up else max(soc - delta, target)
+            if t1 > seg_s and energy > 0.0:
+                mark(seg_s, soc)
+                events.append(
+                    ChargeEvent(user_id, day, st.cell, regime, seg_s, t1, rate, energy)
+                )
+                soc = new_soc
+                mark(t1, soc)
+        prev_cell = st.cell
+
+    mark(24.0, soc)
+    if not -1e-12 <= soc <= 1.0 + 1e-12:
+        raise InvariantViolationError(
+            f"SOC {soc} escaped [0, 1] for user {user_id} on {format_epoch(day)}"
+        )
+    return SocTrace(
+        user_id=user_id,
+        day=day,
+        breakpoints=breakpoints,
+        events=events,
+        depletion_jumps=jumps,
+        soc_initial=params.soc_initial,
+        soc_final=soc,
+        range_exceeded=range_exceeded,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,18 @@ class TestCoverageAndStats:
         for low, high, _ in result.histogram:
             assert high - low == pytest.approx(0.05, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e18])
+    def test_histogram_past_ratio_100_ends_in_one_overflow_row(self, scale):
+        # ratios 0.5, 50, 553 and 553e18: 2000 bins of 0.05 cover [0, 100],
+        # one more row counts the rest up to the largest ratio
+        e_hh = {"A": 2.0, "B": 2.0, "C": 1.0, "D": 1.0}
+        e_ev = {"A": 1.0, "B": 100.0, "C": 553.0, "D": 553.0 * scale}
+        hist = coverage_and_stats(e_ev, e_hh).histogram
+        assert len(hist) == 2001
+        assert hist[-1] == (100.0, 553.0 * scale, 2)
+        assert hist[-2][1] == 100.0
+        assert sum(c for _, _, c in hist) == 4
+
     def test_r_squared_equals_r_squared_of_pearson(self):
         rng = np.random.default_rng(6)
         for _ in range(10):

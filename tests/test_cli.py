@@ -79,6 +79,13 @@ class TestSynthCommand:
         assert counts["rows_skipped"] == 0
 
 
+    @pytest.mark.parametrize("tz", ["1e300", "1e6", "nan", "-12.5"])
+    def test_utc_offset_out_of_range_exits_2(self, tmp_path, tz):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--users", "2", "--tz", tz, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestRunCommand:
     def test_outputs_and_manifest_parameter_echo(self, tmp_path):
         records = run_synth(tmp_path, "records.csv")
@@ -241,6 +248,14 @@ class TestRunCommand:
             (["--cell-size", "1e-320"], 2),
             (["--out-dir", "records.csv"], 2),
             (["--out-dir", "records.csv/sub"], 2),
+            (["--tz", "1e300"], 2),
+            (["--tz", "1e6"], 2),
+            (["--tz", "14.5"], 2),
+            (["--tz", "-12.5"], 2),
+            (["--c-max", "inf"], 2),
+            (["--l-max", "inf"], 2),
+            (["--p-charge", "inf"], 2),
+            (["--p-discharge", "inf"], 2),
         ],
     )
     def test_flag_exit_codes(self, tmp_path, monkeypatch, flags, code):
@@ -284,6 +299,19 @@ class TestRunCommand:
         assert set(coverage) == set(geojson) == {"A", "B"}
         assert all(v > 0 for v in coverage.values())
         assert geojson == coverage
+
+    @pytest.mark.parametrize("n_pop", ["1e9", "1e20"])
+    def test_coverage_histogram_is_bounded(self, tmp_path, n_pop):
+        # so many people per observed user put ratios far past 100
+        records = run_synth(tmp_path, "records.csv")
+        out_dir = run_pipeline(tmp_path, records, "out", ["--n-pop", n_pop])
+        with open(out_dir / "coverage_hist.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(out_dir / "coverage.csv") as fh:
+            ratios = [float(r["ratio"]) for r in csv.DictReader(fh) if r["ratio"]]
+        assert len(rows) == 2001
+        assert (rows[-1]["bin_low"], float(rows[-1]["bin_high"])) == ("100.0", max(ratios))
+        assert sum(int(r["count"]) for r in rows) == len(ratios)
 
     def test_n_pop_below_retained_users_leaves_no_stays_csv(self, tmp_path):
         records = run_synth(tmp_path, "records.csv")

@@ -7,6 +7,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from v2grid import (
     CellId,
@@ -24,7 +26,7 @@ from v2grid import (
     slice_trajectory_days,
 )
 from conftest import epoch_day, stay, utc_dt
-from oracles import brute_force_day, group_events
+from oracles import brute_force_day, group_events, simulate_day_reference
 
 DAY = date(2020, 9, 1)
 A = CellId(1, 1)
@@ -49,6 +51,15 @@ class TestDepletion:
     def test_negative_distance_rejected(self, params):
         with pytest.raises(InvalidInputError):
             drive_depletion_kwh(-1.0, params)
+
+
+class TestVehicleParams:
+    @pytest.mark.parametrize(
+        "name", ["capacity_kwh", "range_km", "charge_power_kw", "discharge_power_kw"]
+    )
+    def test_infinite_rating_rejected(self, name):
+        with pytest.raises(InvalidInputError):
+            VehicleParams(**{name: math.inf})
 
 
 def soc_at_arrival(params: VehicleParams, soc: float) -> VehicleParams:
@@ -369,3 +380,90 @@ class TestRunScenario:
         traces = list(run_scenario({"u": traj}, params, window, grid, utc_offset_s=0))
         assert len(traces) == 4
         assert traces[1].events == [] and traces[2].events == []
+
+
+_HOURS = st.floats(0.0, 24.0)
+
+
+@st.composite
+def engine_cases(draw):
+    """A grid, parameters, a window and one day of stays. Stay and window
+    boundaries favour each other and the ends of the day; the initial SOC
+    favours the threshold and points `k` dust units (1e-12 kWh) past it,
+    and the PV target favours the initial SOC and values below it."""
+    grid = GridSpec(
+        draw(st.sampled_from([-33.9, 0.0, 1.22, 60.0])),
+        draw(st.sampled_from([-179.0, 0.0, 103.6, 151.1])),
+        draw(st.sampled_from([100.0, 250.0, 1000.0])),
+        draw(st.integers(1, 40)),
+        draw(st.integers(1, 40)),
+    )
+    start, end = sorted(draw(st.lists(
+        st.sampled_from([0.0, 9.0, 17.0, 24.0]) | _HOURS, min_size=2, max_size=2, unique=True,
+    )))
+    window = PvWindow(start, end)
+    cap = draw(st.sampled_from([0.001, 25.0]) | st.floats(0.01, 100.0))
+    thr = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    dust = st.sampled_from([0.5, 1.0, 2.0]).map(lambda k: thr + k * 1e-12 / cap)
+    soc = draw(st.just(thr) | dust | st.floats(0.0, 1.0))
+    soc = min(max(soc, 0.0), 1.0)
+    params = VehicleParams(
+        capacity_kwh=cap,
+        range_km=draw(st.sampled_from([0.1, 0.5, 135.0]) | st.floats(1.0, 300.0)),
+        charge_power_kw=draw(st.sampled_from([1e-9, 6.6]) | st.floats(0.5, 20.0)),
+        discharge_power_kw=draw(st.sampled_from([1e-9, 6.6]) | st.floats(0.5, 20.0)),
+        soc_threshold=thr,
+        soc_initial=soc,
+        pv_charge_target=draw(
+            st.sampled_from([soc, min(soc + 1e-12 / cap, 1.0), 1.0]) | st.floats(0.0, soc)
+            | st.floats(0.0, 1.0)
+        ),
+    )
+    bounds = sorted(draw(st.lists(
+        st.sampled_from([0.0, 24.0, start, end]) | _HOURS, max_size=12, unique=True,
+    )))
+    corners = [CellId(0, 0), CellId(grid.n_rows - 1, grid.n_cols - 1), CellId(0, grid.n_cols - 1)]
+    cells = st.sampled_from(corners) | st.builds(
+        CellId, st.integers(0, grid.n_rows - 1), st.integers(0, grid.n_cols - 1)
+    )
+    stays = [
+        DayStay(draw(cells), a, b)
+        for a, b in zip(bounds, bounds[1:])
+        if draw(st.booleans())
+    ]
+    return grid, params, window, stays
+
+
+def _trace_repr(simulate, case) -> tuple[str, ...]:
+    grid, params, window, stays = case
+    trace = simulate("u", 18506, stays, params, window, grid)
+    return tuple(map(repr, (
+        trace.breakpoints, trace.events, trace.depletion_jumps,
+        trace.soc_final, trace.range_exceeded,
+    )))
+
+
+_EQUATOR = GridSpec(0.0, 0.0, 250.0, 20, 20)
+_FAR = [DayStay(CellId(0, 0), 1.0, 2.0), DayStay(CellId(19, 19), 3.0, 9.0)]
+
+
+class TestMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(case=engine_cases())
+    # idle at the threshold outside the window, then window charging
+    @example(case=(_EQUATOR, VehicleParams(), PvWindow(9.0, 17.0),
+                   [DayStay(A, 8.0, 10.0)]))
+    # window charging from a SOC already at the PV target
+    @example(case=(_EQUATOR, VehicleParams(soc_initial=0.8, pv_charge_target=0.8),
+                   PvWindow(9.0, 17.0), [DayStay(A, 9.0, 17.0)]))
+    # discharge gaps of half, one and two dust units
+    @example(case=(_EQUATOR, VehicleParams(soc_initial=0.5 + 0.5e-12 / 25.0),
+                   PvWindow(9.0, 17.0), [DayStay(A, 18.0, 20.0)]))
+    @example(case=(_EQUATOR, VehicleParams(soc_initial=0.5 + 1e-12 / 25.0),
+                   PvWindow(9.0, 17.0), [DayStay(A, 18.0, 20.0)]))
+    @example(case=(_EQUATOR, VehicleParams(soc_initial=0.5 + 2e-12 / 25.0),
+                   PvWindow(9.0, 17.0), [DayStay(A, 18.0, 20.0)]))
+    # a trip beyond the remaining range clamps at zero
+    @example(case=(_EQUATOR, VehicleParams(range_km=0.5), PvWindow(9.0, 17.0), _FAR))
+    def test_equals_the_reference_engine(self, case):
+        assert _trace_repr(simulate_day, case) == _trace_repr(simulate_day_reference, case)

@@ -273,6 +273,18 @@ class TestFilterActiveUsers:
         assert d0 == d1 == (utc_dt(2020, 9, 2).date() - utc_dt(1970, 1, 1).date()).days
 
 
+class TestUtcOffset:
+    def test_bounds_are_inclusive(self):
+        assert (ingest.utc_offset_seconds(-12.0), ingest.utc_offset_seconds(14.0)) == (
+            -43200, 50400,
+        )
+
+    @pytest.mark.parametrize("hours", [1e300, 1e6, 14.5, -12.5])
+    def test_offset_out_of_range_rejected(self, grid, hours):
+        with pytest.raises(InvalidInputError):
+            IngestConfig(grid=grid, utc_offset_hours=hours)
+
+
 class TestLocalDaySpan:
     @pytest.mark.parametrize(
         "arrival, departure, offset_h, span",
@@ -307,7 +319,7 @@ class TestCsv:
         assert skipped == 3
         assert set(records.user_ids) == {"u1", "u2"}
         u1 = records.user == records.user_ids.index("u1")
-        assert records.t[u1][0] == utc_dt(2020, 9, 1, 8, 0).timestamp()
+        assert records.t_us[u1][0] == utc_dt(2020, 9, 1, 8, 0).timestamp() * 1_000_000
 
     @pytest.mark.parametrize(
         "stamp, epoch",
@@ -335,7 +347,7 @@ class TestCsv:
         if epoch is None:
             assert (len(records), skipped) == (0, 1)
         else:
-            assert (records.t.tolist(), skipped) == ([epoch], 0)
+            assert ((records.t_us // 1_000_000).tolist(), skipped) == ([epoch], 0)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_read_restores_garbage_collector_state(self, tmp_path, enabled):

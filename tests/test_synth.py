@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 
 import pytest
 
@@ -10,6 +11,7 @@ from v2grid import (
     CellId,
     IngestConfig,
     InvalidConfigError,
+    InvalidInputError,
     Records,
     SynthConfig,
     extract_stays,
@@ -49,6 +51,12 @@ class TestConfigValidation:
     def test_bad_weights_rejected(self, grid):
         with pytest.raises(InvalidConfigError):
             small_cfg(grid, home_weights=(1.0, -1.0, 0.5))
+
+
+    @pytest.mark.parametrize("hours", [1e300, 1e6, math.nan, 14.5])
+    def test_utc_offset_out_of_range_rejected(self, grid, hours):
+        with pytest.raises(InvalidInputError):
+            small_cfg(grid, utc_offset_hours=hours)
 
 
 class TestPingEmission:
