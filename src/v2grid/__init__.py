@@ -44,7 +44,6 @@ from .engine import (
     slice_trajectory_days,
 )
 from .errors import (
-    DegenerateRegressorError,
     InvalidConfigError,
     InvalidGeometryError,
     InvalidInputError,

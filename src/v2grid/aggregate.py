@@ -39,8 +39,8 @@ class ScalingConfig:
             raise InvalidConfigError("ev_penetration must lie in (0, 1]")
         if self.observed_users <= 0:
             raise InvalidConfigError("observed_users must be positive")
-        if self.population <= 0:
-            raise InvalidConfigError("population must be positive")
+        if not 0 < self.population <= 1e10:
+            raise InvalidConfigError("population must lie in (0, 1e10]")
         if self.observed_users > self.population:
             raise InvalidConfigError("observed_users cannot exceed population")
         # step_start labels are HH:MM, so a step must be whole minutes

@@ -17,7 +17,6 @@ import numpy as np
 from scipy import special
 
 from .errors import (
-    DegenerateRegressorError,
     InvalidInputError,
     MissingHouseholdDataError,
     UndefinedFractionError,
@@ -204,12 +203,11 @@ def coverage_and_stats(
     household consumption.
 
     Areas present in only one table, or with non-positive household energy,
-    are excluded pairwise. With fewer than 3 pairs the statistics are
-    withheld (ratios are still computed). A household series with zero
-    variance cannot anchor a regression and raises DegenerateRegressorError.
-    The ratio histogram has at most ``_MAX_HIST_BINS`` bins of `bin_width`
-    from 0, plus one row from their end to the largest ratio when it lies
-    past them.
+    are excluded pairwise. The statistics are withheld, with the ratios and
+    the histogram still computed, when there are fewer than 3 pairs or when
+    either energy series has zero variance. The ratio histogram has at most
+    ``_MAX_HIST_BINS`` bins of `bin_width` from 0, plus one row from their end
+    to the largest ratio when it lies past them; its counts sum to the pairs.
     """
     if bin_width <= 0:
         raise InvalidInputError("bin_width must be positive")
@@ -224,28 +222,32 @@ def coverage_and_stats(
         vals = np.array([ratios[a] for a in paired])
         top = float(vals.max())
         n_bins = max(1, math.ceil(min(top / bin_width, _MAX_HIST_BINS) - 1e-12))
+        # np.histogram drops values past the last edge, which the rounding
+        # above can leave a few ulps below `top`
+        if n_bins < _MAX_HIST_BINS and top > n_bins * bin_width:
+            n_bins += 1
         edges = np.arange(n_bins + 1) * bin_width
         counts, _ = np.histogram(vals, bins=edges)
         hist = [
             (float(edges[i]), float(edges[i + 1]), int(counts[i]))
             for i in range(n_bins)
         ]
-        if top / bin_width > _MAX_HIST_BINS:
+        if top > edges[-1]:
             hist.append((float(edges[-1]), top, int(np.count_nonzero(vals > edges[-1]))))
 
-    if len(paired) < 3:
-        return CoverageResult(
-            ratios, hist, None, "withheld: fewer than 3 paired areas",
-            len(paired), n_excluded,
-        )
     x = np.array([e_hh_by_area[a] for a in paired])
     y = np.array([e_ev_by_area[a] for a in paired])
-    if float(np.var(x)) == 0.0:
-        raise DegenerateRegressorError("household energy has zero variance")
-    if float(np.var(y)) == 0.0:
+    withheld = ""
+    if len(paired) < 3:
+        withheld = "fewer than 3 paired areas"
+    # not np.var(x) == 0: the mean of a constant series can round off it
+    elif np.all(x == x[0]):
+        withheld = "household energy has zero variance"
+    elif np.all(y == y[0]):
+        withheld = "V2G energy has zero variance"
+    if withheld:
         return CoverageResult(
-            ratios, hist, None, "withheld: V2G energy has zero variance",
-            len(paired), n_excluded,
+            ratios, hist, None, f"withheld: {withheld}", len(paired), n_excluded
         )
     r, p = pearson_r(x, y)
     slope = float(np.cov(x, y, ddof=0)[0, 1] / np.var(x))

@@ -7,8 +7,8 @@ serial (user, day) stream, aggregate per planning area, and compare against
 the household baseline.
 
 Exit codes: 0 success, 2 usage or config error, 3 internal invariant
-violation. A run that exits 2 on a flag or an input does not make the output
-directory: it is made only after every input is read and checked.
+violation. A run that exits 2 or 3 writes nothing: ``cmd_run`` makes the
+output directory only after every stage before the write has succeeded.
 Two runs with identical inputs and flags produce byte-identical output files
 (``--jobs`` is accepted but has no effect yet); the manifest records sha256
 digests of every input and output.
@@ -41,7 +41,6 @@ from .aggregate import (
     write_metrics_geojson,
 )
 from .baseline import (
-    CoverageResult,
     check_days_in_month,
     coverage_and_stats,
     household_baselines,
@@ -60,13 +59,17 @@ from .engine import (
     write_events_csv,
 )
 from .errors import (
-    DegenerateRegressorError,
     InvalidConfigError,
     InvalidInputError,
     InvariantViolationError,
     V2GridError,
 )
-from .geo import GridSpec, build_area_index, load_planning_areas
+from .geo import (
+    GridSpec,
+    build_area_index,
+    load_planning_areas,
+    write_planning_areas_geojson,
+)
 from .ingest import (
     IngestConfig,
     ingest_trajectories,
@@ -80,7 +83,6 @@ from .synth import (
     synthetic_planning_areas,
     write_demand_curve_csv,
 )
-from .geo import write_planning_areas_geojson
 
 _CHUNK_USER_DAYS = 1024  # bounds the charge events held at once
 # 4096 x 4096 cells: build_area_index takes about 0.5 s and 470 MB there (2-vCPU VM)
@@ -180,17 +182,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _grid_from_areas(areas, cell_size_m: float) -> GridSpec:
     """Smallest grid whose bounding box covers every area polygon."""
-    lat_min = lon_min = math.inf
-    lat_max = lon_max = -math.inf
-    for area in areas:
-        for part in area.polygon:
-            for ring in part:
-                lat_min = min(lat_min, float(ring[:, 0].min()))
-                lat_max = max(lat_max, float(ring[:, 0].max()))
-                lon_min = min(lon_min, float(ring[:, 1].min()))
-                lon_max = max(lon_max, float(ring[:, 1].max()))
-    if not math.isfinite(lat_min):
+    rings = [ring for area in areas for part in area.polygon for ring in part]
+    if not rings:
         raise V2GridError("no polygon vertices found in planning areas")
+    vertices = np.concatenate(rings)
+    lat_min, lon_min = map(float, vertices.min(axis=0))
+    lat_max, lon_max = map(float, vertices.max(axis=0))
     probe = GridSpec(lat_min, lon_min, cell_size_m, 1, 1)
     x_max, y_max = probe.project(lat_max, lon_max)
     # float counts: a tiny cell size makes them infinite, which int() rejects
@@ -203,16 +200,6 @@ def _grid_from_areas(areas, cell_size_m: float) -> GridSpec:
             "--cell-size"
         )
     return GridSpec(lat_min, lon_min, cell_size_m, int(n_rows), int(n_cols))
-
-
-def _check_out_dir(out_dir: Path) -> None:
-    """Reject an ``--out-dir`` that an existing file blocks, before any input
-    is read."""
-    for path in (out_dir, *out_dir.parents):
-        if path.exists():
-            if not path.is_dir():
-                raise InvalidConfigError(f"--out-dir {out_dir}: {path} is not a directory")
-            return
 
 
 def _simulate_chunk(traces: Iterator[SocTrace]) -> tuple[list, int, int]:
@@ -229,10 +216,11 @@ def _simulate_chunk(traces: Iterator[SocTrace]) -> tuple[list, int, int]:
     return events, range_exceeded, n_traces
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _checked_flags(args: argparse.Namespace) -> tuple[VehicleParams, PvWindow, IngestConfig]:
+    """Every check that reads no input: a bad flag, a blocked ``--out-dir``
+    or a missing input file stops the run before any work."""
     if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
+        raise InvalidConfigError("--jobs must be >= 1")
     params = VehicleParams(
         capacity_kwh=args.c_max,
         range_km=args.l_max,
@@ -256,123 +244,112 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise InvalidConfigError("--n-pop must be finite")
     # the observed-user count is known only after ingest and the grid extent
     # only after the areas are read; everything else ScalingConfig and
-    # GridSpec check is checked before any input is read
+    # GridSpec check is checked here
     ScalingConfig(args.delta, 1, int(args.n_pop), args.time_step)
     GridSpec(0.0, 0.0, args.cell_size)
     check_days_in_month(args.days_in_month)
-
     out_dir = Path(args.out_dir)
-    _check_out_dir(out_dir)
-    started = datetime.now(timezone.utc)
-
+    for path in (out_dir, *out_dir.parents):  # the first that exists must be a directory
+        if path.exists():
+            if not path.is_dir():
+                raise InvalidConfigError(f"--out-dir {out_dir}: {path} is not a directory")
+            break
     for path in (args.records, args.areas, args.demand):
         if not Path(path).is_file():
-            print(f"error: input file not found: {path}", file=sys.stderr)
-            return 2
+            raise InvalidInputError(f"input file not found: {path}")
+    return params, window, ingest_cfg
 
+
+def _read_inputs(args: argparse.Namespace, window: PvWindow, ingest_cfg: IngestConfig):
+    """Planning areas, the demand curve's night fraction, the area index and
+    the retained users' trajectories, plus the manifest counts and warnings
+    of the read. The records columns are freed when this returns."""
     areas = load_planning_areas(args.areas)
     if not areas:
-        print("error: planning areas file contains no features", file=sys.stderr)
-        return 2
+        raise InvalidInputError("planning areas file contains no features")
     night_frac = night_fraction(read_demand_csv(args.demand), window)
     grid = _grid_from_areas(areas, args.cell_size)
     index = build_area_index(grid, areas)
-    areas_by_id = {a.area_id: a for a in areas}
-    ingest_cfg = dataclasses.replace(ingest_cfg, grid=grid)
-
     records, rows_skipped = read_records_csv(args.records)
-    n_rows = len(records)
-    trajectories, stats = ingest_trajectories(records, ingest_cfg)
-    stats.rows_skipped += rows_skipped
-    del records
+    trajectories, stats = ingest_trajectories(records, dataclasses.replace(ingest_cfg, grid=grid))
+    rows_skipped += stats.rows_skipped
+    counts = {
+        "rows_read": len(records) + rows_skipped,
+        "rows_skipped": rows_skipped,
+        "users_total": stats.users_total,
+        "users_retained": stats.users_retained,
+        "stays": stats.stays_emitted,
+    }
+    warnings = {
+        "rows_skipped": rows_skipped,
+        "records_out_of_grid": stats.records_out_of_grid,
+        "grid_cells_unassigned": index.n_unassigned,
+        "empty_records_input": len(records) == 0,
+    }
+    return areas, night_frac, index, trajectories, counts, warnings
 
-    days = day_range_of(trajectories.values(), ingest_cfg.utc_offset_s)
-    users = sorted(trajectories)
-    scaling = ScalingConfig(
-        ev_penetration=args.delta,
-        observed_users=max(1, len(users)),
-        population=int(args.n_pop),
-        time_step_minutes=args.time_step,
-    )
-    # every input is read and checked: a failure above leaves no directory
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InvalidConfigError(f"cannot make --out-dir {out_dir}: {exc}") from exc
-    if args.stays_csv:
-        write_stays_csv(
-            (s for uid in users for s in trajectories[uid].stays),
-            out_dir / "stays.csv",
-        )
 
+def _simulate(args, params, window, areas, index, trajectories, scaling, utc_offset_s):
+    """Simulate every retained user-day and sum its charge events per area and
+    day; returns (days, aggregates, events, counts, warnings), with the events
+    kept only for ``--events-csv``."""
+    days = day_range_of(trajectories.values(), utc_offset_s)
     builder = AggregateBuilder(index, scaling)
-    all_events: Optional[list] = [] if args.events_csv else None
-    range_exceeded = 0
-    n_traces = 0
-    n_events = 0
-    traces = run_scenario(trajectories, params, window, grid, ingest_cfg.utc_offset_s, days)
-    for _ in range(0, len(users) * len(days), _CHUNK_USER_DAYS):
+    kept: list = []
+    range_exceeded = n_traces = n_events = 0
+    traces = run_scenario(trajectories, params, window, index.grid, utc_offset_s, days)
+    for _ in range(0, len(trajectories) * len(days), _CHUNK_USER_DAYS):
         events, rexc, n = _simulate_chunk(traces)
         builder.add_events(events)
         n_events += len(events)
-        if all_events is not None:
-            all_events.extend(events)
+        kept.extend(events if args.events_csv else ())
         range_exceeded += rexc
         n_traces += n
-
     aggregates = builder.aggregates()
-    attach_sizing(aggregates, areas_by_id, params.charge_power_kw)
+    attach_sizing(aggregates, {a.area_id: a for a in areas}, params.charge_power_kw)
+    counts = {"simulated_days": len(days), "traces": n_traces, "events": n_events}
+    warnings = {
+        "events_in_unassigned_cells": builder.events_unassigned,
+        "range_exceeded_trips": range_exceeded,
+    }
+    return days, aggregates, kept, counts, warnings
 
-    # household comparison: mean daily V2G supply per area vs night baseline
-    baselines, skipped_areas = household_baselines(
-        areas, args.days_in_month, night_frac
-    )
+
+def _compare(areas, aggregates, n_days: int, night_frac: float, days_in_month: int):
+    """Mean daily V2G supply per area against its household night baseline;
+    returns (e_ev_mean, e_hh, coverage, areas without household data)."""
+    baselines, skipped_areas = household_baselines(areas, days_in_month, night_frac)
     e_ev_mean: dict[str, float] = {a.area_id: 0.0 for a in areas}
     for (area_id, _day), agg in aggregates.items():
         if area_id != UNASSIGNED:
             e_ev_mean[area_id] = e_ev_mean.get(area_id, 0.0) + agg.e_ev_kwh
-    if days:
-        e_ev_mean = {a: v / len(days) for a, v in e_ev_mean.items()}
+    if n_days:
+        e_ev_mean = {a: v / n_days for a, v in e_ev_mean.items()}
     e_hh = {a: b.e_hh_night_kwh for a, b in baselines.items()}
+    return e_ev_mean, e_hh, coverage_and_stats(e_ev_mean, e_hh), skipped_areas
+
+
+def _write_outputs(args, params, scaling, grid, started, out_files, counts, warnings) -> None:
+    """Make ``--out-dir``, write each (name, writer) of `out_files` into it in
+    order, then the manifest with the sha256 of each of those files."""
+    out_dir = Path(args.out_dir)
     try:
-        coverage = coverage_and_stats(e_ev_mean, e_hh)
-    except DegenerateRegressorError as exc:
-        n_paired = len(e_ev_mean.keys() & e_hh.keys())
-        n_excluded = len(e_ev_mean.keys() | e_hh.keys()) - n_paired
-        coverage = CoverageResult({}, [], None, f"withheld: {exc}", n_paired, n_excluded)
-
-    write_area_energy_csv(aggregates, out_dir / "area_energy.csv")
-    write_area_peak_csv(aggregates, out_dir / "area_peak.csv")
-    write_area_profile_csv(aggregates, args.time_step, out_dir / "area_profile.csv")
-    write_coverage_csv(e_ev_mean, e_hh, coverage.ratios, out_dir / "coverage.csv")
-    write_coverage_hist_csv(coverage.histogram, out_dir / "coverage_hist.csv")
-    write_regression_txt(coverage, out_dir / "regression.txt")
-    write_metrics_geojson(
-        areas, aggregates, e_ev_mean, coverage.ratios, out_dir / "metrics.geojson"
-    )
-    if all_events is not None:
-        write_events_csv(all_events, out_dir / "events.csv")
-
-    output_names = [
-        "area_energy.csv", "area_peak.csv", "area_profile.csv",
-        "coverage.csv", "coverage_hist.csv", "regression.txt", "metrics.geojson",
-    ]
-    if all_events is not None:
-        output_names.append("events.csv")
-    if args.stays_csv:
-        output_names.append("stays.csv")
-
-    finished = datetime.now(timezone.utc)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot make --out-dir {out_dir}: {exc}") from exc
+    for name, write in out_files:
+        write(out_dir / name)
+    n_usr = counts["users_retained"]
     manifest = {
         "tool": {"name": "v2grid", "version": __version__},
         "started_utc": started.isoformat(),
-        "finished_utc": finished.isoformat(),
+        "finished_utc": datetime.now(timezone.utc).isoformat(),
         "timezone": f"UTC{'+' if args.tz >= 0 else '-'}{abs(args.tz):05.2f}h",
         "parameters": {
             "delta": args.delta,
             "n_pop": int(args.n_pop),
-            "n_usr": len(users),
-            "market_share": scaling.market_share if users else None,
+            "n_usr": n_usr,
+            "market_share": scaling.market_share if n_usr else None,
             "c_max_kwh": params.capacity_kwh,
             "l_max_km": params.range_km,
             "p_charge_kw": params.charge_power_kw,
@@ -389,46 +366,54 @@ def cmd_run(args: argparse.Namespace) -> int:
             "tz_offset_hours": args.tz,
             "days_in_month": args.days_in_month,
             "jobs": args.jobs,
-            "grid": {
-                "origin_lat": grid.origin_lat,
-                "origin_lon": grid.origin_lon,
-                "n_rows": grid.n_rows,
-                "n_cols": grid.n_cols,
-            },
+            "grid": {k: getattr(grid, k) for k in ("origin_lat", "origin_lon", "n_rows", "n_cols")},
         },
-        "inputs": {
-            name: _sha256(Path(path))
-            for name, path in (
-                ("records", args.records),
-                ("areas", args.areas),
-                ("demand", args.demand),
-            )
-        },
-        "outputs": {name: _sha256(out_dir / name) for name in output_names},
-        "counts": {
-            "rows_read": n_rows + stats.rows_skipped,
-            "rows_skipped": stats.rows_skipped,
-            "users_total": stats.users_total,
-            "users_retained": stats.users_retained,
-            "stays": stats.stays_emitted,
-            "simulated_days": len(days),
-            "traces": n_traces,
-            "events": n_events,
-        },
-        "warnings": {
-            "rows_skipped": stats.rows_skipped,
-            "records_out_of_grid": stats.records_out_of_grid,
-            "grid_cells_unassigned": index.n_unassigned,
-            "events_in_unassigned_cells": builder.events_unassigned,
-            "range_exceeded_trips": range_exceeded,
-            "areas_missing_household_data": skipped_areas,
-            "empty_records_input": n_rows == 0,
-            "regression_note": coverage.stats_note,
-        },
+        "inputs": {n: _sha256(Path(getattr(args, n))) for n in ("records", "areas", "demand")},
+        "outputs": {name: _sha256(out_dir / name) for name, _ in out_files},
+        "counts": counts,
+        "warnings": warnings,
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """Check the flags, read, simulate, compare, then write: only the last
+    stage makes ``--out-dir``."""
+    params, window, ingest_cfg = _checked_flags(args)
+    started = datetime.now(timezone.utc)
+    areas, night_frac, index, trajectories, counts, warnings = _read_inputs(
+        args, window, ingest_cfg
+    )
+    scaling = ScalingConfig(args.delta, max(1, len(trajectories)), int(args.n_pop), args.time_step)
+    days, aggregates, events, sim_counts, sim_warnings = _simulate(
+        args, params, window, areas, index, trajectories, scaling, ingest_cfg.utc_offset_s
+    )
+    e_ev_mean, e_hh, coverage, skipped_areas = _compare(
+        areas, aggregates, len(days), night_frac, args.days_in_month
+    )
+    stays = (s for uid in sorted(trajectories) for s in trajectories[uid].stays)
+    out_files = [
+        ("area_energy.csv", lambda path: write_area_energy_csv(aggregates, path)),
+        ("area_peak.csv", lambda path: write_area_peak_csv(aggregates, path)),
+        ("area_profile.csv", lambda path: write_area_profile_csv(aggregates, args.time_step, path)),
+        ("coverage.csv", lambda path: write_coverage_csv(e_ev_mean, e_hh, coverage.ratios, path)),
+        ("coverage_hist.csv", lambda path: write_coverage_hist_csv(coverage.histogram, path)),
+        ("regression.txt", lambda path: write_regression_txt(coverage, path)),
+        ("metrics.geojson", lambda path: write_metrics_geojson(
+            areas, aggregates, e_ev_mean, coverage.ratios, path)),
+        ("events.csv", lambda path: write_events_csv(events, path)),
+        ("stays.csv", lambda path: write_stays_csv(stays, path)),
+    ]
+    dumps = {"events.csv": args.events_csv, "stays.csv": args.stays_csv}
+    _write_outputs(
+        args, params, scaling, index.grid, started,
+        [(name, write) for name, write in out_files if dumps.get(name, True)],
+        {**counts, **sim_counts},
+        {**warnings, **sim_warnings, "areas_missing_household_data": skipped_areas,
+         "regression_note": coverage.stats_note},
+    )
     return 0
 
 

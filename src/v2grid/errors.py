@@ -21,10 +21,6 @@ class UndefinedFractionError(V2GridError, ArithmeticError):
     """A ratio is undefined because its denominator vanishes."""
 
 
-class DegenerateRegressorError(V2GridError, ValueError):
-    """Regression requested against an explanatory variable with zero variance."""
-
-
 class MissingHouseholdDataError(V2GridError, LookupError):
     """A planning area lacks the household fields needed for the baseline."""
 

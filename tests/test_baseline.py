@@ -9,7 +9,6 @@ import pytest
 from scipy import stats
 
 from v2grid import (
-    DegenerateRegressorError,
     DemandCurve,
     InvalidInputError,
     MissingHouseholdDataError,
@@ -140,8 +139,32 @@ class TestCoverageAndStats:
     def test_constant_household_energy_is_degenerate(self):
         e_hh = {"A": 5.0, "B": 5.0, "C": 5.0}
         e_ev = {"A": 1.0, "B": 2.0, "C": 3.0}
-        with pytest.raises(DegenerateRegressorError):
-            coverage_and_stats(e_ev, e_hh)
+        result = coverage_and_stats(e_ev, e_hh)
+        assert result.stats is None
+        assert result.stats_note == "withheld: household energy has zero variance"
+        assert result.ratios == {"A": 0.2, "B": 0.4, "C": 0.6}
+        assert sum(c for _, _, c in result.histogram) == result.n_paired == 3
+
+    def test_constant_household_energy_beside_a_zero_household_area(self):
+        # D has no household energy: it is excluded, not one of the n pairs
+        e_hh = {"A": 5.0, "B": 5.0, "C": 5.0, "D": 0.0}
+        e_ev = {"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0}
+        result = coverage_and_stats(e_ev, e_hh)
+        assert result.stats is None
+        assert result.stats_note == "withheld: household energy has zero variance"
+        assert (result.n_paired, result.n_excluded) == (3, 1)
+        assert set(result.ratios) == {"A", "B", "C"}
+        assert sum(c for _, _, c in result.histogram) == 3
+
+    @pytest.mark.parametrize("series", ["household", "V2G"])
+    def test_constant_series_whose_mean_rounds_is_withheld(self, series):
+        # np.var of three 0.1s is about 1.9e-34, not 0
+        constant = {"A": 0.1, "B": 0.1, "C": 0.1}
+        varied = {"A": 1.0, "B": 2.0, "C": 3.0}
+        e_hh, e_ev = (constant, varied) if series == "household" else (varied, constant)
+        result = coverage_and_stats(e_ev, e_hh)
+        assert result.stats is None
+        assert result.stats_note == f"withheld: {series} energy has zero variance"
 
     def test_constant_supply_withholds_stats(self):
         e_hh = {"A": 5.0, "B": 6.0, "C": 7.0}
@@ -163,6 +186,16 @@ class TestCoverageAndStats:
         assert sum(c for _, _, c in result.histogram) == result.n_paired == 25
         for low, high, _ in result.histogram:
             assert high - low == pytest.approx(0.05, abs=1e-12)
+
+    @pytest.mark.parametrize("top", [
+        v
+        for k in (1, 2, 3, 7, 20, 199, 1000, 1999, 2000, 2001)
+        for v in (np.nextafter(k * 0.05, 0.0), k * 0.05, np.nextafter(k * 0.05, np.inf))
+    ])
+    def test_histogram_keeps_a_largest_ratio_at_a_bin_edge(self, top):
+        hist = coverage_and_stats({"a": 0.0, "b": float(top)}, {"a": 1.0, "b": 1.0}).histogram
+        assert sum(c for _, _, c in hist) == 2
+        assert hist[-1][0] < top <= hist[-1][1]
 
     @pytest.mark.parametrize("scale", [1.0, 1e18])
     def test_histogram_past_ratio_100_ends_in_one_overflow_row(self, scale):
