@@ -1,12 +1,13 @@
 """Synthetic city, end to end through the library API.
 
-Generates records for 800 users over 7 days, extracts stays, simulates every
-user-day, aggregates per planning area, and prints the headline tables the
-CLI would write as CSV.
+Generates records for 800 users over 7 days and extracts stays, then runs the
+two stages of ``v2grid run`` that follow the read: ``cli.simulate`` simulates
+every user-day and sums it per planning area, and ``cli.compare`` sets the
+supply against household night demand. Prints the headline tables the CLI
+would write as CSV.
 """
 
 from v2grid import (
-    AggregateBuilder,
     GridSpec,
     IngestConfig,
     PvWindow,
@@ -15,18 +16,15 @@ from v2grid import (
     SynthConfig,
     VehicleParams,
     build_area_index,
-    coverage_and_stats,
-    day_range_of,
-    household_baselines,
     generate,
     ingest_trajectories,
     night_fraction,
     peak_density_and_sizing,
     pv_sufficiency,
-    run_scenario,
     synthetic_planning_areas,
 )
 from v2grid.baseline import DemandCurve
+from v2grid.cli import compare, simulate
 from v2grid.synth import synthetic_demand_curve_values
 
 grid = GridSpec(origin_lat=1.25, origin_lon=103.7, cell_size_m=250.0, n_rows=40, n_cols=60)
@@ -49,35 +47,28 @@ index = build_area_index(grid, areas)
 scaling = ScalingConfig(
     ev_penetration=0.03, observed_users=len(trajectories), population=200_000
 )
-days = day_range_of(trajectories.values(), icfg.utc_offset_s)
-
-builder = AggregateBuilder(index, scaling)
-range_exceeded = 0
-for trace in run_scenario(trajectories, params, window, grid, icfg.utc_offset_s, days):
-    builder.add_events(trace.events)
-    range_exceeded += trace.range_exceeded
-aggregates = builder.aggregates()
+days, aggregates, _, _, warnings = simulate(
+    params, window, areas, index, trajectories, scaling, icfg.utc_offset_s
+)
 print(f"simulated {len(trajectories)} users x {len(days)} days "
       f"(scale factor delta/s = {scaling.scale:.3f})\n")
 
+curve = DemandCurve(tuple(synthetic_demand_curve_values()))
+frac = night_fraction(curve, window)
+e_ev_mean, p_peak_max, _, coverage, _ = compare(areas, aggregates, len(days), frac, 30)
+
 print(f"{'area':<6} {'mean E_ev kWh/d':>15} {'max peak kW':>12} "
       f"{'W/m2':>7} {'points/km2':>11}")
-e_ev_mean: dict[str, float] = {}
+density: dict[str, float] = {}
 for area in areas:
-    day_aggs = [aggregates[k] for k in aggregates if k[0] == area.area_id]
-    e_mean = sum(a.e_ev_kwh for a in day_aggs) / max(1, len(days))
-    peak = max((a.p_ev_peak_kw for a in day_aggs), default=0.0)
+    e_mean, peak = e_ev_mean[area.area_id], p_peak_max[area.area_id]
     sizing = peak_density_and_sizing(peak, area.area_m2, params.charge_power_kw)
-    e_ev_mean[area.area_id] = e_mean
+    density[area.area_id] = sizing.density_w_per_m2
     print(
         f"{area.area_id:<6} {e_mean:15.1f} {peak:12.1f} "
         f"{sizing.density_w_per_m2:7.3f} {sizing.points_per_km2:11.1f}"
     )
 
-curve = DemandCurve(tuple(synthetic_demand_curve_values()))
-frac = night_fraction(curve, window)
-baselines, _ = household_baselines(areas, 30, frac)
-coverage = coverage_and_stats(e_ev_mean, {a: b.e_hh_night_kwh for a, b in baselines.items()})
 print(f"\nnight fraction of daily demand: {frac:.3f}")
 print("coverage ratios (V2G supply / household night consumption):")
 for area_id, ratio in coverage.ratios.items():
@@ -87,12 +78,8 @@ if coverage.stats:
     print(f"regression: r = {s.pearson_r:.3f}, slope = {s.ols_slope:.4f}, "
           f"R2 = {s.r_squared:.3f} (n = {s.n_points})")
 
-support = pv_sufficiency(
-    0.2, 0.25, 400.0,
-    {a.area_id: max((aggregates[k].p_ev_peak_kw for k in aggregates if k[0] == a.area_id),
-                    default=0.0) * 1000.0 / a.area_m2 for a in areas},
-)
+support = pv_sufficiency(0.2, 0.25, 400.0, density)
 print(f"\nlocal PV potential: {support.p_pv_w_per_m2:.1f} W/m2")
 deficit = [a for a, flag in support.deficit_by_area.items() if flag]
 print(f"areas above the PV potential: {deficit or 'none'}")
-print(f"trips beyond remaining range (clamped): {range_exceeded}")
+print(f"trips beyond remaining range (clamped): {warnings['range_exceeded_trips']}")

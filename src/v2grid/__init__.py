@@ -21,7 +21,6 @@ from .aggregate import (
 from .baseline import (
     CoverageResult,
     DemandCurve,
-    HouseholdBaseline,
     RegressionSummary,
     coverage_and_stats,
     household_baselines,

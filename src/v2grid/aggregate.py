@@ -278,20 +278,16 @@ def write_area_profile_csv(
 
 def write_metrics_geojson(
     areas: Iterable[PlanningArea],
-    aggregates: Mapping[AreaDay, AreaAggregate],
     e_ev_mean_daily: Mapping[str, float],
+    p_peak_max: Mapping[str, float],
     coverage_ratios: Mapping[str, float],
     path,
 ) -> None:
-    """Echo the planning-area geometry with per-area summary metrics: the
-    given mean daily energy supply and the maximum daily peak across the
-    simulated days."""
-    peaks: dict[str, float] = {}
-    for (area_id, _day), agg in aggregates.items():
-        peaks[area_id] = max(peaks.get(area_id, 0.0), agg.p_ev_peak_kw)
+    """Echo the planning-area geometry with the given per-area summary
+    metrics: mean daily energy supply and maximum daily peak."""
     features = []
     for area in sorted(areas, key=lambda a: a.area_id):
-        peak = peaks.get(area.area_id, 0.0)
+        peak = p_peak_max.get(area.area_id, 0.0)
         props = {
             "e_ev_kwh_mean_daily": e_ev_mean_daily.get(area.area_id, 0.0),
             "p_peak_kw_max": peak,

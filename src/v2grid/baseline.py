@@ -21,9 +21,9 @@ from .errors import (
     MissingHouseholdDataError,
     UndefinedFractionError,
 )
-from .engine import PvWindow
+from .engine import PvWindow, clock_time
 from .geo import PlanningArea
-from .ingest import write_csv
+from .ingest import DAY_S, write_csv
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,9 @@ class DemandCurve:
 
 
 def read_demand_csv(path) -> DemandCurve:
-    """CSV with header time_of_day,demand; times HH:MM from 00:00, uniform."""
-    rows: list[tuple[int, float]] = []
+    """CSV with header time_of_day,demand; uniform times from 00:00, each an
+    ``HH:MM[:SS]`` clock time as `engine.clock_time` reads it."""
+    rows: list[tuple[int, float]] = []  # (seconds past midnight, demand)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -56,21 +57,20 @@ def read_demand_csv(path) -> DemandCurve:
                 if len(row) != 2:
                     raise InvalidInputError(f"bad demand row: {row!r}")
                 try:
-                    hh, mm = row[0].split(":")
-                    minutes = int(hh) * 60 + int(mm)
+                    hour, minute, second = clock_time(row[0])
                     value = float(row[1])
-                except ValueError as exc:
-                    raise InvalidInputError(f"bad demand row: {row!r}") from exc
-                rows.append((minutes, value))
+                except (InvalidInputError, ValueError) as exc:
+                    raise InvalidInputError(f"bad demand row: {row!r}: {exc}") from exc
+                rows.append((hour * 3600 + minute * 60 + second, value))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InvalidInputError(f"demand CSV {path} cannot be read: {exc}") from exc
     if len(rows) < 2:
         raise InvalidInputError("demand curve needs at least 2 samples")
     step = rows[1][0] - rows[0][0]
-    if rows[0][0] != 0 or step <= 0 or 1440 % step != 0 or len(rows) != 1440 // step:
+    if rows[0][0] != 0 or step <= 0 or DAY_S % step != 0 or len(rows) != DAY_S // step:
         raise InvalidInputError("demand samples must uniformly cover 24 h from 00:00")
-    for i, (minutes, _) in enumerate(rows):
-        if minutes != i * step:
+    for i, (seconds, _) in enumerate(rows):
+        if seconds != i * step:
             raise InvalidInputError("demand samples must be uniformly spaced")
     return DemandCurve(tuple(v for _, v in rows))
 
@@ -101,14 +101,6 @@ def night_fraction(curve: DemandCurve, window: PvWindow) -> float:
     return night / total
 
 
-@dataclass(frozen=True)
-class HouseholdBaseline:
-    area_id: str
-    e_hh_day_kwh: float
-    night_fraction: float
-    e_hh_night_kwh: float
-
-
 def check_days_in_month(days_in_month: int) -> None:
     if days_in_month < 1:
         raise InvalidInputError("days_in_month must be >= 1")
@@ -131,23 +123,16 @@ def household_night_energy(
 
 def household_baselines(
     areas: Sequence[PlanningArea], days_in_month: int, night_frac: float
-) -> tuple[dict[str, HouseholdBaseline], int]:
-    """Baselines for every area with household data; returns (table, skipped)."""
-    out: dict[str, HouseholdBaseline] = {}
+) -> tuple[dict[str, float], int]:
+    """Daily night-time household kWh of every area with household data;
+    returns ({area_id: kWh}, skipped)."""
+    out: dict[str, float] = {}
     skipped = 0
     for area in sorted(areas, key=lambda a: a.area_id):
         try:
-            e_night = household_night_energy(area, days_in_month, night_frac)
+            out[area.area_id] = household_night_energy(area, days_in_month, night_frac)
         except MissingHouseholdDataError:
             skipped += 1
-            continue
-        out[area.area_id] = HouseholdBaseline(
-            area_id=area.area_id,
-            # the whole day is the night share at fraction 1
-            e_hh_day_kwh=household_night_energy(area, days_in_month, 1.0),
-            night_fraction=night_frac,
-            e_hh_night_kwh=e_night,
-        )
     return out, skipped
 
 

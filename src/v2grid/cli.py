@@ -7,8 +7,9 @@ serial (user, day) stream, aggregate per planning area, and compare against
 the household baseline.
 
 Exit codes: 0 success, 2 usage or config error, 3 internal invariant
-violation. A run that exits 2 or 3 writes nothing: ``cmd_run`` makes the
-output directory only after every stage before the write has succeeded.
+violation. A run that exits 2 or 3 writes nothing into the output directory:
+``cmd_run`` writes only after every other stage has succeeded, and it writes
+into a temporary directory that it moves into place once every file is in it.
 Two runs with identical inputs and flags produce byte-identical output files
 (``--jobs`` is accepted but has no effect yet); the manifest records sha256
 digests of every input and output.
@@ -21,7 +22,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import shutil
+import stat
 import sys
+import tempfile
 from datetime import date, datetime, timedelta, timezone
 from itertools import islice
 from pathlib import Path
@@ -289,10 +294,11 @@ def _read_inputs(args: argparse.Namespace, window: PvWindow, ingest_cfg: IngestC
     return areas, night_frac, index, trajectories, counts, warnings
 
 
-def _simulate(args, params, window, areas, index, trajectories, scaling, utc_offset_s):
+def simulate(params, window, areas, index, trajectories, scaling, utc_offset_s,
+             keep_events=False):
     """Simulate every retained user-day and sum its charge events per area and
     day; returns (days, aggregates, events, counts, warnings), with the events
-    kept only for ``--events-csv``."""
+    kept only when `keep_events` is set."""
     days = day_range_of(trajectories.values(), utc_offset_s)
     builder = AggregateBuilder(index, scaling)
     kept: list = []
@@ -302,7 +308,7 @@ def _simulate(args, params, window, areas, index, trajectories, scaling, utc_off
         events, rexc, n = _simulate_chunk(traces)
         builder.add_events(events)
         n_events += len(events)
-        kept.extend(events if args.events_csv else ())
+        kept.extend(events if keep_events else ())
         range_exceeded += rexc
         n_traces += n
     aggregates = builder.aggregates()
@@ -315,32 +321,27 @@ def _simulate(args, params, window, areas, index, trajectories, scaling, utc_off
     return days, aggregates, kept, counts, warnings
 
 
-def _compare(areas, aggregates, n_days: int, night_frac: float, days_in_month: int):
-    """Mean daily V2G supply per area against its household night baseline;
-    returns (e_ev_mean, e_hh, coverage, areas without household data)."""
-    baselines, skipped_areas = household_baselines(areas, days_in_month, night_frac)
+def compare(areas, aggregates, n_days: int, night_frac: float, days_in_month: int):
+    """Per area, the mean daily V2G supply and the maximum daily peak, and the
+    supply against the household night baseline; returns (e_ev_mean, p_peak_max,
+    e_hh, coverage, areas without household data)."""
+    e_hh, skipped_areas = household_baselines(areas, days_in_month, night_frac)
     e_ev_mean: dict[str, float] = {a.area_id: 0.0 for a in areas}
+    p_peak_max = dict(e_ev_mean)
     for (area_id, _day), agg in aggregates.items():
         if area_id != UNASSIGNED:
             e_ev_mean[area_id] = e_ev_mean.get(area_id, 0.0) + agg.e_ev_kwh
+            p_peak_max[area_id] = max(p_peak_max.get(area_id, 0.0), agg.p_ev_peak_kw)
     if n_days:
         e_ev_mean = {a: v / n_days for a, v in e_ev_mean.items()}
-    e_hh = {a: b.e_hh_night_kwh for a, b in baselines.items()}
-    return e_ev_mean, e_hh, coverage_and_stats(e_ev_mean, e_hh), skipped_areas
+    return e_ev_mean, p_peak_max, e_hh, coverage_and_stats(e_ev_mean, e_hh), skipped_areas
 
 
-def _write_outputs(args, params, scaling, grid, started, out_files, counts, warnings) -> None:
-    """Make ``--out-dir``, write each (name, writer) of `out_files` into it in
-    order, then the manifest with the sha256 of each of those files."""
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InvalidConfigError(f"cannot make --out-dir {out_dir}: {exc}") from exc
-    for name, write in out_files:
-        write(out_dir / name)
+def _manifest(args, params, scaling, grid, started, outputs, counts, warnings) -> dict:
+    """The run's ``manifest.json``: parameters, input and output digests,
+    counts and warnings."""
     n_usr = counts["users_retained"]
-    manifest = {
+    return {
         "tool": {"name": "v2grid", "version": __version__},
         "started_utc": started.isoformat(),
         "finished_utc": datetime.now(timezone.utc).isoformat(),
@@ -369,13 +370,49 @@ def _write_outputs(args, params, scaling, grid, started, out_files, counts, warn
             "grid": {k: getattr(grid, k) for k in ("origin_lat", "origin_lon", "n_rows", "n_cols")},
         },
         "inputs": {n: _sha256(Path(getattr(args, n))) for n in ("records", "areas", "demand")},
-        "outputs": {name: _sha256(out_dir / name) for name, _ in out_files},
+        "outputs": outputs,
         "counts": counts,
         "warnings": warnings,
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+
+def _write_outputs(args, params, scaling, grid, started, out_files, counts, warnings) -> None:
+    """Write each (name, writer) of `out_files` in order, then the manifest
+    with the sha256 of each of those files, into a temporary directory beside
+    ``--out-dir``. A new ``--out-dir`` is that directory renamed into place;
+    in an existing one, whose files of those names must be regular files,
+    each file replaces its namesake, the manifest last. An ``OSError`` exits
+    2 and leaves no temporary directory."""
+    out_dir = Path(args.out_dir)
+    names = [name for name, _ in out_files] + ["manifest.json"]
+    existing = out_dir.exists()
+    work = None
+    try:
+        for path in (out_dir / name for name in names):
+            if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+                raise InvalidConfigError(f"--out-dir {out_dir}: {path} is not a regular file")
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+        for name, write in out_files:
+            write(work / name)
+        outputs = {name: _sha256(work / name) for name, _ in out_files}
+        manifest = _manifest(args, params, scaling, grid, started, outputs, counts, warnings)
+        with open(work / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        if existing:
+            for name in names:
+                os.replace(work / name, out_dir / name)
+        else:
+            umask = os.umask(0o022)
+            os.umask(umask)
+            work.chmod(0o777 & ~umask)  # the mode mkdir would give, not mkdtemp's 0o700
+            work.rename(out_dir)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot write --out-dir {out_dir}: {exc}") from exc
+    finally:
+        if work is not None:
+            shutil.rmtree(work, ignore_errors=True)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -387,10 +424,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         args, window, ingest_cfg
     )
     scaling = ScalingConfig(args.delta, max(1, len(trajectories)), int(args.n_pop), args.time_step)
-    days, aggregates, events, sim_counts, sim_warnings = _simulate(
-        args, params, window, areas, index, trajectories, scaling, ingest_cfg.utc_offset_s
+    days, aggregates, events, sim_counts, sim_warnings = simulate(
+        params, window, areas, index, trajectories, scaling, ingest_cfg.utc_offset_s,
+        args.events_csv,
     )
-    e_ev_mean, e_hh, coverage, skipped_areas = _compare(
+    e_ev_mean, p_peak_max, e_hh, coverage, skipped_areas = compare(
         areas, aggregates, len(days), night_frac, args.days_in_month
     )
     stays = (s for uid in sorted(trajectories) for s in trajectories[uid].stays)
@@ -402,7 +440,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         ("coverage_hist.csv", lambda path: write_coverage_hist_csv(coverage.histogram, path)),
         ("regression.txt", lambda path: write_regression_txt(coverage, path)),
         ("metrics.geojson", lambda path: write_metrics_geojson(
-            areas, aggregates, e_ev_mean, coverage.ratios, path)),
+            areas, e_ev_mean, p_peak_max, coverage.ratios, path)),
         ("events.csv", lambda path: write_events_csv(events, path)),
         ("stays.csv", lambda path: write_stays_csv(stays, path)),
     ]

@@ -53,6 +53,18 @@ class VehicleParams:
                 raise InvalidInputError(f"{name} must lie in [0, 1]")
 
 
+def clock_time(text: str) -> tuple[int, int, int]:
+    """(hour, minute, second) of an ``HH:MM[:SS]`` clock time, two ASCII
+    digits per field, from 00:00 to 24:00 inclusive."""
+    m = re.fullmatch(r"(\d\d):(\d\d)(?::(\d\d))?", text, re.ASCII)
+    if m is None:
+        raise InvalidInputError(f"clock time {text!r} is not HH:MM[:SS]")
+    hour, minute, second = (int(g or 0) for g in m.groups())
+    if minute > 59 or second > 59 or hour * 3600 + minute * 60 + second > DAY_S:
+        raise InvalidInputError(f"clock time {text!r} is not in 00:00-24:00")
+    return hour, minute, second
+
+
 @dataclass(frozen=True)
 class PvWindow:
     """Daily interval [start_hour, end_hour) of sufficient solar irradiance."""
@@ -69,12 +81,7 @@ class PvWindow:
         """Window from ``HH:MM[:SS]`` clock times; ``24:00`` is a legal end."""
 
         def to_hours(text: str) -> float:
-            m = re.fullmatch(r"(\d\d):(\d\d)(?::(\d\d))?", text, re.ASCII)
-            if m is None:
-                raise InvalidInputError(f"clock time {text!r} is not HH:MM[:SS]")
-            hour, minute, second = (int(g or 0) for g in m.groups())
-            if minute > 59 or second > 59 or hour * 3600 + minute * 60 + second > DAY_S:
-                raise InvalidInputError(f"clock time {text!r} is not in 00:00-24:00")
+            hour, minute, second = clock_time(text)
             return hour + minute / 60.0 + second / 3600.0
 
         return cls(to_hours(start), to_hours(end))

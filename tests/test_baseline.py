@@ -116,9 +116,9 @@ class TestHouseholdNightEnergy:
     def test_baseline_table_skips_missing_areas(self):
         bare = make_rect_area("A02", 0.0, 0.1, 0.0, 0.1, area_m2=1e6)
         table, skipped = household_baselines([area(), bare], 30, 0.5)
-        assert set(table) == {"A01"}
         assert skipped == 1
-        assert table["A01"].e_hh_day_kwh == pytest.approx(100_000.0, rel=1e-12)
+        # the night share of the whole day's energy
+        assert table == {"A01": 0.5 * household_night_energy(area(), 30, 1.0)}
 
 
 class TestCoverageAndStats:
@@ -272,6 +272,14 @@ class TestDemandCsv:
         path = tmp_path / "bad.csv"
         path.write_text("time_of_day,demand\n00:00,1.0\n00:30,1.0\n02:00,1.0\n")
         with pytest.raises(InvalidInputError):
+            read_demand_csv(path)
+
+    # int() would read each of these as 12:00
+    @pytest.mark.parametrize("clock", ["00:720", "1_2:00", "\uff11\uff12:00", " 12:00"])
+    def test_clock_time_must_be_hh_mm(self, tmp_path, clock):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time_of_day,demand\n00:00,1.0\n{clock},1.0\n", encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="is not HH:MM"):
             read_demand_csv(path)
 
     def test_negative_demand_rejected(self, tmp_path):

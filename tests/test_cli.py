@@ -187,6 +187,46 @@ class TestRunCommand:
         ]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("blocker", ["directory", "dangling_link"])
+    def test_blocked_write_exits_2_and_writes_nothing(self, tmp_path, capsys, blocker):
+        records = run_synth(tmp_path, "records.csv")
+        out_dir = tmp_path / "out"
+        if blocker == "directory":  # where the run writes a file
+            (out_dir / "coverage.csv").mkdir(parents=True)
+        else:  # every file is written, then renaming onto the link fails
+            out_dir.symlink_to(tmp_path / "missing")
+        before = sorted(tmp_path.iterdir())
+        argv = [
+            "run", str(records), str(tmp_path / "areas.geojson"),
+            str(tmp_path / "demand.csv"), "--out-dir", str(out_dir), "--min-days", "3",
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out_dir / "area_energy.csv").exists()
+        assert sorted(tmp_path.iterdir()) == before  # no temporary sibling left
+
+    def test_new_out_dir_is_renamed_into_place(self, tmp_path):
+        records = run_synth(tmp_path, "records.csv")
+        (tmp_path / "made").mkdir()
+        before = sorted(tmp_path.iterdir())
+        out_dir = run_pipeline(tmp_path, records, "out")
+        assert sorted(tmp_path.iterdir()) == sorted(before + [out_dir])
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(OUTPUT_FILES + ["manifest.json"])
+        # the mode a plain mkdir gives, not the 0o700 of a temporary directory
+        assert out_dir.stat().st_mode == (tmp_path / "made").stat().st_mode
+
+    def test_existing_out_dir_keeps_other_files(self, tmp_path):
+        records = run_synth(tmp_path, "records.csv")
+        first = run_pipeline(tmp_path, records, "out")
+        digests = {name: digest(first / name) for name in OUTPUT_FILES}
+        (first / "coverage.csv").write_text("stale\n")
+        (first / "notes.txt").write_text("kept\n")
+        before = sorted(tmp_path.iterdir())
+        run_pipeline(tmp_path, records, "out")
+        assert sorted(tmp_path.iterdir()) == before
+        assert {name: digest(first / name) for name in OUTPUT_FILES} == digests
+        assert (first / "notes.txt").read_text() == "kept\n"
+
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
         records = run_synth(tmp_path, "records.csv")
         serial = run_pipeline(tmp_path, records, "serial", ["--jobs", "1"])
