@@ -7,9 +7,10 @@ serial (user, day) stream, aggregate per planning area, and compare against
 the household baseline.
 
 Exit codes: 0 success, 2 usage or config error, 3 internal invariant
-violation. A run that exits 2 or 3 writes nothing into the output directory:
-``cmd_run`` writes only after every other stage has succeeded, and it writes
-into a temporary directory that it moves into place once every file is in it.
+violation. ``cmd_run`` writes only after every other stage has succeeded,
+into a temporary directory: a new output directory is that directory moved
+into place, and in an existing one each file replaces its namesake, the
+manifest last (README, exit codes).
 Two runs with identical inputs and flags produce byte-identical output files
 (``--jobs`` is accepted but has no effect yet); the manifest records sha256
 digests of every input and output.
@@ -259,6 +260,9 @@ def _checked_flags(args: argparse.Namespace) -> tuple[VehicleParams, PvWindow, I
             if not path.is_dir():
                 raise InvalidConfigError(f"--out-dir {out_dir}: {path} is not a directory")
             break
+    for path in (out_dir / name for name in _out_names(args)):
+        if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+            raise InvalidConfigError(f"--out-dir {out_dir}: {path} is not a regular file")
     for path in (args.records, args.areas, args.demand):
         if not Path(path).is_file():
             raise InvalidInputError(f"input file not found: {path}")
@@ -376,23 +380,30 @@ def _manifest(args, params, scaling, grid, started, outputs, counts, warnings) -
     }
 
 
+def _out_names(args: argparse.Namespace) -> list:
+    """The files a run writes into ``--out-dir``, in order, the manifest last."""
+    dumps = [("events.csv", args.events_csv), ("stays.csv", args.stays_csv)]
+    return [
+        "area_energy.csv", "area_peak.csv", "area_profile.csv", "coverage.csv",
+        "coverage_hist.csv", "regression.txt", "metrics.geojson",
+        *(name for name, on in dumps if on), "manifest.json",
+    ]
+
+
 def _write_outputs(args, params, scaling, grid, started, out_files, counts, warnings) -> None:
     """Write each (name, writer) of `out_files` in order, then the manifest
-    with the sha256 of each of those files, into a temporary directory beside
-    ``--out-dir``. A new ``--out-dir`` is that directory renamed into place;
-    in an existing one, whose files of those names must be regular files,
-    each file replaces its namesake, the manifest last. An ``OSError`` exits
-    2 and leaves no temporary directory."""
+    with the sha256 of each of those files, into a temporary directory. For a
+    new ``--out-dir`` it is made beside it and renamed into place. An existing
+    ``--out-dir`` holds it, so that each file moves within one directory: the
+    old manifest is removed, then each file replaces its namesake, the new
+    manifest last. An ``OSError`` exits 2 and leaves no temporary directory."""
     out_dir = Path(args.out_dir)
-    names = [name for name, _ in out_files] + ["manifest.json"]
     existing = out_dir.exists()
     work = None
     try:
-        for path in (out_dir / name for name in names):
-            if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
-                raise InvalidConfigError(f"--out-dir {out_dir}: {path} is not a regular file")
-        out_dir.parent.mkdir(parents=True, exist_ok=True)
-        work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+        home = out_dir if existing else out_dir.parent
+        home.mkdir(parents=True, exist_ok=True)
+        work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=home))
         for name, write in out_files:
             write(work / name)
         outputs = {name: _sha256(work / name) for name, _ in out_files}
@@ -401,7 +412,8 @@ def _write_outputs(args, params, scaling, grid, started, out_files, counts, warn
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         if existing:
-            for name in names:
+            (out_dir / "manifest.json").unlink(missing_ok=True)
+            for name in [name for name, _ in out_files] + ["manifest.json"]:
                 os.replace(work / name, out_dir / name)
         else:
             umask = os.umask(0o022)
@@ -432,22 +444,21 @@ def cmd_run(args: argparse.Namespace) -> int:
         areas, aggregates, len(days), night_frac, args.days_in_month
     )
     stays = (s for uid in sorted(trajectories) for s in trajectories[uid].stays)
-    out_files = [
-        ("area_energy.csv", lambda path: write_area_energy_csv(aggregates, path)),
-        ("area_peak.csv", lambda path: write_area_peak_csv(aggregates, path)),
-        ("area_profile.csv", lambda path: write_area_profile_csv(aggregates, args.time_step, path)),
-        ("coverage.csv", lambda path: write_coverage_csv(e_ev_mean, e_hh, coverage.ratios, path)),
-        ("coverage_hist.csv", lambda path: write_coverage_hist_csv(coverage.histogram, path)),
-        ("regression.txt", lambda path: write_regression_txt(coverage, path)),
-        ("metrics.geojson", lambda path: write_metrics_geojson(
-            areas, e_ev_mean, p_peak_max, coverage.ratios, path)),
-        ("events.csv", lambda path: write_events_csv(events, path)),
-        ("stays.csv", lambda path: write_stays_csv(stays, path)),
-    ]
-    dumps = {"events.csv": args.events_csv, "stays.csv": args.stays_csv}
+    writers = {
+        "area_energy.csv": lambda path: write_area_energy_csv(aggregates, path),
+        "area_peak.csv": lambda path: write_area_peak_csv(aggregates, path),
+        "area_profile.csv": lambda path: write_area_profile_csv(aggregates, args.time_step, path),
+        "coverage.csv": lambda path: write_coverage_csv(e_ev_mean, e_hh, coverage.ratios, path),
+        "coverage_hist.csv": lambda path: write_coverage_hist_csv(coverage.histogram, path),
+        "regression.txt": lambda path: write_regression_txt(coverage, path),
+        "metrics.geojson": lambda path: write_metrics_geojson(
+            areas, e_ev_mean, p_peak_max, coverage.ratios, path),
+        "events.csv": lambda path: write_events_csv(events, path),
+        "stays.csv": lambda path: write_stays_csv(stays, path),
+    }
     _write_outputs(
         args, params, scaling, index.grid, started,
-        [(name, write) for name, write in out_files if dumps.get(name, True)],
+        [(name, writers[name]) for name in _out_names(args)[:-1]],
         {**counts, **sim_counts},
         {**warnings, **sim_warnings, "areas_missing_household_data": skipped_areas,
          "regression_note": coverage.stats_note},

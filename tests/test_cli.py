@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -177,33 +178,35 @@ class TestRunCommand:
         assert main(argv) == 2
         assert not out_dir.exists()
 
-    def test_out_dir_mkdir_error_exits_2(self, tmp_path):
+    def test_out_dir_mkdir_error_exits_2(self, tmp_path, capsys):
         records = run_synth(tmp_path, "records.csv")
         out_dir = tmp_path / "dangling"
         out_dir.symlink_to(tmp_path / "missing")
+        before = sorted(tmp_path.iterdir())
         argv = [
             "run", str(records), str(tmp_path / "areas.geojson"),
             str(tmp_path / "demand.csv"), "--out-dir", str(out_dir),
         ]
         assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(tmp_path.iterdir()) == before  # no temporary sibling left
 
-    @pytest.mark.parametrize("blocker", ["directory", "dangling_link"])
-    def test_blocked_write_exits_2_and_writes_nothing(self, tmp_path, capsys, blocker):
+    def test_blocked_write_exits_2_before_reading(self, tmp_path, capsys, monkeypatch):
         records = run_synth(tmp_path, "records.csv")
         out_dir = tmp_path / "out"
-        if blocker == "directory":  # where the run writes a file
-            (out_dir / "coverage.csv").mkdir(parents=True)
-        else:  # every file is written, then renaming onto the link fails
-            out_dir.symlink_to(tmp_path / "missing")
-        before = sorted(tmp_path.iterdir())
+        (out_dir / "coverage.csv").mkdir(parents=True)  # where the run writes a file
+
+        def no_read(path):
+            raise AssertionError("records read before the blocked name was found")
+
+        monkeypatch.setattr(cli, "read_records_csv", no_read)
         argv = [
             "run", str(records), str(tmp_path / "areas.geojson"),
             str(tmp_path / "demand.csv"), "--out-dir", str(out_dir), "--min-days", "3",
         ]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not (out_dir / "area_energy.csv").exists()
-        assert sorted(tmp_path.iterdir()) == before  # no temporary sibling left
+        assert "coverage.csv is not a regular file" in capsys.readouterr().err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["coverage.csv"]
 
     def test_new_out_dir_is_renamed_into_place(self, tmp_path):
         records = run_synth(tmp_path, "records.csv")
@@ -215,17 +218,51 @@ class TestRunCommand:
         # the mode a plain mkdir gives, not the 0o700 of a temporary directory
         assert out_dir.stat().st_mode == (tmp_path / "made").stat().st_mode
 
-    def test_existing_out_dir_keeps_other_files(self, tmp_path):
+    def test_existing_out_dir_keeps_other_files(self, tmp_path, monkeypatch):
         records = run_synth(tmp_path, "records.csv")
-        first = run_pipeline(tmp_path, records, "out")
+        first = run_pipeline(tmp_path, records, "ro/out")
         digests = {name: digest(first / name) for name in OUTPUT_FILES}
         (first / "coverage.csv").write_text("stale\n")
         (first / "notes.txt").write_text("kept\n")
-        before = sorted(tmp_path.iterdir())
-        run_pipeline(tmp_path, records, "out")
-        assert sorted(tmp_path.iterdir()) == before
+        # the temporary directory is made inside an existing --out-dir, so a
+        # parent that is not writable (or on another filesystem) is never used;
+        # the chmod alone does not stop root, so the directory is recorded too
+        homes = []
+        mkdtemp = tempfile.mkdtemp
+        monkeypatch.setattr(tempfile, "mkdtemp", lambda **kw: homes.append(kw["dir"]) or mkdtemp(**kw))
+        (tmp_path / "ro").chmod(0o555)
+        try:
+            run_pipeline(tmp_path, records, "ro/out")
+        finally:
+            (tmp_path / "ro").chmod(0o755)
+        assert homes == [first]
+        assert [p.name for p in (tmp_path / "ro").iterdir()] == ["out"]
+        assert sorted(p.name for p in first.iterdir()) == sorted(
+            OUTPUT_FILES + ["manifest.json", "notes.txt"])
         assert {name: digest(first / name) for name in OUTPUT_FILES} == digests
         assert (first / "notes.txt").read_text() == "kept\n"
+
+    def test_failed_replace_leaves_no_stale_manifest(self, tmp_path, capsys, monkeypatch):
+        records = run_synth(tmp_path, "records.csv")
+        out_dir = run_pipeline(tmp_path, records, "out")
+        replace = os.replace
+        calls = []
+
+        def fail_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise PermissionError(1, "Operation not permitted", str(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_second)
+        argv = [
+            "run", str(records), str(tmp_path / "areas.geojson"),
+            str(tmp_path / "demand.csv"), "--out-dir", str(out_dir),
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write --out-dir")
+        # one file was replaced, so no manifest may describe the directory
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(OUTPUT_FILES)
 
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
         records = run_synth(tmp_path, "records.csv")
