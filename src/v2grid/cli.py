@@ -260,7 +260,7 @@ def _checked_flags(args: argparse.Namespace) -> tuple[VehicleParams, PvWindow, I
             if not path.is_dir():
                 raise InvalidConfigError(f"--out-dir {out_dir}: {path} is not a directory")
             break
-    for path in (out_dir / name for name in _out_names(args)):
+    for path in (out_dir / name for name in (*_out_names(args), "manifest.json")):
         if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
             raise InvalidConfigError(f"--out-dir {out_dir}: {path} is not a regular file")
     for path in (args.records, args.areas, args.demand):
@@ -381,12 +381,12 @@ def _manifest(args, params, scaling, grid, started, outputs, counts, warnings) -
 
 
 def _out_names(args: argparse.Namespace) -> list:
-    """The files a run writes into ``--out-dir``, in order, the manifest last."""
+    """The files a run writes into ``--out-dir`` before its manifest, in order."""
     dumps = [("events.csv", args.events_csv), ("stays.csv", args.stays_csv)]
     return [
         "area_energy.csv", "area_peak.csv", "area_profile.csv", "coverage.csv",
         "coverage_hist.csv", "regression.txt", "metrics.geojson",
-        *(name for name, on in dumps if on), "manifest.json",
+        *(name for name, on in dumps if on),
     ]
 
 
@@ -458,7 +458,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     _write_outputs(
         args, params, scaling, index.grid, started,
-        [(name, writers[name]) for name in _out_names(args)[:-1]],
+        [(name, writers[name]) for name in _out_names(args)],
         {**counts, **sim_counts},
         {**warnings, **sim_warnings, "areas_missing_household_data": skipped_areas,
          "regression_note": coverage.stats_note},
