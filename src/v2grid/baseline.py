@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     InvalidInputError,
@@ -158,10 +157,12 @@ class CoverageResult:
 
 def pearson_r(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Pearson r of two float64 series of length >= 3 and its two-sided
-    p-value, computed step for step as ``scipy.stats.pearsonr`` (1.17) does,
-    so the values are the same to the bit. Importing ``scipy.stats`` at
-    every start costs about three times the time and memory of
-    ``scipy.special``."""
+    p-value; a constant series gives NaN for both.
+
+    r is computed step for step as ``scipy.stats.pearsonr`` (1.17) does, so
+    it is the same to the bit. The p-value is the two-sided Student-t tail
+    with n - 2 degrees of freedom, computed without scipy (see `_p_value`);
+    it agrees with scipy's to about 1e-13 relative."""
     if np.all(x == x[0]) or np.all(y == y[0]):
         return math.nan, math.nan
     xm = x - x.mean()
@@ -171,9 +172,69 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     norm_x = xmax * np.linalg.vector_norm(xm / xmax)
     norm_y = ymax * np.linalg.vector_norm(ym / ymax)
     r = float(np.clip(np.vecdot(xm / norm_x, ym / norm_y), -1.0, 1.0))
-    # under the null hypothesis r is beta(n/2 - 1, n/2 - 1) on (-1, 1)
-    ab = len(x) / 2 - 1
-    return r, float(2 * special.betaincc(ab, ab, (abs(r) + 1) / 2))
+    return r, _p_value(r, len(x))
+
+
+def _p_value(r: float, n: int) -> float:
+    """Two-sided p-value of a Pearson r over n >= 3 pairs.
+
+    Under the null hypothesis r is beta(a, a) on (-1, 1) with a = n/2 - 1,
+    so p = 2 I_y(a, a), the regularized incomplete beta function at
+    y = (1 - |r|)/2. By the duplication formula of Γ,
+
+        2 I_y(a, a) = (4xy)^a Γ(a + 1/2) / (a sqrt(π) Γ(a)) * F,  x = 1 - y,
+
+    with F the continued fraction of `_beta_fraction`.
+    """
+    a = n / 2 - 1
+    x = (abs(r) + 1) / 2  # the argument scipy.stats hands to betaincc
+    y = 1.0 - x  # exact, so 4xy = 1 - (x - y)^2
+    if not y > 0.0:
+        return 0.0 if y == 0.0 else math.nan
+    s = x - y
+    # log(4xy) loses its relative accuracy as 4xy nears 1, and that error
+    # grows a-fold in ln p; log1p(-s^2) loses it as s nears 1
+    ln_4xy = math.log1p(-s * s) if s < 0.7 else math.log(4 * x * y)
+    ln_p = a * ln_4xy + _ln_gamma_ratio(a) - math.log(a * math.sqrt(math.pi))
+    return min(1.0, math.exp(ln_p) * _beta_fraction(a, y))
+
+
+# B_2k / (2k (2k - 1)), k = 1, 2, 3: Stirling's series of ln Γ
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260)
+
+
+def _ln_gamma_ratio(a: float) -> float:
+    """ln(Γ(a + 1/2) / Γ(a)) for a > 0. Above 170, where Γ nears overflow,
+    it is the difference of the two Stirling series taken term by term:
+    lgamma(a + 1/2) - lgamma(a) would cancel most of its digits."""
+    if a <= 170:
+        return math.log(math.gamma(a + 0.5) / math.gamma(a))
+    b = a + 0.5
+    series = sum(c * (b ** (1 - 2 * k) - a ** (1 - 2 * k)) for k, c in enumerate(_STIRLING, 1))
+    return 0.5 * math.log(a) + a * math.log1p(0.5 / a) - 0.5 + series
+
+
+_TINY = 1e-300  # stands in for a zero denominator, as in Lentz's method
+
+
+def _beta_fraction(a: float, y: float) -> float:
+    """1 / (1 + d1 / (1 + d2 / (1 + ...))), the continued fraction of
+    I_y(a, b) (Numerical Recipes, eq. 6.4.5) at b = a, by the modified Lentz
+    method. For 0 < y <= 1/2 it converges in fewer than 3 (sqrt(a) + 10)
+    terms."""
+    c, d, g = 1.0, 0.0, 1.0
+    for j in range(1, 1_000_000):
+        m = j // 2
+        if j % 2:
+            dj = -(a + m) * (2 * a + m) * y / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            dj = m * (a - m) * y / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 / ((1.0 + dj * d) or _TINY)
+        c = (1.0 + dj / c) or _TINY
+        g *= c * d
+        if abs(c * d - 1.0) <= 2.0**-52:
+            return 1.0 / g
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a = {a}")
 
 
 _MAX_HIST_BINS = 2000  # ratios up to 100 at the default bin width

@@ -185,15 +185,14 @@ class PlanningArea:
             raise InvalidInputError("area_id must be non-empty")
         if not self.area_m2 > 0:
             raise InvalidInputError(f"area {self.area_id}: area_m2 must be positive")
-        if self.households is not None and self.households < 0:
-            raise InvalidInputError(f"area {self.area_id}: households must be >= 0")
-        if (
-            self.monthly_kwh_per_household is not None
-            and self.monthly_kwh_per_household < 0
-        ):
-            raise InvalidInputError(
-                f"area {self.area_id}: monthly_kwh_per_household must be >= 0"
-            )
+        # json reads Infinity and NaN, and either would run through to
+        # non-finite coverage ratios and statistics
+        for key in ("households", "monthly_kwh_per_household"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise InvalidInputError(
+                    f"area {self.area_id}: {key} must be finite and >= 0"
+                )
         parts = tuple(
             tuple(_normalise_ring(ring) for ring in part) for part in self.polygon
         )

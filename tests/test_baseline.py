@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
 from v2grid import (
     DemandCurve,
@@ -21,7 +24,7 @@ from v2grid import (
     night_fraction,
     read_demand_csv,
 )
-from v2grid.baseline import pearson_r
+from v2grid.baseline import _p_value, pearson_r
 
 WINDOW = PvWindow(9.0, 17.0)
 
@@ -119,6 +122,12 @@ class TestHouseholdNightEnergy:
         assert skipped == 1
         # the night share of the whole day's energy
         assert table == {"A01": 0.5 * household_night_energy(area(), 30, 1.0)}
+
+    @pytest.mark.parametrize("field", ["households", "kwh"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1])
+    def test_non_finite_or_negative_household_data_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match="must be finite and >= 0"):
+            area(**{field: value})
 
 
 class TestCoverageAndStats:
@@ -237,8 +246,26 @@ class TestCoverageAndStats:
         assert result.n_paired == 3
 
 
+def assert_p_close(got: float, want: float, context=None) -> None:
+    """The p-value gate: 1e-13 * max(1, |ln p|) relative to scipy's p where
+    that is at least 1e-300, 1e-300 absolute below it."""
+    if math.isnan(want):
+        assert math.isnan(got), context
+    elif want >= 1e-300:
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(math.log(want))) * want, (
+            context, got, want)
+    else:
+        assert abs(got - want) <= 1e-300, (context, got, want)
+
+
+def scipy_p(r, n: int):
+    # the p-value scipy.stats.pearsonr (1.17) computes from r and n
+    ab = n / 2 - 1
+    return 2 * special.betaincc(ab, ab, (np.abs(r) + 1) / 2)
+
+
 class TestPearsonR:
-    def test_bit_identical_to_scipy_pearsonr(self):
+    def test_matches_scipy_pearsonr(self):
         # scipy.stats is the oracle here only: the package does not import it
         rng = np.random.default_rng(17)
         for k in range(3000):
@@ -252,8 +279,54 @@ class TestPearsonR:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 want = stats.pearsonr(x, y)
-            got = np.array(pearson_r(x, y))
-            assert np.array_equal(got, [want.statistic, want.pvalue], equal_nan=True), k
+            r, p = pearson_r(x, y)
+            assert np.array_equal(r, want.statistic, equal_nan=True), k
+            assert_p_close(p, float(want.pvalue), k)
+
+    # n = 3..60 and far past the 170 where the Γ ratio switches to Stirling
+    @pytest.mark.parametrize("n", [*range(3, 61), 100, 1000, 10_000])
+    def test_p_value_grid(self, n):
+        rs = np.concatenate([
+            np.linspace(-1.0, 1.0, 81),
+            [1e-300, 1e-12, 1e-6, 1e-3, 0.7, 1 - 1e-6, 1 - 1e-12, np.nextafter(1.0, 0.0)],
+        ])
+        for r, want in zip(rs, scipy_p(rs, n)):
+            assert_p_close(_p_value(float(r), n), float(want), r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(3, 10_000),
+        r=st.floats(-1.0, 1.0) | st.floats(-0.05, 0.05) | st.floats(0.99, 1.0),
+    )
+    def test_p_value_matches_scipy(self, n, r):
+        p = _p_value(r, n)
+        assert 0.0 <= p <= 1.0
+        assert_p_close(p, float(scipy_p(r, n)))
+
+    @pytest.mark.parametrize("n", [3, 4, 55, 10_000])
+    def test_perfect_correlation_gives_zero(self, n):
+        assert _p_value(1.0, n) == 0.0
+        assert _p_value(-1.0, n) == 0.0
+
+    def test_nan_r_gives_nan(self):
+        assert math.isnan(_p_value(math.nan, 10))
+        r, p = pearson_r(np.array([1.0, math.nan, 3.0, 4.0]), np.array([1.0, 2.0, 3.0, 5.0]))
+        assert math.isnan(r) and math.isnan(p)
+
+    def test_three_points(self):
+        x, y = np.array([1.0, 2.0, 3.0]), np.array([1.0, 3.0, 2.0])
+        want = stats.pearsonr(x, y)
+        r, p = pearson_r(x, y)
+        assert r == want.statistic == pytest.approx(0.5, rel=1e-15)
+        assert_p_close(p, float(want.pvalue))
+        # at n = 3, p = (4 / pi) asin(sqrt((1 - r) / 2)) = (4 / pi) (pi / 6)
+        assert p == pytest.approx(2 / 3, rel=1e-14)
+
+    def test_constant_series_gives_nan(self):
+        constant, varying = np.full(5, 2.0), np.arange(5.0)
+        for x, y in [(constant, varying), (varying, constant)]:
+            r, p = pearson_r(x, y)
+            assert math.isnan(r) and math.isnan(p)
 
 
 class TestDemandCsv:

@@ -441,11 +441,16 @@ class TestRunCommand:
             lambda doc: (
                 doc["features"][0]["geometry"]["coordinates"][0][1].__setitem__(1, 60.0),
                 doc["features"][0]["geometry"]["coordinates"][0][2].__setitem__(0, -180.0)),
+            # json writes and reads these as Infinity and NaN
+            lambda doc: doc["features"][0]["properties"].update(
+                monthly_kwh_per_household=float("inf")),
+            lambda doc: doc["features"][0]["properties"].update(
+                monthly_kwh_per_household=float("nan")),
         ],
         ids=["area_m2", "households", "area_m2_null", "truncated", "feature_string",
              "features_number", "properties_list", "geometry_string", "short_position",
              "no_coordinates", "nan_vertex", "inf_vertex", "lat_95_vertex",
-             "stray_vertices"],
+             "stray_vertices", "kwh_infinity", "kwh_nan"],
     )
     def test_malformed_areas_exit_2(self, tmp_path, corrupt):
         records = run_synth(tmp_path, "records.csv")
@@ -472,16 +477,34 @@ def test_grid_size_is_capped(monkeypatch):
         cli._grid_from_areas(areas, 250.0)
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about a second and 70 MB at every start; multiprocessing
+def test_cli_import_leaves_out_scipy_stats(tmp_path):
+    # scipy costs about 0.27 s and 20 MB at every start, so neither the import
+    # nor a whole run that reaches pearson_r may load it; multiprocessing
     # would mean a process pool is back on the run path
+    records, areas, demand = (tmp_path / n for n in ("records.csv", "areas.geojson", "demand.csv"))
+    assert main([
+        "synth", "--users", "20", "--seed", "3", "--out", str(records),
+        "--areas-out", str(areas), "--demand-out", str(demand),
+    ]) == 0
+    code = (
+        "import json, sys\n"
+        "def unwanted():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] in ('scipy', 'multiprocessing'))\n"
+        "from v2grid import cli\n"
+        "after_import = unwanted()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([after_import, code, unwanted()]))\n"
+    )
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, v2grid.cli; "
-            "sys.exit('scipy.stats' in sys.modules or 'multiprocessing' in sys.modules)")
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, "run", str(records), str(areas), str(demand),
+         "--out-dir", str(tmp_path / "out")],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
-        timeout=120,
+        capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
+    # the statistics are not withheld, so pearson_r ran
+    assert (tmp_path / "out" / "regression.txt").read_text().startswith("r = ")
