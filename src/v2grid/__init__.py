@@ -32,6 +32,7 @@ from .engine import (
     ChargeEvent,
     DayStay,
     DepletionJump,
+    EventColumns,
     PvWindow,
     Regime,
     SocTrace,
@@ -40,6 +41,7 @@ from .engine import (
     drive_depletion_kwh,
     run_scenario,
     simulate_day,
+    simulate_user_days,
     slice_trajectory_days,
 )
 from .errors import (
@@ -58,6 +60,7 @@ from .geo import (
     PlanningArea,
     build_area_index,
     cell_distance_m,
+    cell_distances_m,
     haversine_m,
     load_planning_areas,
     locate,

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .engine import ChargeEvent, Regime
+from .engine import REGIMES, ChargeEvent, EventColumns, Regime
 from .geo import AreaIndex, PlanningArea, planning_area_feature, write_feature_collection
 from .ingest import format_epoch, write_csv
 
@@ -81,18 +81,15 @@ class AreaAggregate:
     charging_points_per_km2: Optional[float] = None
 
 
-# column of each regime's energy in AggregateBuilder._energy
-_COLUMN = {Regime.DISCHARGE: 0, Regime.PV_CHARGE: 1, Regime.NONPV_CHARGE: 2}
-
-
 class AggregateBuilder:
     """Streaming reduction of charge events into per-(area, day) sums.
 
     Each area-day is a row of `_energy` (discharge, PV-charge and non-PV
-    charge kWh) and of `_profile` (kW per step), numbered as it first
-    appears. Every sum adds its terms in event order and, within one event,
-    in step order, so the bits depend on the order of the events but not on
-    how they are split into batches.
+    charge kWh, the columns of the regime codes of `EventColumns`) and of
+    `_profile` (kW per step), numbered as it first appears. Every sum adds
+    its terms in event order and, within one event, in step order, so the
+    bits depend on the order of the events but not on how they are split
+    into batches.
     """
 
     def __init__(self, index: AreaIndex, scaling: ScalingConfig):
@@ -103,33 +100,39 @@ class AggregateBuilder:
         self._energy = np.zeros((0, 3))
         self._profile = np.zeros((0, scaling.steps_per_day))
 
-    def add_events(self, events: Iterable[ChargeEvent]) -> None:
-        """Add a batch of events. A cell outside the grid raises
-        `InvalidInputError` and leaves the builder as it was."""
-        keys, cols, values = [], [], []
-        unassigned = 0
-        for e in events:
-            area = self.index.area_of(e.cell)
-            if area is None:
-                area = UNASSIGNED
-                unassigned += 1
-            keys.append((area, e.day))
-            cols.append(_COLUMN[e.regime])
-            values.append((e.energy_kwh, e.start_hour, e.end_hour, e.power_kw))
-        self.events_unassigned += unassigned
-        rows = [self._rows.setdefault(key, len(self._rows)) for key in keys]
+    def add_events(self, events: Union[EventColumns, Iterable[ChargeEvent]]) -> None:
+        """Add a batch of events, as `EventColumns` or `ChargeEvent`s. A cell
+        outside the grid raises `InvalidInputError` and leaves the builder as
+        it was."""
+        if not isinstance(events, EventColumns):
+            events = EventColumns.from_events(events)
+        area = self.index.area_codes(events.row, events.col).astype(np.int64)
+        if len(area) == 0:
+            return
+        self.events_unassigned += int(np.count_nonzero(area < 0))
+        # each (area, day) of the batch is looked up once
+        day0 = int(events.day.min())
+        span = int(events.day.max()) - day0 + 1
+        keys, inverse = np.unique((area + 1) * span + events.day - day0, return_inverse=True)
+        ids = (UNASSIGNED, *self.index.area_ids)
+        rows = [
+            self._rows.setdefault((ids[key // span], day0 + key % span), len(self._rows))
+            for key in keys.tolist()
+        ]
         extra = len(self._rows) - len(self._energy)
         if extra:
             self._energy = np.pad(self._energy, ((0, extra), (0, 0)))
             self._profile = np.pad(self._profile, ((0, extra), (0, 0)))
-        row = np.array(rows, dtype=np.intp)
-        col = np.array(cols, dtype=np.intp)
-        energy, start, end, power = np.array(values, dtype=float).reshape(-1, 4).T
-        np.add.at(self._energy, (row, col), energy)
+        row = np.array(rows, dtype=np.intp)[inverse]
+        col = events.regime.astype(np.intp)
+        np.add.at(self._energy, (row, col), events.energy_kwh)
 
         # time-averaged power of each charging event in each step it overlaps,
         # as (event, step) terms in event-major order, which np.add.at keeps
-        row, start, end, power = (a[col > 0] for a in (row, start, end, power))
+        charging = col != REGIMES.index(Regime.DISCHARGE)
+        row, start, end, power = (
+            a[charging] for a in (row, events.start_hour, events.end_hour, events.power_kw)
+        )
         steps = self.scaling.steps_per_day
         dt = 24.0 / steps
         i0 = np.floor(start / dt).astype(np.intp)

@@ -2,9 +2,10 @@
 
 ``v2grid synth`` writes a reproducible synthetic location-records CSV (plus,
 optionally, matching planning areas and a demand curve). ``v2grid run``
-executes the full pipeline: ingest records, simulate every user-day in one
-serial (user, day) stream, aggregate per planning area, and compare against
-the household baseline.
+executes the full pipeline: ingest records, simulate every user-day in
+(user, day) order, ``_CHUNK_USER_DAYS`` at a time, into charge-event columns
+(``engine.simulate_user_days``), sum them per planning area, and compare
+against the household baseline.
 
 Exit codes: 0 success, 2 usage or config error, 3 internal invariant
 violation. ``cmd_run`` writes only after every other stage has succeeded,
@@ -29,9 +30,8 @@ import stat
 import sys
 import tempfile
 from datetime import date, datetime, timedelta, timezone
-from itertools import islice
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,11 +57,11 @@ from .baseline import (
     write_regression_txt,
 )
 from .engine import (
+    EventColumns,
     PvWindow,
-    SocTrace,
     VehicleParams,
     day_range_of,
-    run_scenario,
+    simulate_user_days,
     write_events_csv,
 )
 from .errors import (
@@ -90,7 +90,7 @@ from .synth import (
     write_demand_curve_csv,
 )
 
-_CHUNK_USER_DAYS = 1024  # bounds the charge events held at once
+_CHUNK_USER_DAYS = 1024  # bounds the stay and event columns held at once
 # 4096 x 4096 cells: build_area_index takes about 0.5 s and 470 MB there (2-vCPU VM)
 _MAX_GRID_CELLS = 1 << 24
 
@@ -208,18 +208,14 @@ def _grid_from_areas(areas, cell_size_m: float) -> GridSpec:
     return GridSpec(lat_min, lon_min, cell_size_m, int(n_rows), int(n_cols))
 
 
-def _simulate_chunk(traces: Iterator[SocTrace]) -> tuple[list, int, int]:
-    """Simulate the next ``_CHUNK_USER_DAYS`` user-days of a ``run_scenario``
-    stream; returns (events, range_exceeded, n_traces), events in (user, day)
-    order."""
-    events = []
-    range_exceeded = 0
-    n_traces = 0
-    for trace in islice(traces, _CHUNK_USER_DAYS):
-        events.extend(trace.events)
-        range_exceeded += trace.range_exceeded
-        n_traces += 1
-    return events, range_exceeded, n_traces
+def _simulate_chunk(job: tuple) -> tuple[EventColumns, int, int]:
+    """Simulate the user-days ``lo`` to ``hi - 1`` of the `simulate_user_days`
+    arguments ``job = (users, days, lo, hi, params, window, grid,
+    utc_offset_s)``; returns (events, range_exceeded, n_traces), events in
+    (user, day) order."""
+    events, range_exceeded = simulate_user_days(*job)
+    _users, _days, lo, hi, *_setup = job
+    return events, range_exceeded, hi - lo
 
 
 def _checked_flags(args: argparse.Namespace) -> tuple[VehicleParams, PvWindow, IngestConfig]:
@@ -305,14 +301,19 @@ def simulate(params, window, areas, index, trajectories, scaling, utc_offset_s,
     kept only when `keep_events` is set."""
     days = day_range_of(trajectories.values(), utc_offset_s)
     builder = AggregateBuilder(index, scaling)
-    kept: list = []
+    users = [trajectories[uid] for uid in sorted(trajectories)]
+    n_user_days = len(users) * len(days)
+    kept: list[EventColumns] = []
     range_exceeded = n_traces = n_events = 0
-    traces = run_scenario(trajectories, params, window, index.grid, utc_offset_s, days)
-    for _ in range(0, len(trajectories) * len(days), _CHUNK_USER_DAYS):
-        events, rexc, n = _simulate_chunk(traces)
+    for lo in range(0, n_user_days, _CHUNK_USER_DAYS):
+        hi = min(lo + _CHUNK_USER_DAYS, n_user_days)
+        events, rexc, n = _simulate_chunk(
+            (users, days, lo, hi, params, window, index.grid, utc_offset_s)
+        )
         builder.add_events(events)
         n_events += len(events)
-        kept.extend(events if keep_events else ())
+        if keep_events:
+            kept.append(events)
         range_exceeded += rexc
         n_traces += n
     aggregates = builder.aggregates()
@@ -322,7 +323,7 @@ def simulate(params, window, areas, index, trajectories, scaling, utc_offset_s,
         "events_in_unassigned_cells": builder.events_unassigned,
         "range_exceeded_trips": range_exceeded,
     }
-    return days, aggregates, kept, counts, warnings
+    return days, aggregates, EventColumns.concat(kept), counts, warnings
 
 
 def compare(areas, aggregates, n_days: int, night_frac: float, days_in_month: int):

@@ -16,18 +16,28 @@ Between consecutive stays of the same day the SOC drops instantaneously at
 arrival by (centroid distance) / (vehicle range), clamped at zero. The
 simulation is event-based: regime changes are computed in closed form, so
 traces are exact piecewise-linear curves rather than fixed-step samples.
+
+Two engines apply these rules. `simulate_day` follows one user-day and
+returns its `SocTrace` (breakpoints, events, depletion jumps); `run_scenario`
+streams those traces. `simulate_user_days` computes only the charge events,
+as `EventColumns`, for a range of user-days at once: it runs the rules stay
+rank by stay rank across all those user-days with the same float expressions,
+so its events equal `simulate_day`'s to the bit. ``v2grid run`` uses it.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .errors import InvalidInputError, InvariantViolationError
-from .geo import CellId, GridSpec, cell_distance_m
+from .geo import CellId, GridSpec, cell_distance_m, cell_distances_m
 from .ingest import DAY_S, Trajectory, format_epoch, local_day_span, write_csv
 
 
@@ -120,6 +130,70 @@ class ChargeEvent:
     @property
     def duration_h(self) -> float:
         return self.end_hour - self.start_hour
+
+
+# the regime of each code in EventColumns.regime
+REGIMES = (Regime.DISCHARGE, Regime.PV_CHARGE, Regime.NONPV_CHARGE)
+_DISCHARGE, _PV_CHARGE, _NONPV_CHARGE = range(3)
+
+
+@dataclass(frozen=True, eq=False)
+class EventColumns:
+    """Charge events as columns, one array entry per event.
+
+    Event i is a `ChargeEvent` of user ``user_ids[user[i]]`` on local
+    epoch-day ``day[i]`` in cell ``(row[i], col[i])``, with regime
+    ``REGIMES[regime[i]]``; iterating yields those `ChargeEvent`s in order.
+    """
+
+    user_ids: tuple[str, ...]
+    user: np.ndarray  # int64 index into user_ids
+    day: np.ndarray  # int64
+    row: np.ndarray  # int64
+    col: np.ndarray  # int64
+    regime: np.ndarray  # int8 index into REGIMES
+    start_hour: np.ndarray  # float64
+    end_hour: np.ndarray  # float64
+    power_kw: np.ndarray  # float64
+    energy_kwh: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+    def __iter__(self) -> Iterator[ChargeEvent]:
+        names = self.user_ids
+        columns = (getattr(self, f.name).tolist() for f in fields(self)[1:])
+        for user, day, row, col, regime, start, end, power, energy in zip(*columns):
+            yield ChargeEvent(
+                names[user], day, CellId(row, col), REGIMES[regime], start, end, power, energy
+            )
+
+    @classmethod
+    def from_events(cls, events: Iterable[ChargeEvent]) -> "EventColumns":
+        """The columns of `events`, in the order given."""
+        names: dict[str, int] = {}
+        rows = [
+            (names.setdefault(e.user_id, len(names)), e.day, e.cell.row, e.cell.col,
+             REGIMES.index(e.regime), e.start_hour, e.end_hour, e.power_kw, e.energy_kwh)
+            for e in events
+        ]
+        columns = list(zip(*rows)) or [()] * 9
+        ints = [np.array(c, dtype=np.int64) for c in columns[:4]]
+        return cls(
+            tuple(names), *ints, np.array(columns[4], dtype=np.int8),
+            *(np.array(c, dtype=np.float64) for c in columns[5:]),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["EventColumns"]) -> "EventColumns":
+        """The events of `parts`, one after the other."""
+        parts = [cls.from_events(()), *parts]  # so that no parts give no events
+        offsets = np.cumsum([0] + [len(p.user_ids) for p in parts[:-1]])
+        return cls(
+            tuple(name for p in parts for name in p.user_ids),
+            np.concatenate([p.user + off for p, off in zip(parts, offsets.tolist())]),
+            *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)[2:]),
+        )
 
 
 class DepletionJump(NamedTuple):
@@ -298,15 +372,15 @@ def slice_trajectory_days(
 def day_range_of(trajectories: Iterable[Trajectory], utc_offset_s: int) -> list[int]:
     """All local epoch-days between the first and last observed stay,
     inclusive."""
-    spans = [
-        local_day_span(stay.arrival, stay.departure, utc_offset_s)
-        for traj in trajectories
-        for stay in traj.stays
-    ]
-    if not spans:
+    stays = [stay for traj in trajectories for stay in traj.stays]
+    if not stays:
         return []
-    lo = min(d0 for d0, _ in spans)
-    hi = max(d1 for _, d1 in spans)
+    # neither day of local_day_span decreases as a stay's times grow
+    first = min(s.arrival for s in stays)
+    lo, _ = local_day_span(first, first, utc_offset_s)
+    _, hi = local_day_span(
+        max(s.arrival for s in stays), max(s.departure for s in stays), utc_offset_s
+    )
     return list(range(lo, hi + 1))
 
 
@@ -332,6 +406,186 @@ def run_scenario(
 
 
 # ---------------------------------------------------------------------------
+# Events-only engine on columns
+# ---------------------------------------------------------------------------
+
+
+def _day_stays(users: Sequence[Trajectory], utc_offset_s: int) -> tuple[np.ndarray, ...]:
+    """(user, day, row, col, start_s, end_s) of every stay of `users` clipped
+    to local days, as `slice_trajectory_days` clips them: user is the index
+    into `users`, start_s and end_s int seconds past the day's midnight. Rows
+    come in (user, stay, day) order."""
+    stays = [s for traj in users for s in traj.stays]
+    user = np.repeat(np.arange(len(users)), [len(traj.stays) for traj in users])
+    cells = chain.from_iterable([s.cell for s in stays])
+    cell = np.fromiter(cells, dtype=np.int64, count=2 * len(stays)).reshape(-1, 2)
+    arrival = np.fromiter([s.arrival for s in stays], dtype=np.int64, count=len(stays))
+    departure = np.fromiter([s.departure for s in stays], dtype=np.int64, count=len(stays))
+    d0 = (arrival + utc_offset_s) // DAY_S
+    n = np.maximum(d0, (departure + utc_offset_s - 1) // DAY_S) - d0 + 1
+    part = np.repeat(np.arange(len(stays)), n)
+    day = d0[part] + np.arange(len(part)) - np.repeat(np.cumsum(n) - n, n)
+    midnight = day * DAY_S - utc_offset_s
+    start = np.maximum(arrival[part] - midnight, 0)
+    end = np.minimum(departure[part] - midnight, DAY_S)
+    kept = end > start
+    part = part[kept]
+    return user[part], day[kept], cell[part, 0], cell[part, 1], start[kept], end[kept]
+
+
+def _window_cuts(start: np.ndarray, end: np.ndarray, window: PvWindow):
+    """(seg_start, seg_end, valid, inside) of the up to three window segments
+    of each stay, as (stays, 3) arrays; the valid ones are `_window_segments`."""
+    ws, we = window.start_hour, window.end_hour
+    cut1 = (start < ws) & (ws < end)
+    cut2 = (start < we) & (we < end)
+    end0 = np.where(cut1, ws, np.where(cut2, we, end))
+    seg_start = np.stack([start, end0, np.full_like(start, we)], axis=1)
+    seg_end = np.stack([end0, np.where(cut1 & cut2, we, end), end], axis=1)
+    valid = np.stack([np.ones_like(cut1), cut1 | cut2, cut1 & cut2], axis=1)
+    inside = (ws <= seg_start) & (seg_start < we)
+    return seg_start, seg_end, valid, inside
+
+
+def simulate_user_days(
+    users: Sequence[Trajectory],
+    days: Sequence[int],
+    lo: int,
+    hi: int,
+    params: VehicleParams,
+    window: PvWindow,
+    grid: GridSpec,
+    utc_offset_s: int = 8 * 3600,
+) -> tuple[EventColumns, int]:
+    """Charge events and clamped trips of user-days ``lo`` to ``hi - 1`` of
+    `users` x `days` (ascending epoch-days), numbered in (user, day) order.
+
+    The events are those `run_scenario` yields for the same user-days,
+    equal to the bit, in (user, day, stay, segment) order; events carry
+    ``Trajectory.user_id``. A SOC that ends a user-day outside [-1e-12,
+    1 + 1e-12] raises `InvariantViolationError` for the first such user-day.
+    """
+    n_days = len(days)
+    days = np.asarray(days, dtype=np.int64)
+    if not 0 <= lo < hi <= len(users) * n_days:
+        raise InvalidInputError(f"user-days {lo} to {hi - 1} are not in the scenario")
+    if np.any(days[1:] <= days[:-1]):
+        raise InvalidInputError("days must be ascending")
+    first = lo // n_days
+    users = users[first:-(-hi // n_days)]
+    names = tuple(traj.user_id for traj in users)
+    user, day, row, col, start_s, end_s = _day_stays(users, utc_offset_s)
+    at = np.minimum(np.searchsorted(days, day), n_days - 1)
+    trace = (user + first) * n_days + at - lo
+    kept = (days[at] == day) & (trace >= 0) & (trace < hi - lo)
+    user, day, row, col, start_s, end_s, trace = (
+        c[kept] for c in (user, day, row, col, start_s, end_s, trace)
+    )
+    if np.any(trace[1:] < trace[:-1]):  # stays out of time order
+        order = np.argsort(trace, kind="stable")
+        user, day, row, col, start_s, end_s, trace = (
+            c[order] for c in (user, day, row, col, start_s, end_s, trace)
+        )
+    start, end = start_s / 3600.0, end_s / 3600.0
+    if np.any((trace[1:] == trace[:-1]) & (start[1:] < end[:-1])):
+        raise InvalidInputError("stays must be ordered and non-overlapping")
+
+    soc, range_exceeded, events = _simulate_stays(
+        trace, row, col, start, end, hi - lo, params, window, grid
+    )
+    bad = np.flatnonzero(~((-1e-12 <= soc) & (soc <= 1.0 + 1e-12)))
+    if len(bad):
+        g = lo + int(bad[0])
+        raise InvariantViolationError(
+            f"SOC {float(soc[bad[0]])} escaped [0, 1] for user "
+            f"{names[g // n_days - first]} on {format_epoch(int(days[g % n_days]))}"
+        )
+    stay, regime, seg_start, t1, rate, energy = events
+    return EventColumns(
+        names, user[stay], day[stay], row[stay], col[stay],
+        regime, seg_start, t1, rate, energy,
+    ), range_exceeded
+
+
+def _simulate_stays(trace, row, col, start, end, n_traces, params, window, grid):
+    """`simulate_day`'s rules over the day-stays of `n_traces` user-days,
+    given in (trace, stay) order. Stays of one rank within their user-day
+    are independent of each other, so each rank and window segment is one
+    set of array operations with `simulate_day`'s float expressions.
+
+    Returns the final SOC of each user-day, the clamped-trip count and the
+    events as (stay index, regime code, start, end, power, energy) columns
+    in (stay, segment) order."""
+    n = len(trace)
+    new_trace = np.ones(n, dtype=bool)
+    new_trace[1:] = trace[1:] != trace[:-1]
+    heads = np.flatnonzero(new_trace)
+    rank = np.arange(n) - np.repeat(heads, np.diff(np.append(heads, n)))
+    drop = np.zeros(n)
+    moved = np.flatnonzero(~new_trace)
+    moved = moved[(row[moved] != row[moved - 1]) | (col[moved] != col[moved - 1])]
+    drop[moved] = cell_distances_m(
+        row[moved - 1], col[moved - 1], row[moved], col[moved], grid
+    ) / 1000.0 / params.range_km
+
+    # rank-major order: the stays of rank r are the slice bounds[r]:bounds[r + 1]
+    order = np.argsort(rank, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(rank))))
+    trace, drop = trace[order], drop[order]
+    seg_start, seg_end, valid, inside = _window_cuts(start[order], end[order], window)
+    regime = np.where(inside, _PV_CHARGE, _NONPV_CHARGE).astype(np.int8)
+    t1 = np.zeros((n, 3))
+    rate = np.zeros((n, 3))
+    energy = np.zeros((n, 3))
+    emitted = np.zeros((n, 3), dtype=bool)
+
+    cap, thr = params.capacity_kwh, params.soc_threshold
+    soc = np.full(n_traces, params.soc_initial)
+    range_exceeded = 0
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        t = trace[a:b]
+        s = soc[t]
+        d = drop[a:b]
+        trip = d > 0.0
+        clamped = trip & (d > s)
+        range_exceeded += int(np.count_nonzero(clamped))
+        s = np.where(clamped, 0.0, np.where(trip, s - d, s))
+        for k in range(3):
+            ins, seg_s, seg_e = inside[a:b, k], seg_start[a:b, k], seg_end[a:b, k]
+            down = ~ins & (s > thr)
+            target = np.where(ins, params.pv_charge_target, thr)
+            r = np.where(down, params.discharge_power_kw, params.charge_power_kw)
+            gap_kwh = np.where(down, s - target, target - s) * cap
+            need_h = gap_kwh / r
+            span = seg_e - seg_s
+            fits = need_h <= span
+            e = np.where(fits, gap_kwh, r * span)
+            end_h = np.where(fits, seg_s + need_h, seg_e)
+            delta = e / cap
+            up_soc, down_soc = s + delta, s - delta
+            new_soc = np.where(fits, target, np.where(
+                down,
+                np.where(target > down_soc, target, down_soc),  # max(soc - delta, target)
+                np.where(target < up_soc, target, up_soc),  # min(soc + delta, target)
+            ))
+            # gap * cap < 1e-12: at or past the target, or rounding dust
+            emit = valid[a:b, k] & ~(gap_kwh < 1e-12) & (end_h > seg_s) & (e > 0.0)
+            s = np.where(emit, new_soc, s)
+            emitted[a:b, k] = emit
+            regime[a:b, k][down] = _DISCHARGE
+            t1[a:b, k], rate[a:b, k], energy[a:b, k] = end_h, r, e
+        soc[t] = s
+
+    # back to (trace, stay) order, then the emitted (stay, segment) entries
+    back = np.empty(n, dtype=np.intp)
+    back[order] = np.arange(n)
+    emitted = emitted[back]
+    stay, _segment = np.nonzero(emitted)
+    columns = (regime, seg_start, t1, rate, energy)
+    return soc, range_exceeded, (stay, *(c[back][emitted] for c in columns))
+
+
+# ---------------------------------------------------------------------------
 # Event dump
 # ---------------------------------------------------------------------------
 
@@ -341,19 +595,34 @@ EVENTS_HEADER = [
 ]
 
 
-def write_events_csv(events: Iterable[ChargeEvent], path) -> None:
-    """Local-clock event dump; timestamps rounded to whole seconds."""
-    write_csv(path, EVENTS_HEADER, (
-        [
-            e.user_id,
-            format_epoch(e.day),
-            e.cell.row,
-            e.cell.col,
-            e.regime.value,
-            format_epoch(e.day, round(e.start_hour * 3600.0)),
-            format_epoch(e.day, round(e.end_hour * 3600.0)),
-            repr(e.power_kw),
-            repr(e.energy_kwh),
-        ]
-        for e in events
+def write_events_csv(events: EventColumns, path) -> None:
+    """Local-clock event dump; timestamps rounded to whole seconds, as
+    ``format_epoch(day, round(hour * 3600.0))``: an instant of 24:00 is the
+    next day's 00:00:00. Each day's text is formatted once."""
+    day = events.day.tolist()
+    labels: dict[int, str] = {}
+    clock: dict[int, str] = {}
+
+    def texts(days: list) -> list[str]:
+        for d in set(days).difference(labels):
+            labels[d] = format_epoch(d)
+        return [labels[d] for d in days]
+
+    def instants(hours: np.ndarray) -> list[str]:
+        days, seconds = np.divmod(np.rint(hours * 3600.0).astype(np.int64), DAY_S)
+        seconds = seconds.tolist()
+        for s in set(seconds).difference(clock):
+            clock[s] = f"T{s // 3600:02d}:{s // 60 % 60:02d}:{s % 60:02d}"
+        return [d + clock[s] for d, s in zip(texts((days + events.day).tolist()), seconds)]
+
+    write_csv(path, EVENTS_HEADER, zip(
+        map(events.user_ids.__getitem__, events.user.tolist()),
+        texts(day),
+        events.row.tolist(),
+        events.col.tolist(),
+        map([r.value for r in REGIMES].__getitem__, events.regime.tolist()),
+        instants(events.start_hour),
+        instants(events.end_hour),
+        map(repr, events.power_kw.tolist()),
+        map(repr, events.energy_kwh.tolist()),
     ))

@@ -74,6 +74,11 @@ class GridSpec:
     def contains(self, cell: CellId) -> bool:
         return 0 <= cell.row < self.n_rows and 0 <= cell.col < self.n_cols
 
+    def contains_all(self, rows: np.ndarray, cols: np.ndarray) -> bool:
+        """Whether every (rows[i], cols[i]) is a cell of the grid."""
+        outside = (rows < 0) | (rows >= self.n_rows) | (cols < 0) | (cols >= self.n_cols)
+        return not np.any(outside)
+
     def cell_centroid(self, cell: CellId) -> tuple[float, float]:
         if not self.contains(cell):
             raise InvalidInputError(f"cell {cell} outside grid bounds")
@@ -140,6 +145,45 @@ def cell_distance_m(a: CellId, b: CellId, grid: GridSpec) -> float:
     return haversine_m(lat[a.row], lon[a.col], lat[b.row], lon[b.col])
 
 
+def cell_distances_m(
+    rows_a: np.ndarray, cols_a: np.ndarray, rows_b: np.ndarray, cols_b: np.ndarray,
+    grid: GridSpec,
+) -> np.ndarray:
+    """:func:`cell_distance_m` of each pair of cells (rows_a[i], cols_a[i]) and
+    (rows_b[i], cols_b[i]), to the bit.
+
+    Each distinct pair takes :func:`haversine_m`'s operations in its order,
+    with `math`'s functions mapped over the pairs (numpy's sin, cos and
+    arcsin may differ from them in the last place) and numpy doing only the
+    arithmetic and the comparison, which it rounds as Python does. A row's
+    latitude in radians and its cosine are taken once per row.
+    """
+    if not (grid.contains_all(rows_a, cols_a) and grid.contains_all(rows_b, cols_b)):
+        raise InvalidInputError("cells must lie inside the grid")
+
+    def each(fn, *args) -> np.ndarray:
+        return np.fromiter(map(fn, *(a.tolist() for a in args)), np.float64, len(args[0]))
+
+    n, n_cols = grid.n_cells, grid.n_cols
+    pairs, inverse = np.unique(
+        (rows_a * n_cols + cols_a) * n + rows_b * n_cols + cols_b, return_inverse=True
+    )
+    a, b = np.divmod(pairs, n)
+    lat, lon = _centroid_axes(grid)
+    rows, row_of = np.unique(np.concatenate([a // n_cols, b // n_cols]), return_inverse=True)
+    phi = each(math.radians, lat[rows])
+    cos_phi = each(math.cos, phi)
+    p1, p2 = phi[row_of[:len(a)]], phi[row_of[len(a):]]
+    cos1, cos2 = cos_phi[row_of[:len(a)]], cos_phi[row_of[len(a):]]
+    dl = each(math.radians, lon[b % n_cols] - lon[a % n_cols])
+    two = np.full(len(a), 2)
+    h = (each(pow, each(math.sin, (p2 - p1) / 2), two)
+         + cos1 * cos2 * each(pow, each(math.sin, dl / 2), two))
+    root = each(math.sqrt, h)
+    distances = 2.0 * EARTH_RADIUS_M * each(math.asin, np.where(root < 1.0, root, 1.0))
+    return np.where(a == b, 0.0, distances)[inverse]
+
+
 # ---------------------------------------------------------------------------
 # Planning areas
 # ---------------------------------------------------------------------------
@@ -164,7 +208,7 @@ def _normalise_ring(ring: Sequence[Sequence[float]]) -> Ring:
     else:
         closed = np.vstack([arr, arr[:1]])
     # distinct vertices excluding the closing repeat
-    if len(np.unique(closed[:-1], axis=0)) < 3:
+    if len(set(map(tuple, closed[:-1].tolist()))) < 3:
         raise InvalidGeometryError("degenerate polygon ring (fewer than 3 vertices)")
     return closed
 
@@ -246,6 +290,17 @@ class AreaIndex:
             raise InvalidInputError(f"cell {cell} outside grid bounds")
         code = self._codes[cell.row, cell.col]
         return None if code < 0 else self._area_ids[code]
+
+    @property
+    def area_ids(self) -> list[str]:
+        """Area ids in code order, which is sorted order."""
+        return self._area_ids
+
+    def area_codes(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The index into `area_ids` of each cell's area, -1 for none."""
+        if not self.grid.contains_all(rows, cols):
+            raise InvalidInputError("cell outside grid bounds")
+        return self._codes[rows, cols]
 
     @property
     def n_unassigned(self) -> int:
@@ -448,7 +503,8 @@ def write_feature_collection(features: list[dict], path) -> None:
     """A compact GeoJSON FeatureCollection with sorted keys, one line."""
     doc = {"type": "FeatureCollection", "features": features}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        # json.dump always encodes in Python; dumps takes the C encoder
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from v2grid import cli, make_rect_area, write_planning_areas_geojson
+from v2grid import cli, engine, make_rect_area, write_planning_areas_geojson
 from v2grid.cli import main
 from v2grid.errors import InvalidInputError, InvariantViolationError
 from v2grid.synth import write_demand_curve_csv
@@ -36,6 +37,23 @@ def run_synth(tmp_path: Path, name: str, extra=()) -> Path:
     )
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def synth_inputs(tmp_path_factory) -> Path:
+    """The `run_synth` inputs, generated once for the tests that only read
+    them."""
+    root = tmp_path_factory.mktemp("synth")
+    run_synth(root, "records.csv")
+    return root
+
+
+@pytest.fixture
+def records(synth_inputs, tmp_path) -> Path:
+    """A copy of the shared `run_synth` inputs in `tmp_path`; the records path."""
+    for name in ("records.csv", "areas.geojson", "demand.csv"):
+        shutil.copyfile(synth_inputs / name, tmp_path / name)
+    return tmp_path / "records.csv"
 
 
 OUTPUT_FILES = [
@@ -88,8 +106,7 @@ class TestSynthCommand:
 
 
 class TestRunCommand:
-    def test_outputs_and_manifest_parameter_echo(self, tmp_path):
-        records = run_synth(tmp_path, "records.csv")
+    def test_outputs_and_manifest_parameter_echo(self, tmp_path, records):
         out_dir = run_pipeline(tmp_path, records, "out")
         for name in OUTPUT_FILES + ["manifest.json"]:
             assert (out_dir / name).is_file(), name
@@ -108,8 +125,7 @@ class TestRunCommand:
         for name in OUTPUT_FILES:
             assert manifest["outputs"][name] == digest(out_dir / name)
 
-    def test_doubling_delta_doubles_area_energy(self, tmp_path):
-        records = run_synth(tmp_path, "records.csv")
+    def test_doubling_delta_doubles_area_energy(self, tmp_path, records):
         lo = run_pipeline(tmp_path, records, "lo", ["--delta", "0.03"])
         hi = run_pipeline(tmp_path, records, "hi", ["--delta", "0.06"])
 
@@ -125,8 +141,7 @@ class TestRunCommand:
         for key, v in lo_e.items():
             assert hi_e[key] == 2.0 * v
 
-    def test_empty_records_file_exits_0_with_zero_aggregates(self, tmp_path):
-        run_synth(tmp_path, "records.csv")  # produces areas + demand files
+    def test_empty_records_file_exits_0_with_zero_aggregates(self, tmp_path, records):
         empty = tmp_path / "empty.csv"
         empty.write_text("user_id,timestamp,lat,lon\n")
         out_dir = run_pipeline(tmp_path, empty, "out_empty")
@@ -141,8 +156,7 @@ class TestRunCommand:
         note = (out_dir / "regression.txt").read_text()
         assert "withheld" in note
 
-    def test_missing_input_exits_2(self, tmp_path):
-        run_synth(tmp_path, "records.csv")
+    def test_missing_input_exits_2(self, tmp_path, records):
         code = main(
             [
                 "run", str(tmp_path / "nope.csv"), str(tmp_path / "areas.geojson"),
@@ -167,8 +181,7 @@ class TestRunCommand:
         ids=["demand_one_row", "demand_sums_to_zero", "records_header",
              "records_not_utf8", "demand_not_utf8", "records_field_too_large"],
     )
-    def test_bad_input_exits_2_before_out_dir(self, tmp_path, name, data):
-        records = run_synth(tmp_path, "records.csv")
+    def test_bad_input_exits_2_before_out_dir(self, tmp_path, records, name, data):
         (tmp_path / name).write_bytes(data)
         out_dir = tmp_path / "out"
         argv = [
@@ -178,8 +191,7 @@ class TestRunCommand:
         assert main(argv) == 2
         assert not out_dir.exists()
 
-    def test_out_dir_mkdir_error_exits_2(self, tmp_path, capsys):
-        records = run_synth(tmp_path, "records.csv")
+    def test_out_dir_mkdir_error_exits_2(self, tmp_path, records, capsys):
         out_dir = tmp_path / "dangling"
         out_dir.symlink_to(tmp_path / "missing")
         before = sorted(tmp_path.iterdir())
@@ -191,8 +203,7 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert sorted(tmp_path.iterdir()) == before  # no temporary sibling left
 
-    def test_blocked_write_exits_2_before_reading(self, tmp_path, capsys, monkeypatch):
-        records = run_synth(tmp_path, "records.csv")
+    def test_blocked_write_exits_2_before_reading(self, tmp_path, records, capsys, monkeypatch):
         out_dir = tmp_path / "out"
         (out_dir / "coverage.csv").mkdir(parents=True)  # where the run writes a file
 
@@ -208,8 +219,7 @@ class TestRunCommand:
         assert "coverage.csv is not a regular file" in capsys.readouterr().err
         assert sorted(p.name for p in out_dir.iterdir()) == ["coverage.csv"]
 
-    def test_new_out_dir_is_renamed_into_place(self, tmp_path):
-        records = run_synth(tmp_path, "records.csv")
+    def test_new_out_dir_is_renamed_into_place(self, tmp_path, records):
         (tmp_path / "made").mkdir()
         before = sorted(tmp_path.iterdir())
         out_dir = run_pipeline(tmp_path, records, "out")
@@ -218,8 +228,7 @@ class TestRunCommand:
         # the mode a plain mkdir gives, not the 0o700 of a temporary directory
         assert out_dir.stat().st_mode == (tmp_path / "made").stat().st_mode
 
-    def test_existing_out_dir_keeps_other_files(self, tmp_path, monkeypatch):
-        records = run_synth(tmp_path, "records.csv")
+    def test_existing_out_dir_keeps_other_files(self, tmp_path, records, monkeypatch):
         first = run_pipeline(tmp_path, records, "ro/out")
         digests = {name: digest(first / name) for name in OUTPUT_FILES}
         (first / "coverage.csv").write_text("stale\n")
@@ -242,8 +251,7 @@ class TestRunCommand:
         assert {name: digest(first / name) for name in OUTPUT_FILES} == digests
         assert (first / "notes.txt").read_text() == "kept\n"
 
-    def test_failed_replace_leaves_no_stale_manifest(self, tmp_path, capsys, monkeypatch):
-        records = run_synth(tmp_path, "records.csv")
+    def test_failed_replace_leaves_no_stale_manifest(self, tmp_path, records, capsys, monkeypatch):
         out_dir = run_pipeline(tmp_path, records, "out")
         replace = os.replace
         calls = []
@@ -264,15 +272,38 @@ class TestRunCommand:
         # one file was replaced, so no manifest may describe the directory
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(OUTPUT_FILES)
 
-    def test_jobs_do_not_change_output_bytes(self, tmp_path):
-        records = run_synth(tmp_path, "records.csv")
+    def test_jobs_do_not_change_output_bytes(self, tmp_path, records):
         serial = run_pipeline(tmp_path, records, "serial", ["--jobs", "1"])
         parallel = run_pipeline(tmp_path, records, "parallel", ["--jobs", "2"])
         for name in OUTPUT_FILES:
             assert digest(serial / name) == digest(parallel / name), name
 
-    def test_events_dump_optional(self, tmp_path):
-        records = run_synth(tmp_path, "records.csv")
+    def test_chunk_size_does_not_change_output_bytes(self, tmp_path, records, monkeypatch):
+        def outputs(out_dir: Path) -> tuple[dict, dict]:
+            files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+            manifest = json.loads(files.pop("manifest.json"))
+            return files, {k: manifest[k] for k in ("outputs", "counts", "warnings")}
+
+        flags = ["--events-csv", "--stays-csv"]
+        files, manifest = outputs(run_pipeline(tmp_path, records, "default", flags))
+        # one chunk by default; 7 splits users' days across chunks
+        assert len(files) == 9 and 7 < manifest["counts"]["traces"] <= cli._CHUNK_USER_DAYS
+        for chunk in (1, 7):
+            monkeypatch.setattr(cli, "_CHUNK_USER_DAYS", chunk)
+            assert outputs(run_pipeline(tmp_path, records, f"chunk{chunk}", flags)) == (
+                files, manifest
+            )
+
+    def test_run_builds_no_per_event_objects(self, tmp_path, records, monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the run path built a per-user-day or per-event object")
+
+        for name in ("simulate_day", "run_scenario", "SocTrace", "ChargeEvent"):
+            monkeypatch.setattr(engine, name, forbidden)
+        out_dir = run_pipeline(tmp_path, records, "out", ["--events-csv"])
+        assert len((out_dir / "events.csv").read_text().splitlines()) > 1
+
+    def test_events_dump_optional(self, tmp_path, records):
         out_dir = run_pipeline(tmp_path, records, "ev", ["--events-csv"])
         lines = (out_dir / "events.csv").read_text().splitlines()
         assert lines[0] == (
@@ -280,8 +311,7 @@ class TestRunCommand:
         )
         assert len(lines) > 1
 
-    def test_stays_dump_optional(self, tmp_path):
-        records = run_synth(tmp_path, "records.csv")
+    def test_stays_dump_optional(self, tmp_path, records):
         out_dir = run_pipeline(tmp_path, records, "st", ["--stays-csv"])
         lines = (out_dir / "stays.csv").read_text().splitlines()
         assert lines[0] == "user_id,cell_row,cell_col,arrival,departure"
@@ -289,8 +319,7 @@ class TestRunCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert "stays.csv" in manifest["outputs"]
 
-    def test_rerun_reproduces_identical_outputs(self, tmp_path):
-        records = run_synth(tmp_path, "records.csv")
+    def test_rerun_reproduces_identical_outputs(self, tmp_path, records):
         first = run_pipeline(tmp_path, records, "r1")
         second = run_pipeline(tmp_path, records, "r2")
         for name in OUTPUT_FILES:
@@ -338,9 +367,8 @@ class TestRunCommand:
             (["--n-pop", "1e308"], 2),
         ],
     )
-    def test_flag_exit_codes(self, tmp_path, monkeypatch, flags, code):
+    def test_flag_exit_codes(self, tmp_path, records, monkeypatch, flags, code):
         monkeypatch.chdir(tmp_path)  # so a relative --out-dir names the records file
-        records = run_synth(tmp_path, "records.csv")
         out_dir = tmp_path / "out"
         argv = [
             "run", str(records), str(tmp_path / "areas.geojson"),
@@ -381,9 +409,8 @@ class TestRunCommand:
         assert geojson == coverage
 
     @pytest.mark.parametrize("n_pop", ["1e9"])
-    def test_coverage_histogram_is_bounded(self, tmp_path, n_pop):
+    def test_coverage_histogram_is_bounded(self, tmp_path, records, n_pop):
         # so many people per observed user put ratios far past 100
-        records = run_synth(tmp_path, "records.csv")
         out_dir = run_pipeline(tmp_path, records, "out", ["--n-pop", n_pop])
         with open(out_dir / "coverage_hist.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -393,12 +420,11 @@ class TestRunCommand:
         assert (rows[-1]["bin_low"], float(rows[-1]["bin_high"])) == ("100.0", max(ratios))
         assert sum(int(r["count"]) for r in rows) == len(ratios)
 
-    def test_failure_after_the_read_makes_no_out_dir(self, tmp_path, monkeypatch):
-        def broken(_traces):
+    def test_failure_after_the_read_makes_no_out_dir(self, tmp_path, records, monkeypatch):
+        def broken(_job):
             raise InvariantViolationError("simulation broke")
 
         monkeypatch.setattr(cli, "_simulate_chunk", broken)
-        records = run_synth(tmp_path, "records.csv")
         out_dir = tmp_path / "out"
         argv = [
             "run", str(records), str(tmp_path / "areas.geojson"),
@@ -407,8 +433,7 @@ class TestRunCommand:
         assert main(argv) == 3
         assert not out_dir.exists()
 
-    def test_n_pop_below_retained_users_leaves_no_stays_csv(self, tmp_path):
-        records = run_synth(tmp_path, "records.csv")
+    def test_n_pop_below_retained_users_leaves_no_stays_csv(self, tmp_path, records):
         out_dir = tmp_path / "out"
         argv = [
             "run", str(records), str(tmp_path / "areas.geojson"),
@@ -452,8 +477,7 @@ class TestRunCommand:
              "no_coordinates", "nan_vertex", "inf_vertex", "lat_95_vertex",
              "stray_vertices", "kwh_infinity", "kwh_nan"],
     )
-    def test_malformed_areas_exit_2(self, tmp_path, corrupt):
-        records = run_synth(tmp_path, "records.csv")
+    def test_malformed_areas_exit_2(self, tmp_path, records, corrupt):
         areas = tmp_path / "areas.geojson"
         doc = json.loads(areas.read_text())
         replaced = corrupt(doc)
@@ -480,7 +504,8 @@ def test_grid_size_is_capped(monkeypatch):
 def test_cli_import_leaves_out_scipy_stats(tmp_path):
     # scipy costs about 0.27 s and 20 MB at every start, so neither the import
     # nor a whole run that reaches pearson_r may load it; multiprocessing
-    # would mean a process pool is back on the run path
+    # would mean a process pool is back on the run path; numpy.ma, which
+    # some numpy calls import on first use, costs 10-30 ms
     records, areas, demand = (tmp_path / n for n in ("records.csv", "areas.geojson", "demand.csv"))
     assert main([
         "synth", "--users", "20", "--seed", "3", "--out", str(records),
@@ -490,7 +515,8 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
         "import json, sys\n"
         "def unwanted():\n"
         "    return sorted(m for m in sys.modules\n"
-        "                  if m.split('.')[0] in ('scipy', 'multiprocessing'))\n"
+        "                  if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
+        "                  or m.split('.')[:2] == ['numpy', 'ma'])\n"
         "from v2grid import cli\n"
         "after_import = unwanted()\n"
         "code = cli.main(sys.argv[1:])\n"
@@ -499,7 +525,7 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", code, "run", str(records), str(areas), str(demand),
-         "--out-dir", str(tmp_path / "out")],
+         "--out-dir", str(tmp_path / "out"), "--events-csv", "--stays-csv"],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
         capture_output=True, text=True, timeout=120,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from datetime import date
 
@@ -11,22 +12,36 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from v2grid import (
+    AggregateBuilder,
+    AreaIndex,
     CellId,
+    ChargeEvent,
     DayStay,
+    EventColumns,
     GridSpec,
     InvalidInputError,
     PvWindow,
     Regime,
+    ScalingConfig,
+    Stay,
     Trajectory,
     VehicleParams,
+    cell_distance_m,
     day_range_of,
     drive_depletion_kwh,
     run_scenario,
     simulate_day,
+    simulate_user_days,
     slice_trajectory_days,
 )
+from v2grid.ingest import DAY_S
 from conftest import epoch_day, stay, utc_dt
-from oracles import brute_force_day, group_events, simulate_day_reference
+from oracles import (
+    aggregate_per_event,
+    brute_force_day,
+    group_events,
+    simulate_day_reference,
+)
 
 DAY = date(2020, 9, 1)
 A = CellId(1, 1)
@@ -386,11 +401,11 @@ _HOURS = st.floats(0.0, 24.0)
 
 
 @st.composite
-def engine_cases(draw):
-    """A grid, parameters, a window and one day of stays. Stay and window
-    boundaries favour each other and the ends of the day; the initial SOC
-    favours the threshold and points `k` dust units (1e-12 kWh) past it,
-    and the PV target favours the initial SOC and values below it."""
+def setups(draw):
+    """A grid, parameters and a window. Window bounds favour the ends of the
+    day; the initial SOC favours the threshold and points `k` dust units
+    (1e-12 kWh) past it, and the PV target favours the initial SOC and
+    values below it."""
     grid = GridSpec(
         draw(st.sampled_from([-33.9, 0.0, 1.22, 60.0])),
         draw(st.sampled_from([-179.0, 0.0, 103.6, 151.1])),
@@ -419,13 +434,27 @@ def engine_cases(draw):
             | st.floats(0.0, 1.0)
         ),
     )
-    bounds = sorted(draw(st.lists(
-        st.sampled_from([0.0, 24.0, start, end]) | _HOURS, max_size=12, unique=True,
-    )))
+    return grid, params, window
+
+
+def grid_cells(grid: GridSpec):
+    """Cells of `grid`, favouring three corners, so that trips are long."""
     corners = [CellId(0, 0), CellId(grid.n_rows - 1, grid.n_cols - 1), CellId(0, grid.n_cols - 1)]
-    cells = st.sampled_from(corners) | st.builds(
+    return st.sampled_from(corners) | st.builds(
         CellId, st.integers(0, grid.n_rows - 1), st.integers(0, grid.n_cols - 1)
     )
+
+
+@st.composite
+def engine_cases(draw):
+    """A grid, parameters, a window and one day of stays. Stay boundaries
+    favour the window's and the ends of the day."""
+    grid, params, window = draw(setups())
+    bounds = sorted(draw(st.lists(
+        st.sampled_from([0.0, 24.0, window.start_hour, window.end_hour]) | _HOURS,
+        max_size=12, unique=True,
+    )))
+    cells = grid_cells(grid)
     stays = [
         DayStay(draw(cells), a, b)
         for a, b in zip(bounds, bounds[1:])
@@ -467,3 +496,140 @@ class TestMatchesReference:
     @example(case=(_EQUATOR, VehicleParams(range_km=0.5), PvWindow(9.0, 17.0), _FAR))
     def test_equals_the_reference_engine(self, case):
         assert _trace_repr(simulate_day, case) == _trace_repr(simulate_day_reference, case)
+
+
+_DAY0 = 18506  # 2020-09-01
+
+
+@st.composite
+def scenarios(draw):
+    """`setups` plus a UTC offset, an area index and up to four users' stays
+    in time order over about three local days. Stay bounds favour local
+    midnights and the window edges, and the seconds either side of them."""
+    grid, params, window = draw(setups())
+    off = draw(st.sampled_from([0, 8 * 3600, -5 * 3600, 19_800]))
+    marks = [
+        (_DAY0 + k) * DAY_S - off + round(h * 3600.0) + e
+        for k in range(4)
+        for h in (0.0, window.start_hour, window.end_hour)
+        for e in (-1, 0, 1)
+    ]
+    times = st.sampled_from(marks) | st.integers(marks[0] - 3600, marks[-1] + 3600)
+    cells = grid_cells(grid)
+    trajectories = {}
+    for uid in draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True)):
+        bounds = sorted(draw(st.lists(times, max_size=20, unique=True)))
+        stays = tuple(
+            Stay(uid, draw(cells), a, b)
+            for a, b in zip(bounds, bounds[1:])
+            if draw(st.booleans())
+        )
+        trajectories[uid] = Trajectory(uid, stays)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(-1, 3, (grid.n_rows, grid.n_cols)).astype(np.int32)
+    index = AreaIndex(grid, codes, ["A", "B", "C"])
+    step = draw(st.sampled_from([1.0, 5.0, 15.0, 60.0]))
+    scaling = ScalingConfig(0.03, 1, 1000, time_step_minutes=step)
+    return grid, params, window, off, trajectories, index, scaling
+
+
+def _bits(aggregates) -> list:
+    """Every key and field of the aggregates, floats by repr and arrays by
+    bytes."""
+    return [
+        (key, [(v.dtype.str, v.tobytes()) if isinstance(v, np.ndarray) else repr(v)
+               for v in dataclasses.astuple(agg)])
+        for key, agg in aggregates.items()
+    ]
+
+
+def _trip_drains_exactly():
+    """A scenario whose one trip drops the SOC by exactly its value, to
+    zero without a clamp."""
+    far = CellId(19, 19)
+    soc = cell_distance_m(A, far, _EQUATOR) / 1000.0 / 135.0
+    traj = Trajectory("u", (
+        stay("u", A, utc_dt(2020, 9, 1, 7), utc_dt(2020, 9, 1, 8)),
+        stay("u", far, utc_dt(2020, 9, 1, 18), utc_dt(2020, 9, 1, 20)),
+    ))
+    index = AreaIndex(_EQUATOR, np.zeros((20, 20), dtype=np.int32), ["A"])
+    return (_EQUATOR, VehicleParams(soc_initial=soc, soc_threshold=soc), PvWindow(9.0, 17.0),
+            0, {"u": traj}, index, ScalingConfig(0.03, 1, 1000))
+
+
+class TestColumnEngine:
+    @settings(max_examples=300, deadline=None)
+    @given(case=scenarios(), chunk=st.sampled_from([1, 2, 3, 7, 1024]))
+    @example(case=_trip_drains_exactly(), chunk=1)
+    def test_equals_run_scenario_and_the_oracles(self, case, chunk):
+        grid, params, window, off, trajectories, index, scaling = case
+        days = day_range_of(trajectories.values(), off)
+        users = [trajectories[uid] for uid in sorted(trajectories)]
+        n = len(users) * len(days)
+        builder = AggregateBuilder(index, scaling)
+        parts, clamped = [], 0
+        for lo in range(0, n, chunk):
+            events, rexc = simulate_user_days(
+                users, days, lo, min(lo + chunk, n), params, window, grid, off
+            )
+            builder.add_events(events)
+            parts.append(events)
+            clamped += rexc
+
+        traces = list(run_scenario(trajectories, params, window, grid, off, days))
+        want = [e for trace in traces for e in trace.events]
+        assert list(map(repr, EventColumns.concat(parts))) == list(map(repr, want))
+        assert clamped == sum(trace.range_exceeded for trace in traces)
+        reference = [
+            e
+            for uid in sorted(trajectories)
+            for by_day in [slice_trajectory_days(trajectories[uid], off)]
+            for day in days
+            for e in simulate_day_reference(
+                uid, day, by_day.get(day, ()), params, window, grid
+            ).events
+        ]
+        assert repr(reference) == repr(want)
+        aggregates, unassigned = aggregate_per_event(index, scaling, want)
+        assert _bits(builder.aggregates()) == _bits(aggregates)
+        assert builder.events_unassigned == unassigned
+
+    def test_stays_out_of_time_order_keep_their_order_within_a_day(self, window, grid):
+        params = VehicleParams(soc_initial=0.9)
+        late = stay("u", A, utc_dt(2020, 9, 2, 18), utc_dt(2020, 9, 2, 19))
+        early = stay("u", B, utc_dt(2020, 9, 1, 18), utc_dt(2020, 9, 1, 19))
+        traj = Trajectory("u", (late, early))
+        days = day_range_of([traj], 0)
+        events, _ = simulate_user_days([traj], days, 0, 2, params, window, grid, 0)
+        want = [e for t in run_scenario({"u": traj}, params, window, grid, 0) for e in t.events]
+        assert repr(list(events)) == repr(want) and len(want) == 2
+
+    def test_overlapping_stays_rejected_like_simulate_day(self, params, window, grid):
+        traj = Trajectory("u", (
+            stay("u", A, utc_dt(2020, 9, 1, 10), utc_dt(2020, 9, 1, 12)),
+            stay("u", B, utc_dt(2020, 9, 1, 11), utc_dt(2020, 9, 1, 13)),
+        ))
+        days = day_range_of([traj], 0)
+        with pytest.raises(InvalidInputError, match="non-overlapping"):
+            list(run_scenario({"u": traj}, params, window, grid, 0))
+        with pytest.raises(InvalidInputError, match="non-overlapping"):
+            simulate_user_days([traj], days, 0, 1, params, window, grid, 0)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (-1, 1), (0, 3), (2, 1)])
+    def test_user_day_range_outside_the_scenario_rejected(self, params, window, grid, lo, hi):
+        traj = Trajectory("u", (stay("u", A, utc_dt(2020, 9, 1, 10), utc_dt(2020, 9, 2, 12)),))
+        with pytest.raises(InvalidInputError):
+            simulate_user_days([traj], day_range_of([traj], 0), lo, hi, params, window, grid, 0)
+
+
+def test_event_columns_round_trip():
+    events = [
+        ChargeEvent("b", 18506, A, Regime.DISCHARGE, 18.0, 19.5, 6.6, 9.9),
+        ChargeEvent("a", -3, B, Regime.PV_CHARGE, 9.0, 10.0, 1e-9, 1e-9),
+        ChargeEvent("b", 18507, B, Regime.NONPV_CHARGE, 0.0, 24.0, 6.6, 0.1),
+    ]
+    columns = EventColumns.from_events(events)
+    assert list(columns) == events and len(columns) == 3
+    both = EventColumns.concat([columns, EventColumns.from_events(events[:1]), columns])
+    assert list(both) == events + events[:1] + events
+    assert list(EventColumns.concat([])) == [] and len(EventColumns.from_events([])) == 0

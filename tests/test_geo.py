@@ -17,6 +17,7 @@ from v2grid import (
     PlanningArea,
     build_area_index,
     cell_distance_m,
+    cell_distances_m,
     haversine_m,
     load_planning_areas,
     locate,
@@ -106,6 +107,33 @@ class TestCellDistance:
             bc = cell_distance_m(b, c, grid)
             assert ac <= ab + bc + 1e-6
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_column_distances_equal_the_scalar_ones(self, data):
+        grid = GridSpec(
+            data.draw(st.sampled_from([-89.9, -33.9, 0.0, 1.22, 60.0, 89.0]) | st.floats(-90, 90)),
+            data.draw(st.sampled_from([-180.0, 0.0, 103.6, 179.9]) | st.floats(-180, 180)),
+            data.draw(st.sampled_from([100.0, 250.0, 5000.0])),
+            data.draw(st.integers(1, 50)),
+            data.draw(st.integers(1, 50)),
+        )
+        cell = st.builds(CellId, st.integers(0, grid.n_rows - 1), st.integers(0, grid.n_cols - 1))
+        # repeated pairs and pairs of one cell among them
+        pairs = data.draw(st.lists(
+            st.tuples(cell, cell) | cell.map(lambda c: (c, c)), min_size=1, max_size=40,
+        ))
+        pairs += pairs[: data.draw(st.integers(0, len(pairs)))]
+        (rows_a, cols_a), (rows_b, cols_b) = (
+            np.array([p[k] for p in pairs], dtype=np.int64).T for k in (0, 1)
+        )
+        got = cell_distances_m(rows_a, cols_a, rows_b, cols_b, grid).tolist()
+        assert got == [cell_distance_m(a, b, grid) for a, b in pairs]
+
+    def test_column_distances_reject_cells_outside_the_grid(self, grid):
+        inside, outside = np.array([0]), np.array([grid.n_rows])
+        with pytest.raises(InvalidInputError):
+            cell_distances_m(inside, inside, outside, inside, grid)
+
 
 def _square(area_id: str, lat0, lat1, lon0, lon1, **kw) -> PlanningArea:
     return make_rect_area(area_id, lat_min=lat0, lat_max=lat1, lon_min=lon0,
@@ -161,6 +189,18 @@ class TestAreaIndex:
                 area_id="BAD", name="bad",
                 polygon=(([(0.0, 0.0), (0.0, 1.0)],),), area_m2=1.0,
             )
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            [(0.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 1.0)],
+            [(0.0, 0.0), (0.0, 1.0), (-0.0, 0.0), (0.0, 1.0), (0.0, -0.0)],
+        ],
+        ids=["two_of_four", "signed_zeros"],
+    )
+    def test_ring_with_two_distinct_vertices_rejected(self, ring):
+        with pytest.raises(InvalidGeometryError):
+            PlanningArea(area_id="BAD", name="bad", polygon=((ring,),), area_m2=1.0)
 
     @pytest.mark.parametrize(
         "vertex", [(float("nan"), 1.0), (1.0, float("inf")), (95.0, 1.0), (1.0, -180.5)],

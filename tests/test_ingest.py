@@ -30,7 +30,7 @@ from v2grid import (
     write_records_csv,
     write_stays_csv,
 )
-from v2grid.engine import write_events_csv
+from v2grid.engine import EventColumns, write_events_csv
 from v2grid import ingest
 from v2grid.ingest import format_epoch, local_day_span
 from conftest import ping, stay, utc_dt
@@ -429,9 +429,9 @@ class TestOutputTimeText:
             ]
         except OverflowError:  # 24:00 on 9999-12-31 falls in year 10000
             with pytest.raises(OverflowError):
-                write_events_csv(events, path)
+                write_events_csv(EventColumns.from_events(events), path)
             return
-        write_events_csv(events, path)
+        write_events_csv(EventColumns.from_events(events), path)
         with open(path, newline="") as fh:
             got = [(r["day"], r["start"], r["end"]) for r in csv.DictReader(fh)]
         assert got == want

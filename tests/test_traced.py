@@ -76,4 +76,7 @@ def test_traced_run_matches_plain_run(tmp_path, monkeypatch):
     traced = json.loads(spans.read_text())
     counts = traced["counts"]
     assert counts["ingest.stays_retained"] > 0 and counts["engine.events"] > 0
+    # the per-layer counters see the event columns: iterating them yields
+    # every event, and every chunk passes through cli._simulate_chunk
+    assert counts["aggregate.step_visits"] > 0 and counts["cli.chunks"] >= 1
     assert set(layers) <= {name for name, *_ in traced["spans"]}
