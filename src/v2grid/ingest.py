@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import compress, groupby, islice
@@ -290,7 +292,11 @@ STAYS_HEADER = ["user_id", "cell_row", "cell_col", "arrival", "departure"]
 
 _MICROSECOND = timedelta(microseconds=1)
 _SECOND = timedelta(seconds=1)
-_CHUNK_ROWS = 4096  # larger chunks cost memory and gain no speed
+# line-aligned read unit of the byte scan; the csv path takes rows in chunks
+# of one row per 256 bytes of a block (4096 rows), as larger chunks cost
+# memory and gain no speed
+_BLOCK_BYTES = 1 << 20
+_COMMA, _NEWLINE, _DOT, _MINUS, _ZERO = b",\n.-0"
 
 # separator positions and characters of YYYY-MM-DDTHH:MM:SSZ
 _SEP_AT = [4, 7, 10, 13, 16, 19]
@@ -305,39 +311,48 @@ def _parse_timestamp(text: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def _canonical_epochs(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds of the texts of the exact form YYYY-MM-DDTHH:MM:SSZ
-    that name a real UTC time, and the mask of those texts.
+def _canonical_epochs(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of the rows of `chars`, an (n, 20) array of character
+    codes, that spell YYYY-MM-DDTHH:MM:SSZ and name a real UTC time, and the
+    mask of those rows.
 
     Other forms (offsets, fractions, other separators) are left to
     `_parse_timestamp`: numpy's own datetime parser accepts strings that
     ``datetime.fromisoformat`` rejects, such as year 0 or a leading sign.
     """
-    n = len(texts)
-    ok = np.fromiter(map(len, texts), dtype=np.int64, count=n) == 20
-    chars = np.array(texts, dtype="U20").view(np.uint32).reshape(n, 20)
-    digits = chars[:, _DIGIT_AT] - np.uint32(ord("0"))  # non-digits wrap above 9
-    ok &= (chars[:, _SEP_AT] == _SEP_CODES).all(axis=1) & (digits <= 9).all(axis=1)
-    digits = np.where(ok[:, None], digits, 0).astype(np.int64)  # year 0 fails below
-    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
-    month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
+    digits = chars[:, _DIGIT_AT] - chars.dtype.type(ord("0"))  # non-digits wrap above 9
+    ok = (chars[:, _SEP_AT] == _SEP_CODES).all(axis=1) & (digits <= 9).all(axis=1)
+    # the other rows give garbage from here on, and are masked out
+    pairs = digits.astype(np.int32)
+    century, year, month, day, hour, minute, second = (pairs[:, 0::2] * 10 + pairs[:, 1::2]).T
+    year += century * 100
+    ok &= (year >= 1) & (month >= 1) & (month <= 12)
+    # first days of the months from the earliest to one past the latest
     months = (year - 1970) * 12 + month - 1
-    month_start = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
-    month_end = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
-    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-    ok &= (day <= month_end - month_start) & (hour < 24) & (minute < 60) & (second < 60)
-    t = (month_start + day - 1) * DAY_S + hour * 3600 + minute * 60 + second
+    lo, hi = (int(months[ok].min()), int(months[ok].max())) if ok.any() else (0, 0)
+    starts = np.arange(lo, hi + 2).astype("datetime64[M]").astype("datetime64[D]")
+    starts = starts.astype(np.int64)
+    m = np.where(ok, months - lo, 0)
+    ok &= (day >= 1) & (day <= starts[m + 1] - starts[m])
+    ok &= (hour < 24) & (minute < 60) & (second < 60)
+    t = (starts[m] + day - 1) * DAY_S + hour * 3600 + minute * 60 + second
     return np.where(ok, t, 0), ok
 
 
-def _parse_timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(epoch microseconds, ok) of each text as `_parse_timestamp` reads it;
-    canonical texts take a vectorised path, the rest are parsed one by one."""
-    t, ok = _canonical_epochs(texts)
-    t_us = t * 1_000_000
+def _parse_timestamps(
+    canonical: np.ndarray, chars: np.ndarray, text
+) -> tuple[np.ndarray, np.ndarray]:
+    """(epoch microseconds, ok) of n timestamps as `_parse_timestamp` reads
+    them. `canonical` masks the stamps 20 characters long and `chars` holds
+    their codes, which `_canonical_epochs` reads; the rest are parsed one by
+    one from ``text(i)``."""
+    t, ok_canonical = _canonical_epochs(chars)
+    t_us = np.zeros(len(canonical), dtype=np.int64)
+    ok = np.zeros(len(canonical), dtype=bool)
+    t_us[canonical], ok[canonical] = t * 1_000_000, ok_canonical
     for i in np.flatnonzero(~ok).tolist():
         try:
-            t_us[i] = (_parse_timestamp(texts[i]) - _EPOCH) // _MICROSECOND
+            t_us[i] = (_parse_timestamp(text(i)) - _EPOCH) // _MICROSECOND
         except (ValueError, OverflowError):
             continue
         ok[i] = True
@@ -359,6 +374,10 @@ def _parse_floats(texts: Sequence[str]) -> np.ndarray:
         return np.array([_float_or_nan(s) for s in texts], dtype=np.float64)
 
 
+def _in_range(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    return (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+
+
 def format_timestamp(ts: datetime) -> str:
     """`ts` (timezone-aware) as ``YYYY-MM-DDTHH:MM:SSZ`` in UTC, sub-second
     parts floored."""
@@ -370,53 +389,203 @@ def read_records_csv(path) -> tuple[Records, int]:
 
     A row is malformed when it does not have four fields, its timestamp is
     not ISO 8601 (naive means UTC), a coordinate is not a float, or a
-    coordinate is out of range. Returns (records, skipped-row count). Rows
-    are read in chunks and kept in file order; ingest sorts them.
+    coordinate is out of range. Returns (records, skipped-row count); rows
+    are kept in file order, and ingest sorts them.
+
+    The file is scanned as bytes in line-aligned blocks of about
+    `_BLOCK_BYTES`, with the same results as `csv.reader`: on text without
+    quotes or carriage returns a line with three commas is a four-field row
+    and any other line a malformed one. From the first block that holds a
+    quote, a carriage return, a NUL, a non-ASCII byte or a line longer than
+    ``csv.field_size_limit()`` on, `csv.reader` reads the rest of the file
+    as UTF-8 text.
     """
+    try:
+        return _read_records_csv(path)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidInputError(f"records CSV {path} cannot be read: {exc}") from exc
+
+
+def _check_header(header: Sequence[str]) -> None:
+    if [h.strip() for h in header] != RECORDS_HEADER:
+        raise InvalidInputError(f"records CSV must have header {','.join(RECORDS_HEADER)}")
+
+
+def _append(columns: tuple[array, ...], *values: np.ndarray) -> None:
+    """Append each of `values` to its buffer in `columns`: user codes, t_us,
+    lat and lon of the rows read so far. A buffer grows in place, so the
+    rows never sit in the heap as chunks between the scan's temporaries, and
+    no concatenation doubles them at the end."""
+    for column, value in zip(columns, values):
+        column.frombytes(memoryview(value).cast("B"))
+
+
+def _read_records_csv(path) -> tuple[Records, int]:
+    index: dict[str, int] = {}
+    columns = (array("q"), array("q"), array("d"), array("d"))
+    skipped = 0
+    header_read = False
+    with open(path, "rb") as fh:
+        while True:
+            at = fh.tell()
+            if not (block := fh.read(_BLOCK_BYTES)):
+                break
+            if block[-1] != _NEWLINE:
+                block += fh.readline()
+            if block[-1] != _NEWLINE:  # the last line, without its newline
+                block += b"\n"
+            ends = _line_ends(block)
+            if ends is None:
+                fh.seek(at)
+                with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+                    skipped += _read_csv_rows(text, header_read, index, columns)
+                break
+            lo = 0
+            if not header_read:
+                _check_header(block[:ends[0]].decode("ascii").split(","))
+                header_read, lo, ends = True, int(ends[0]) + 1, ends[1:]
+            if len(ends):
+                data = np.frombuffer(block, dtype=np.uint8)
+                skipped += _scan_rows(data, lo, ends, index, columns)
+    return _sorted_users(index, *(np.frombuffer(c, dtype=c.typecode) for c in columns)), skipped
+
+
+def _line_ends(block: bytes) -> Optional[np.ndarray]:
+    """Offsets of the newlines that end the lines of `block`, or None when
+    `csv.reader` must read it: for a quote, a carriage return, a NUL, a
+    non-ASCII byte or a line longer than the field size limit."""
+    if not block.isascii() or b'"' in block or b"\r" in block or b"\0" in block:
+        return None
+    ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == _NEWLINE)
+    limit = csv.field_size_limit()
+    if len(block) > limit and np.diff(ends, prepend=-1).max() > limit + 1:
+        return None
+    return ends
+
+
+def _windows(data: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
+    """(len(start), width) array of the bytes ``data[s:s + width]`` for each
+    s in `start`, zero past the end of `data`."""
+    if int(start.max(initial=0)) + width > len(data):
+        data = np.concatenate((data, np.zeros(width, dtype=np.uint8)))
+    return np.lib.stride_tricks.sliding_window_view(data, width)[start]
+
+
+def _scan_rows(
+    data: np.ndarray, lo: int, ends: np.ndarray, index: dict[str, int], columns: tuple
+) -> int:
+    """Append to `columns` the rows of the plain ASCII lines ``data[lo:]``,
+    which end at `ends`; returns the number of rows skipped. User codes come
+    from and go into `index`."""
+    starts = np.concatenate(([lo], ends[:-1] + 1))
+    commas = np.flatnonzero(data[lo:] == _COMMA) + lo
+    before = np.searchsorted(commas, ends)  # commas before each line end
+    rows = np.flatnonzero(np.diff(before, prepend=0) == 3)
+    c1, c2, c3 = (commas[before[rows] - j] for j in (3, 2, 1))
+
+    canonical = c2 - c1 == 21
+    t_us, ok = _parse_timestamps(
+        canonical, _windows(data, c1[canonical] + 1, 20),
+        lambda i: data[c1[i] + 1:c2[i]].tobytes().decode("ascii"),
+    )
+    dots = np.append(np.flatnonzero(data == _DOT), len(data))
+    lat = _parse_coordinates(data, dots, c2 + 1, c3)
+    lon = _parse_coordinates(data, dots, c3 + 1, ends[rows])
+    keep = np.flatnonzero(ok & _in_range(lat, lon))
+    codes = _user_codes(data, starts[rows[keep]], c1[keep], index)
+    _append(columns, codes, t_us[keep], lat[keep], lon[keep])
+    return len(ends) - len(keep)
+
+
+def _parse_coordinates(
+    data: np.ndarray, dots: np.ndarray, start: np.ndarray, stop: np.ndarray
+) -> np.ndarray:
+    """float() of each field ``data[start:stop]``; NaN where float() raises.
+
+    The fields are grouped by template: length, offset of the first dot and
+    a leading minus. In a template of 1 to 15 digits the digits make an
+    integer significand below 2**53 and the dot a power of ten 10**k that
+    float64 holds exactly, so one IEEE division gives the correctly rounded
+    value, as float() does (Clinger's fast path). A field with a non-digit
+    in a digit place, and every other field, goes through float().
+    """
+    length = stop - start
+    neg = data[start] == _MINUS  # a field ends before a comma or newline
+    dot = dots[np.searchsorted(dots, start)] - start
+    dot = np.where(dot < length, dot, -1)
+    n_digits = length - neg - (dot >= 0)
+    key = np.where((n_digits >= 1) & (n_digits <= 15), (length * 32 + dot + 1) * 2 + neg, -1)
+    order = np.argsort(key.astype(np.int16), kind="stable")  # a radix sort
+    key = key[order]
+    firsts = np.flatnonzero(np.diff(key, prepend=-2))
+    out = np.empty(len(start))
+    parsed = np.zeros(len(start), dtype=bool)
+    for k, at in zip(key[firsts].tolist(), np.split(order, firsts[1:])):
+        if k < 0:
+            continue
+        width, d = k >> 6, ((k >> 1) & 31) - 1
+        places = [j for j in range(k & 1, width) if j != d]
+        digits = _windows(data, start[at], width)[:, places] - np.uint8(_ZERO)
+        # each partial sum is an integer below 2**53, so float64 holds it exactly
+        powers = (10 ** np.arange(len(places) - 1, -1, -1)).astype(np.float64)
+        decimals = width - 1 - d if d >= 0 else 0
+        value = (digits.astype(np.float64) @ powers) / float(10**decimals)
+        out[at] = -value if k & 1 else value
+        parsed[at] = (digits <= 9).all(axis=1)
+    for i in np.flatnonzero(~parsed).tolist():
+        out[i] = _float_or_nan(data[start[i]:stop[i]].tobytes().decode("ascii"))
+    return out
+
+
+def _user_codes(
+    data: np.ndarray, start: np.ndarray, stop: np.ndarray, index: dict[str, int]
+) -> np.ndarray:
+    """Codes in `index` of the user ids ``data[start:stop]``; new ids are
+    added to it."""
+    length = stop - start
+    width = max(1, int(length.max(initial=0)))
+    names = _windows(data, start, width)
+    names[np.arange(width) >= length[:, None]] = 0  # NUL-padded, as numpy bytes are
+    distinct, inverse = np.unique(names.view(f"S{width}")[:, 0], return_inverse=True)
+    codes = [index.setdefault(name.decode("ascii"), len(index)) for name in distinct.tolist()]
+    return np.array(codes, dtype=np.int64)[inverse]
+
+
+def _read_csv_rows(text, header_read: bool, index: dict[str, int], columns: tuple) -> int:
+    """Append to `columns` the rows `csv.reader` reads from `text`, after
+    the header unless `header_read`; returns the number of rows skipped.
+    User codes come from and go into `index`."""
+    reader = csv.reader(text)
+    if not header_read and (header := next(reader, None)) is not None:
+        _check_header(header)
     # csv.reader makes one list per row. Their number keeps triggering the
     # cyclic garbage collector, which finds nothing in lists of strings and
     # took a third of the read's time.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _read_records_csv(path)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise InvalidInputError(f"records CSV {path} cannot be read: {exc}") from exc
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _read_records_csv(path) -> tuple[Records, int]:
-    index: dict[str, int] = {}
-    chunks: list[tuple[np.ndarray, ...]] = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and [h.strip() for h in header] != RECORDS_HEADER:
-            raise InvalidInputError(
-                f"records CSV must have header {','.join(RECORDS_HEADER)}"
-            )
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
+        skipped = 0
+        while chunk := list(islice(reader, max(1, _BLOCK_BYTES // 256))):
             rows = [row for row in chunk if len(row) == 4]
             skipped += len(chunk) - len(rows)
             if not rows:
                 continue
             uids, stamps, lat_texts, lon_texts = zip(*rows)
-            t_us, ok = _parse_timestamps(stamps)
+            canonical = np.fromiter(map(len, stamps), dtype=np.int64, count=len(stamps)) == 20
+            chars = np.array(stamps, dtype="U20")[canonical].view(np.uint32).reshape(-1, 20)
+            t_us, ok = _parse_timestamps(canonical, chars, stamps.__getitem__)
             lat, lon = _parse_floats(lat_texts), _parse_floats(lon_texts)
-            ok &= (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+            ok &= _in_range(lat, lon)
             skipped += len(rows) - int(np.count_nonzero(ok))
             uids = list(compress(uids, ok))
             for uid in dict.fromkeys(uids):
                 index.setdefault(uid, len(index))
             codes = np.fromiter(map(index.__getitem__, uids), dtype=np.int64, count=len(uids))
-            chunks.append((codes, t_us[ok], lat[ok], lon[ok]))
-    # codes, t_us, lat, lon; all there is for a file without data rows
-    empty = (np.empty(0, np.int64),) * 2 + (np.empty(0, np.float64),) * 2
-    columns = [np.concatenate(c) for c in zip(empty, *chunks)]
-    return _sorted_users(index, *columns), skipped
+            _append(columns, codes, t_us[ok], lat[ok], lon[ok])
+        return skipped
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def write_records_csv(records: Iterable[LocationRecord], path) -> None:

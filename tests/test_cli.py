@@ -177,9 +177,16 @@ class TestRunCommand:
             # csv.reader's default field size limit is 131 072 characters
             ("records.csv", b'user_id,timestamp,lat,lon\n"' + b"u" * 131_073
              + b'",2020-09-01T08:00:00Z,1.3,103.8\n'),
+            ("records.csv", b"user_id,timestamp,lat,lon\n" + b"u" * 131_073
+             + b",2020-09-01T08:00:00Z,1.3,103.8\n"),
+            # more than one read block of good rows before the bad byte
+            ("records.csv", b"user_id,timestamp,lat,lon\n"
+             + b"u,2020-09-01T08:00:00Z,1.3,103.8\n" * 40_000
+             + b"u\xff,2020-09-01T08:00:00Z,1.3,103.8\n"),
         ],
         ids=["demand_one_row", "demand_sums_to_zero", "records_header",
-             "records_not_utf8", "demand_not_utf8", "records_field_too_large"],
+             "records_not_utf8", "demand_not_utf8", "records_field_too_large",
+             "records_unquoted_field_too_large", "records_not_utf8_after_a_block"],
     )
     def test_bad_input_exits_2_before_out_dir(self, tmp_path, records, name, data):
         (tmp_path / name).write_bytes(data)

@@ -303,6 +303,22 @@ class TestLocalDaySpan:
         assert (d0 - day0, d1 - day0) == span
 
 
+def _point_text(significand: int, width: int, point: int, minus: bool) -> str:
+    digits = f"{significand % 10**width:0{width}d}"
+    return "-" * minus + digits[:point] + "." + digits[point:]
+
+
+# float() texts the byte scan parses by template, and ones it leaves to float()
+_coordinate_texts = st.one_of(
+    st.builds("{0:.{1}f}".format, st.floats(-180, 180), st.integers(0, 9)),
+    st.floats(-180, 180).map(repr),  # 17 significant digits
+    st.builds(_point_text, st.integers(0, 10**16 - 1), st.sampled_from([15, 16]),
+              st.integers(0, 3), st.booleans()),
+    st.sampled_from(["-0.000000", "0", "5.", ".5", "-.5", "1e5", "+1.5", " 1.5", "1_2",
+                     "nan", "inf", "", "-", ".", "1.2.3"]),
+)
+
+
 class TestCsv:
     def test_round_trip_and_skipped_rows(self, tmp_path, grid):
         recs = [
@@ -349,6 +365,62 @@ class TestCsv:
         else:
             assert ((records.t_us // 1_000_000).tolist(), skipped) == ([epoch], 0)
 
+    @pytest.mark.parametrize(
+        "text, rows, skipped",
+        [
+            ("user_id,timestamp,lat,lon\nu,2020-09-01T08:00:00Z,1.0,2.0", 1, 0),
+            ("user_id,timestamp,lat,lon\n\nu,2020-09-01T08:00:00Z,1.0,2.0\n\n\n", 1, 3),
+            ("user_id,timestamp,lat,lon\n", 0, 0),
+            ("user_id,timestamp,lat,lon", 0, 0),
+            ("", 0, 0),
+            ("user_id,timestamp,lat,lon\nu,v,2020-09-01T08:00:00Z,1.0,2.0\n", 0, 1),
+            ("user_id,timestamp,lat,lon\nu,2020-09-01T16:00:00+08:00,1.0,2.0\n"
+             "v,2020-09-01T08:00:00.250Z,1.0,2.0\nw,2020-09-01T08:00:00Z,1.0,2.0\n", 3, 0),
+            ("user_id,timestamp,lat,lon\ru,2020-09-01T08:00:00Z,1.0,2.0\r\r", 1, 1),
+            ("user_id,timestamp,lat,lon\nu\0,2020-09-01T08:00:00Z,1.0,2.0\n", 1, 0),
+        ],
+        ids=["last_row_without_newline", "blank_lines", "header_only",
+             "header_only_without_newline", "empty", "five_fields", "mixed_stamps",
+             "carriage_return_line_ends", "nul_in_id"],
+    )
+    def test_rows_as_csv_reader_splits_them(self, tmp_path, text, rows, skipped):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        records, got_skipped = read_records_csv(path)
+        by_user, want_skipped = read_records_per_row(path)
+        assert (len(records), got_skipped) == (rows, skipped)
+        assert (sum(map(len, by_user.values())), want_skipped) == (rows, skipped)
+        assert records.user_ids == tuple(sorted(by_user))
+        assert (records.t_us // 1_000_000).tolist() == [1598947200] * rows
+
+    def test_plain_file_is_read_without_csv_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "records.csv"
+        path.write_text("user_id,timestamp,lat,lon\nu,2020-09-01T08:00:00Z,1.0,2.0\nx\n")
+        monkeypatch.setattr(ingest, "_read_csv_rows", None)
+        records, skipped = read_records_csv(path)
+        assert (records.user_ids, len(records), skipped) == (("u",), 1, 1)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(_coordinate_texts, _coordinate_texts), min_size=1, max_size=30))
+    def test_coordinates_equal_float_bit_for_bit(self, tmp_path, pairs):
+        path = tmp_path / "records.csv"
+        path.write_text("user_id,timestamp,lat,lon\n" + "".join(
+            f"u,2020-09-01T08:00:00Z,{lat},{lon}\n" for lat, lon in pairs
+        ))
+        want = []
+        for lat_text, lon_text in pairs:
+            try:
+                lat, lon = float(lat_text), float(lon_text)
+            except ValueError:
+                continue
+            if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+                want.append((lat, lon))
+        records, skipped = read_records_csv(path)
+        assert skipped == len(pairs) - len(want)
+        assert records.lat.tobytes() == np.array([w[0] for w in want]).tobytes()
+        assert records.lon.tobytes() == np.array([w[1] for w in want]).tobytes()
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_read_restores_garbage_collector_state(self, tmp_path, enabled):
         path = tmp_path / "records.csv"
@@ -359,6 +431,24 @@ class TestCsv:
             assert gc.isenabled() == enabled
         finally:
             gc.enable()
+
+    def test_collector_paused_only_while_csv_reader_reads(self, tmp_path, monkeypatch):
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "user_id,timestamp,lat,lon\n" + "u,2020-09-01T08:00:00Z,1.0,2.0\n" * 3
+            + "é,2020-09-01T08:00:00Z,1.0,2.0\n", encoding="utf-8",
+        )
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1)  # a block per line
+        states = {"scan": [], "csv": []}
+        for name, kind in (("_parse_coordinates", "scan"), ("_parse_floats", "csv")):
+            real = getattr(ingest, name)
+            monkeypatch.setattr(ingest, name, lambda *args, real=real, kind=kind: (
+                states[kind].append(gc.isenabled()) or real(*args)
+            ))
+        records, skipped = read_records_csv(path)
+        assert (records.user_ids, len(records), skipped) == (("u", "é"), 4, 0)
+        assert states == {"scan": [True] * 6, "csv": [False] * 2}
+        assert gc.isenabled()
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -552,6 +642,7 @@ class TestPipeline:
 PROP_GRID = GridSpec(origin_lat=1.25, origin_lon=103.7, cell_size_m=250.0, n_rows=6, n_cols=6)
 PROP_CELLS = [CellId(0, 0), CellId(0, 1), CellId(3, 4)]
 DAY0 = utc_dt(2020, 9, 1)
+EPOCH = utc_dt(1970, 1, 1)
 
 _cell_coords = st.sampled_from(PROP_CELLS).map(
     lambda c: tuple(f"{v:.6f}" for v in PROP_GRID.cell_centroid(c))
@@ -588,11 +679,12 @@ def _stamp(draw, ts):
 
 
 @st.composite
-def _visit(draw):
+def _visit(draw, plain=False):
     """Rows of one user pinging one place about every 15 min (a candidate
     stay), some of them malformed, some in the same second as the previous
-    ping."""
-    uid = draw(st.sampled_from(["a", "c,d", "é", ""]))
+    ping. A `plain` visit has ids that `csv.writer` writes without quotes
+    and in ASCII."""
+    uid = draw(st.sampled_from(["a", "b", ""] if plain else ["a", "c,d", "é", ""]))
     place = draw(st.one_of(*[_cell_coords] * 5, _odd_coords))
     # whole hours over four days, mostly a few of them, so that visits of one
     # user often share seconds and some users are active on three days
@@ -617,30 +709,39 @@ class TestColumnarMatchesPerUserOracle:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
+        plain_visits=st.lists(_visit(plain=True), max_size=20),
         visits=st.lists(_visit(), max_size=20),
         shuffle_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
         quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
-        newline=st.sampled_from(["\n", "\r\n"]),
-        chunk_rows=st.sampled_from([1, 3, 16, 65536]),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        block_bytes=st.sampled_from([1, 64, 4096, ingest._BLOCK_BYTES]),
         min_days=st.sampled_from([1, 2, 3]),
         tau_s=st.sampled_from([1800.0, 3600.0]),
     )
     def test_read_and_ingest_equal_oracle(
-        self, tmp_path, visits, shuffle_seed, quoting, newline, chunk_rows, min_days, tau_s
+        self, tmp_path, plain_visits, visits, shuffle_seed, quoting, newline, block_bytes,
+        min_days, tau_s,
     ):
+        # the plain rows come first, as ASCII without quotes or carriage
+        # returns, so the byte scan reads them; the other rows may hand the
+        # rest of the file to csv.reader, at the first block that holds one
+        head = [row for visit in plain_visits for row in visit]
         rows = [row for visit in visits for row in visit]
         if shuffle_seed is not None:
+            random.Random(shuffle_seed).shuffle(head)
             random.Random(shuffle_seed).shuffle(rows)
         path = tmp_path / "records.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
+            plain = csv.writer(fh, lineterminator="\n")
             writer = csv.writer(fh, quoting=quoting, lineterminator=newline)
-            writer.writerow(["user_id", "timestamp", "lat", "lon"])
+            (plain if head else writer).writerow(["user_id", "timestamp", "lat", "lon"])
+            plain.writerows(head)
             writer.writerows(rows)
         cfg = IngestConfig(tau_s=tau_s, min_consecutive_days=min_days, grid=PROP_GRID,
                            utc_offset_hours=8.0)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+            mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
             records, skipped = read_records_csv(path)
         trajs, stats = ingest_trajectories(records, cfg)
 
@@ -649,5 +750,12 @@ class TestColumnarMatchesPerUserOracle:
         assert skipped == want_skipped
         assert records.user_ids == tuple(sorted(by_user))
         assert len(records) == sum(len(v) for v in by_user.values())
+        for code, uid in enumerate(records.user_ids):
+            mine, want = records.user == code, by_user[uid]
+            assert records.t_us[mine].tolist() == [
+                (r.timestamp - EPOCH) // timedelta(microseconds=1) for r in want
+            ]
+            assert records.lat[mine].tobytes() == np.array([r.lat for r in want]).tobytes()
+            assert records.lon[mine].tobytes() == np.array([r.lon for r in want]).tobytes()
         assert list(trajs.items()) == list(want_trajs.items())
         assert stats == want_stats
