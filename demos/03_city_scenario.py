@@ -36,7 +36,7 @@ print("generating records ...")
 records = Records.from_records(generate(cfg, grid))
 
 icfg = IngestConfig(grid=grid, utc_offset_hours=8.0)
-trajectories, stats = ingest_trajectories(records, icfg)
+stays, stats = ingest_trajectories(records, icfg)
 print(
     f"{len(records)} records -> {stats.stays_emitted} stays, "
     f"{stats.users_retained}/{stats.users_total} users retained"
@@ -45,12 +45,12 @@ print(
 areas = synthetic_planning_areas(grid, blocks_lat=2, blocks_lon=3, rng_seed=42)
 index = build_area_index(grid, areas)
 scaling = ScalingConfig(
-    ev_penetration=0.03, observed_users=len(trajectories), population=200_000
+    ev_penetration=0.03, observed_users=len(stays), population=200_000
 )
 days, aggregates, _, _, warnings = simulate(
-    params, window, areas, index, trajectories, scaling, icfg.utc_offset_s
+    params, window, areas, index, stays, scaling, icfg.utc_offset_s
 )
-print(f"simulated {len(trajectories)} users x {len(days)} days "
+print(f"simulated {len(stays)} users x {len(days)} days "
       f"(scale factor delta/s = {scaling.scale:.3f})\n")
 
 curve = DemandCurve(tuple(synthetic_demand_curve_values()))

@@ -74,6 +74,7 @@ from .ingest import (
     LocationRecord,
     Records,
     Stay,
+    StayColumns,
     Trajectory,
     extract_stays,
     ingest_trajectories,

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidConfigError, InvalidInputError
 from .engine import REGIMES, ChargeEvent, EventColumns, Regime
 from .geo import AreaIndex, PlanningArea, planning_area_feature, write_feature_collection
-from .ingest import format_epoch, write_csv
+from .ingest import EpochText, csv_fields, format_epoch, write_csv, write_lines
 
 UNASSIGNED = "_unassigned"  # reserved id for events in cells outside all areas
 
@@ -269,14 +269,19 @@ def write_area_profile_csv(
 ) -> None:
     n_steps = max((len(agg.demand_profile) for agg in aggregates.values()), default=0)
     step_labels = [_step_label(step, step_minutes) for step in range(n_steps)]
+    keys = sorted(aggregates)
+    area_ids = sorted({area_id for area_id, _day in keys})
+    names = dict(zip(area_ids, csv_fields(area_ids)))
+    days = EpochText().days([day for _area_id, day in keys])
 
-    def rows():
-        for (area_id, day), agg in sorted(aggregates.items()):
-            day_label = format_epoch(day)
-            for step_label, power in zip(step_labels, agg.demand_profile.tolist()):
-                yield [area_id, day_label, step_label, repr(power)]
+    def lines(key, day_label: str) -> list[str]:
+        prefix = f"{names[key[0]]},{day_label},"
+        return [
+            f"{prefix}{step_label},{power!r}\n"
+            for step_label, power in zip(step_labels, aggregates[key].demand_profile.tolist())
+        ]
 
-    write_csv(path, ["area_id", "day", "step_start", "power_kw"], rows())
+    write_lines(path, ["area_id", "day", "step_start", "power_kw"], map(lines, keys, days))
 
 
 def write_metrics_geojson(

@@ -210,11 +210,11 @@ def _grid_from_areas(areas, cell_size_m: float) -> GridSpec:
 
 def _simulate_chunk(job: tuple) -> tuple[EventColumns, int, int]:
     """Simulate the user-days ``lo`` to ``hi - 1`` of the `simulate_user_days`
-    arguments ``job = (users, days, lo, hi, params, window, grid,
+    arguments ``job = (stays, days, lo, hi, params, window, grid,
     utc_offset_s)``; returns (events, range_exceeded, n_traces), events in
     (user, day) order."""
     events, range_exceeded = simulate_user_days(*job)
-    _users, _days, lo, hi, *_setup = job
+    _stays, _days, lo, hi, *_setup = job
     return events, range_exceeded, hi - lo
 
 
@@ -267,7 +267,7 @@ def _checked_flags(args: argparse.Namespace) -> tuple[VehicleParams, PvWindow, I
 
 def _read_inputs(args: argparse.Namespace, window: PvWindow, ingest_cfg: IngestConfig):
     """Planning areas, the demand curve's night fraction, the area index and
-    the retained users' trajectories, plus the manifest counts and warnings
+    the retained users' stay columns, plus the manifest counts and warnings
     of the read. The records columns are freed when this returns."""
     areas = load_planning_areas(args.areas)
     if not areas:
@@ -276,7 +276,7 @@ def _read_inputs(args: argparse.Namespace, window: PvWindow, ingest_cfg: IngestC
     grid = _grid_from_areas(areas, args.cell_size)
     index = build_area_index(grid, areas)
     records, rows_skipped = read_records_csv(args.records)
-    trajectories, stats = ingest_trajectories(records, dataclasses.replace(ingest_cfg, grid=grid))
+    stays, stats = ingest_trajectories(records, dataclasses.replace(ingest_cfg, grid=grid))
     rows_skipped += stats.rows_skipped
     counts = {
         "rows_read": len(records) + rows_skipped,
@@ -291,24 +291,22 @@ def _read_inputs(args: argparse.Namespace, window: PvWindow, ingest_cfg: IngestC
         "grid_cells_unassigned": index.n_unassigned,
         "empty_records_input": len(records) == 0,
     }
-    return areas, night_frac, index, trajectories, counts, warnings
+    return areas, night_frac, index, stays, counts, warnings
 
 
-def simulate(params, window, areas, index, trajectories, scaling, utc_offset_s,
-             keep_events=False):
-    """Simulate every retained user-day and sum its charge events per area and
-    day; returns (days, aggregates, events, counts, warnings), with the events
-    kept only when `keep_events` is set."""
-    days = day_range_of(trajectories.values(), utc_offset_s)
+def simulate(params, window, areas, index, stays, scaling, utc_offset_s, keep_events=False):
+    """Simulate every user-day of the `StayColumns` `stays` and sum its charge
+    events per area and day; returns (days, aggregates, events, counts,
+    warnings), with the events kept only when `keep_events` is set."""
+    days = day_range_of(stays, utc_offset_s)
     builder = AggregateBuilder(index, scaling)
-    users = [trajectories[uid] for uid in sorted(trajectories)]
-    n_user_days = len(users) * len(days)
+    n_user_days = len(stays.user_ids) * len(days)
     kept: list[EventColumns] = []
     range_exceeded = n_traces = n_events = 0
     for lo in range(0, n_user_days, _CHUNK_USER_DAYS):
         hi = min(lo + _CHUNK_USER_DAYS, n_user_days)
         events, rexc, n = _simulate_chunk(
-            (users, days, lo, hi, params, window, index.grid, utc_offset_s)
+            (stays, days, lo, hi, params, window, index.grid, utc_offset_s)
         )
         builder.add_events(events)
         n_events += len(events)
@@ -433,18 +431,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     stage makes ``--out-dir``."""
     params, window, ingest_cfg = _checked_flags(args)
     started = datetime.now(timezone.utc)
-    areas, night_frac, index, trajectories, counts, warnings = _read_inputs(
-        args, window, ingest_cfg
-    )
-    scaling = ScalingConfig(args.delta, max(1, len(trajectories)), int(args.n_pop), args.time_step)
+    areas, night_frac, index, stays, counts, warnings = _read_inputs(args, window, ingest_cfg)
+    scaling = ScalingConfig(args.delta, max(1, len(stays)), int(args.n_pop), args.time_step)
     days, aggregates, events, sim_counts, sim_warnings = simulate(
-        params, window, areas, index, trajectories, scaling, ingest_cfg.utc_offset_s,
-        args.events_csv,
+        params, window, areas, index, stays, scaling, ingest_cfg.utc_offset_s, args.events_csv,
     )
     e_ev_mean, p_peak_max, e_hh, coverage, skipped_areas = compare(
         areas, aggregates, len(days), night_frac, args.days_in_month
     )
-    stays = (s for uid in sorted(trajectories) for s in trajectories[uid].stays)
     writers = {
         "area_energy.csv": lambda path: write_area_energy_csv(aggregates, path),
         "area_peak.csv": lambda path: write_area_peak_csv(aggregates, path),

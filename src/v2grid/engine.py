@@ -31,14 +31,23 @@ import math
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
 from .geo import CellId, GridSpec, cell_distance_m, cell_distances_m
-from .ingest import DAY_S, Trajectory, format_epoch, local_day_span, write_csv
+from .ingest import (
+    DAY_S,
+    LINES_PER_SLICE,
+    EpochText,
+    StayColumns,
+    Trajectory,
+    csv_fields,
+    format_epoch,
+    local_day_span,
+    write_lines,
+)
 
 
 @dataclass(frozen=True)
@@ -369,17 +378,16 @@ def slice_trajectory_days(
     return by_day
 
 
-def day_range_of(trajectories: Iterable[Trajectory], utc_offset_s: int) -> list[int]:
+def day_range_of(stays: StayColumns, utc_offset_s: int) -> list[int]:
     """All local epoch-days between the first and last observed stay,
     inclusive."""
-    stays = [stay for traj in trajectories for stay in traj.stays]
-    if not stays:
+    if len(stays.arrival) == 0:
         return []
     # neither day of local_day_span decreases as a stay's times grow
-    first = min(s.arrival for s in stays)
+    first = int(stays.arrival.min())
     lo, _ = local_day_span(first, first, utc_offset_s)
     _, hi = local_day_span(
-        max(s.arrival for s in stays), max(s.departure for s in stays), utc_offset_s
+        int(stays.arrival.max()), int(stays.departure.max()), utc_offset_s
     )
     return list(range(lo, hi + 1))
 
@@ -398,7 +406,7 @@ def run_scenario(
     user-day is independent and the iteration order never affects results.
     """
     if days is None:
-        days = day_range_of(trajectories.values(), utc_offset_s)
+        days = day_range_of(StayColumns.from_trajectories(trajectories.values()), utc_offset_s)
     for uid in sorted(trajectories):
         by_day = slice_trajectory_days(trajectories[uid], utc_offset_s)
         for day in days:
@@ -410,27 +418,22 @@ def run_scenario(
 # ---------------------------------------------------------------------------
 
 
-def _day_stays(users: Sequence[Trajectory], utc_offset_s: int) -> tuple[np.ndarray, ...]:
-    """(user, day, row, col, start_s, end_s) of every stay of `users` clipped
-    to local days, as `slice_trajectory_days` clips them: user is the index
-    into `users`, start_s and end_s int seconds past the day's midnight. Rows
-    come in (user, stay, day) order."""
-    stays = [s for traj in users for s in traj.stays]
-    user = np.repeat(np.arange(len(users)), [len(traj.stays) for traj in users])
-    cells = chain.from_iterable([s.cell for s in stays])
-    cell = np.fromiter(cells, dtype=np.int64, count=2 * len(stays)).reshape(-1, 2)
-    arrival = np.fromiter([s.arrival for s in stays], dtype=np.int64, count=len(stays))
-    departure = np.fromiter([s.departure for s in stays], dtype=np.int64, count=len(stays))
+def _day_stays(
+    user, row, col, arrival, departure, utc_offset_s: int
+) -> tuple[np.ndarray, ...]:
+    """(user, day, row, col, start_s, end_s) of the given stay columns clipped
+    to local days, as `slice_trajectory_days` clips them: start_s and end_s
+    are int seconds past the day's midnight. Rows come in (stay, day) order."""
     d0 = (arrival + utc_offset_s) // DAY_S
     n = np.maximum(d0, (departure + utc_offset_s - 1) // DAY_S) - d0 + 1
-    part = np.repeat(np.arange(len(stays)), n)
+    part = np.repeat(np.arange(len(arrival)), n)
     day = d0[part] + np.arange(len(part)) - np.repeat(np.cumsum(n) - n, n)
     midnight = day * DAY_S - utc_offset_s
     start = np.maximum(arrival[part] - midnight, 0)
     end = np.minimum(departure[part] - midnight, DAY_S)
     kept = end > start
     part = part[kept]
-    return user[part], day[kept], cell[part, 0], cell[part, 1], start[kept], end[kept]
+    return user[part], day[kept], row[part], col[part], start[kept], end[kept]
 
 
 def _window_cuts(start: np.ndarray, end: np.ndarray, window: PvWindow):
@@ -448,7 +451,7 @@ def _window_cuts(start: np.ndarray, end: np.ndarray, window: PvWindow):
 
 
 def simulate_user_days(
-    users: Sequence[Trajectory],
+    stays: StayColumns,
     days: Sequence[int],
     lo: int,
     hi: int,
@@ -458,23 +461,27 @@ def simulate_user_days(
     utc_offset_s: int = 8 * 3600,
 ) -> tuple[EventColumns, int]:
     """Charge events and clamped trips of user-days ``lo`` to ``hi - 1`` of
-    `users` x `days` (ascending epoch-days), numbered in (user, day) order.
+    the users of `stays` x `days` (ascending epoch-days), numbered in (user,
+    day) order.
 
     The events are those `run_scenario` yields for the same user-days,
-    equal to the bit, in (user, day, stay, segment) order; events carry
-    ``Trajectory.user_id``. A SOC that ends a user-day outside [-1e-12,
+    equal to the bit, in (user, day, stay, segment) order; events carry the
+    user ids of `stays`. A SOC that ends a user-day outside [-1e-12,
     1 + 1e-12] raises `InvariantViolationError` for the first such user-day.
     """
     n_days = len(days)
     days = np.asarray(days, dtype=np.int64)
-    if not 0 <= lo < hi <= len(users) * n_days:
+    if not 0 <= lo < hi <= len(stays.user_ids) * n_days:
         raise InvalidInputError(f"user-days {lo} to {hi - 1} are not in the scenario")
     if np.any(days[1:] <= days[:-1]):
         raise InvalidInputError("days must be ascending")
-    first = lo // n_days
-    users = users[first:-(-hi // n_days)]
-    names = tuple(traj.user_id for traj in users)
-    user, day, row, col, start_s, end_s = _day_stays(users, utc_offset_s)
+    first, stop = lo // n_days, -(-hi // n_days)
+    names = stays.user_ids[first:stop]
+    a, b = stays.user_range(first, stop)
+    user, day, row, col, start_s, end_s = _day_stays(
+        stays.user[a:b] - first, stays.row[a:b], stays.col[a:b], stays.arrival[a:b],
+        stays.departure[a:b], utc_offset_s,
+    )
     at = np.minimum(np.searchsorted(days, day), n_days - 1)
     trace = (user + first) * n_days + at - lo
     kept = (days[at] == day) & (trace >= 0) & (trace < hi - lo)
@@ -598,31 +605,35 @@ EVENTS_HEADER = [
 def write_events_csv(events: EventColumns, path) -> None:
     """Local-clock event dump; timestamps rounded to whole seconds, as
     ``format_epoch(day, round(hour * 3600.0))``: an instant of 24:00 is the
-    next day's 00:00:00. Each day's text is formatted once."""
-    day = events.day.tolist()
-    labels: dict[int, str] = {}
-    clock: dict[int, str] = {}
+    next day's 00:00:00."""
+    names = csv_fields(events.user_ids)
+    regimes = [r.value for r in REGIMES]
+    text = EpochText()
 
-    def texts(days: list) -> list[str]:
-        for d in set(days).difference(labels):
-            labels[d] = format_epoch(d)
-        return [labels[d] for d in days]
+    def lines(a: int, b: int) -> list[str]:
+        day = events.day[a:b]
+        (s_day, s_clock), (e_day, e_clock) = (
+            text.instants(day, np.rint(hours[a:b] * 3600.0).astype(np.int64))
+            for hours in (events.start_hour, events.end_hour)
+        )
+        return [
+            f"{names[u]},{d},{r},{c},{regimes[g]},{sd}{sc},{ed}{ec},{power},{energy!r}\n"
+            for u, d, r, c, g, sd, sc, ed, ec, power, energy in zip(
+                events.user[a:b].tolist(), text.days(day.tolist()),
+                events.row[a:b].tolist(), events.col[a:b].tolist(),
+                events.regime[a:b].tolist(), s_day, s_clock, e_day, e_clock,
+                _reprs(events.power_kw[a:b]), events.energy_kwh[a:b].tolist(),
+            )
+        ]
 
-    def instants(hours: np.ndarray) -> list[str]:
-        days, seconds = np.divmod(np.rint(hours * 3600.0).astype(np.int64), DAY_S)
-        seconds = seconds.tolist()
-        for s in set(seconds).difference(clock):
-            clock[s] = f"T{s // 3600:02d}:{s // 60 % 60:02d}:{s % 60:02d}"
-        return [d + clock[s] for d, s in zip(texts((days + events.day).tolist()), seconds)]
-
-    write_csv(path, EVENTS_HEADER, zip(
-        map(events.user_ids.__getitem__, events.user.tolist()),
-        texts(day),
-        events.row.tolist(),
-        events.col.tolist(),
-        map([r.value for r in REGIMES].__getitem__, events.regime.tolist()),
-        instants(events.start_hour),
-        instants(events.end_hour),
-        map(repr, events.power_kw.tolist()),
-        map(repr, events.energy_kwh.tolist()),
+    write_lines(path, EVENTS_HEADER, (
+        lines(a, a + LINES_PER_SLICE) for a in range(0, len(events), LINES_PER_SLICE)
     ))
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each float of `values`, formatted once per distinct bit
+    pattern: a column of few values, such as the charger ratings."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [repr(v) for v in bits.view(np.float64).tolist()]
+    return list(map(texts.__getitem__, inverse.tolist()))

@@ -477,7 +477,7 @@ def _number_property(props: dict, key: str, kind, area_id: str):
 def planning_area_feature(area: PlanningArea, extra_properties: Optional[dict] = None) -> dict:
     """GeoJSON Feature for one area (geometry echoed back in lon/lat order)."""
     parts = [
-        [[[float(lon), float(lat)] for lat, lon in ring] for ring in part]
+        [ring[:, ::-1].tolist() for ring in part]
         for part in area.polygon
     ]
     geometry = (

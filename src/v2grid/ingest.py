@@ -13,11 +13,13 @@ import gc
 import io
 import math
 from array import array
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import compress, groupby, islice
+from itertools import compress, islice
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +45,64 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+# rows a column writer formats per slice: the text of one slice is at most a
+# few MB, never the whole file
+LINES_PER_SLICE = 1 << 14
+
+
+def write_lines(path, header: Sequence[str], slices: Iterable[list[str]]) -> None:
+    """The `write_csv` file of `header` (plain names) and rows already
+    formatted as ``\\n``-terminated lines, given as lists of lines."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lines in slices:
+            fh.write("".join(lines))
+
+
+def csv_fields(texts: Iterable[str]) -> list[str]:
+    """Each of `texts` as `write_csv` writes it in a row of several fields:
+    quoted where `csv.writer` quotes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = []
+    for text in texts:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text, ""))  # a lone empty field would come out quoted
+        fields.append(buf.getvalue()[:-2])
+    return fields
+
+
+_TWO_DIGITS = [f"{i:02d}" for i in range(60)]
+
+
+class EpochText:
+    """`format_epoch` of int columns, with each day label and each clock
+    text formatted once."""
+
+    def __init__(self) -> None:
+        self._days: dict[int, str] = {}
+        self._clocks: dict[int, str] = {}
+
+    def days(self, day: list[int]) -> list[str]:
+        """``format_epoch(d)`` of each d in `day`."""
+        labels = self._days
+        for d in set(day).difference(labels):
+            labels[d] = format_epoch(d)
+        return list(map(labels.__getitem__, day))
+
+    def instants(self, day, seconds: np.ndarray) -> tuple[list[str], list[str]]:
+        """``format_epoch(d, s)`` of each pair of `day` (an int or an array)
+        and `seconds`, as its two parts: the day labels and the ``THH:MM:SS``
+        clock texts."""
+        days, seconds = np.divmod(seconds, DAY_S)
+        clocks, two = self._clocks, _TWO_DIGITS
+        seconds = seconds.tolist()
+        for s in set(seconds).difference(clocks):
+            clocks[s] = f"T{two[s // 3600]}:{two[s // 60 % 60]}:{two[s % 60]}"
+        return self.days((days + day).tolist()), list(map(clocks.__getitem__, seconds))
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +185,62 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.stays)
+
+
+@dataclass(frozen=True, eq=False)
+class StayColumns(Mapping[str, Trajectory]):
+    """Stays as columns, one array entry per stay, and a mapping of each
+    user id to its `Trajectory`.
+
+    Stay i belongs to user ``user_ids[user[i]]``, in cell ``(row[i],
+    col[i])``, over UTC epoch seconds [arrival[i], departure[i]]. ``user_ids``
+    is sorted and the stays of each user are contiguous, in user order; a
+    user may have none. Iterating yields the user ids, and looking one up
+    builds that user's `Trajectory`.
+    """
+
+    user_ids: tuple[str, ...]
+    user: np.ndarray  # int64 index into user_ids, non-decreasing
+    row: np.ndarray  # int64
+    col: np.ndarray  # int64
+    arrival: np.ndarray  # int64
+    departure: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return len(self.user_ids)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.user_ids)
+
+    def __getitem__(self, user_id: str) -> Trajectory:
+        code = bisect_left(self.user_ids, user_id)
+        if code == len(self.user_ids) or self.user_ids[code] != user_id:
+            raise KeyError(user_id)
+        a, b = self.user_range(code, code + 1)
+        return Trajectory(user_id, tuple(
+            Stay(user_id, CellId(r, c), arrival, departure)
+            for r, c, arrival, departure in zip(*(
+                column[a:b].tolist()
+                for column in (self.row, self.col, self.arrival, self.departure)
+            ))
+        ))
+
+    def user_range(self, first: int, stop: int) -> tuple[int, int]:
+        """The slice of stays of users ``first`` to ``stop - 1``."""
+        a, b = np.searchsorted(self.user, (first, stop)).tolist()
+        return a, b
+
+    @classmethod
+    def from_trajectories(cls, trajectories: Iterable[Trajectory]) -> "StayColumns":
+        """The stays of `trajectories`, each user's in the order given; the
+        users come in sorted order."""
+        users = sorted(trajectories, key=attrgetter("user_id"))
+        stays = [
+            (s.cell.row, s.cell.col, s.arrival, s.departure) for traj in users for s in traj.stays
+        ]
+        columns = np.array(stays, dtype=np.int64).reshape(-1, 4).T.copy()
+        user = np.repeat(np.arange(len(users)), [len(traj.stays) for traj in users])
+        return cls(tuple(traj.user_id for traj in users), user, *columns)
 
 
 def utc_offset_seconds(hours: float) -> int:
@@ -243,16 +359,16 @@ def extract_stays(
 
 def ingest_trajectories(
     records: Records, cfg: IngestConfig
-) -> tuple[dict[str, Trajectory], IngestStats]:
+) -> tuple[StayColumns, IngestStats]:
     """Full pipeline over all users at once: stay extraction, the merge of
     same-cell stays less than tau apart, and the activity filter, which keeps
     users with stays on >= min_consecutive_days consecutive local days.
-    `Stay`s are built for retained users only. Users come out in sorted
-    order, so the result is deterministic regardless of input ordering."""
+    Returns the retained users' stays as columns, users in sorted order, so
+    the result is deterministic regardless of input ordering."""
     stats = IngestStats(users_total=len(records.user_ids))
     user, row, col, arrival, departure = _stay_columns(records, cfg, stats)
     if len(user) == 0:
-        return {}, stats
+        return StayColumns((), user, row, col, arrival, departure), stats
     # stays never overlap and come in (user, arrival) order, so a same-cell
     # stay less than tau after the one before continues it
     first, last = _runs(
@@ -273,13 +389,13 @@ def ingest_trajectories(
     active = np.zeros(len(records.user_ids), dtype=bool)
     active[user[first[d1[last] - d0[first] + 1 >= cfg.min_consecutive_days]]] = True
     kept = active[user]
-    stays = _stays(records.user_ids, *(c[kept] for c in (user, row, col, arrival, departure)))
-    trajectories = {
-        uid: Trajectory(uid, tuple(user_stays))
-        for uid, user_stays in groupby(stays, key=attrgetter("user_id"))
-    }
-    stats.users_retained = len(trajectories)
-    return trajectories, stats
+    retained = np.flatnonzero(active)
+    code = np.cumsum(active) - 1  # of each retained user among the retained
+    stats.users_retained = len(retained)
+    return StayColumns(
+        tuple(records.user_ids[i] for i in retained.tolist()), code[user[kept]],
+        row[kept], col[kept], arrival[kept], departure[kept],
+    ), stats
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +657,24 @@ def _user_codes(
     data: np.ndarray, start: np.ndarray, stop: np.ndarray, index: dict[str, int]
 ) -> np.ndarray:
     """Codes in `index` of the user ids ``data[start:stop]``; new ids are
-    added to it."""
+    added to it, in sorted order.
+
+    Where ids come in runs (a file grouped by user), only the first id of
+    each run is sorted: when the runs are fewer than half the rows."""
     length = stop - start
     width = max(1, int(length.max(initial=0)))
     names = _windows(data, start, width)
     names[np.arange(width) >= length[:, None]] = 0  # NUL-padded, as numpy bytes are
-    distinct, inverse = np.unique(names.view(f"S{width}")[:, 0], return_inverse=True)
+    names = names.view(f"S{width}")[:, 0]
+    heads = np.flatnonzero(np.concatenate(([True], names[1:] != names[:-1])))
+    runs = None
+    if 2 * len(heads) < len(names):
+        runs = np.diff(np.append(heads, len(names)))
+        names = names[heads]
+    distinct, inverse = np.unique(names, return_inverse=True)
     codes = [index.setdefault(name.decode("ascii"), len(index)) for name in distinct.tolist()]
-    return np.array(codes, dtype=np.int64)[inverse]
+    codes = np.array(codes, dtype=np.int64)[inverse]
+    return codes if runs is None else np.repeat(codes, runs)
 
 
 def _read_csv_rows(text, header_read: bool, index: dict[str, int], columns: tuple) -> int:
@@ -595,14 +721,24 @@ def write_records_csv(records: Iterable[LocationRecord], path) -> None:
     ))
 
 
-def write_stays_csv(stays: Iterable[Stay], path) -> None:
-    write_csv(path, STAYS_HEADER, (
-        [
-            s.user_id,
-            s.cell.row,
-            s.cell.col,
-            format_epoch(0, s.arrival) + "Z",
-            format_epoch(0, s.departure) + "Z",
+def write_stays_csv(stays: StayColumns, path) -> None:
+    """One row per stay, stamps as ``YYYY-MM-DDTHH:MM:SSZ`` in UTC."""
+    names = csv_fields(stays.user_ids)
+    text = EpochText()
+
+    def lines(a: int, b: int) -> list[str]:
+        (a_day, a_clock), (d_day, d_clock) = (
+            text.instants(0, t[a:b]) for t in (stays.arrival, stays.departure)
+        )
+        return [
+            f"{names[u]},{r},{c},{ad}{ac}Z,{dd}{dc}Z\n"
+            for u, r, c, ad, ac, dd, dc in zip(
+                stays.user[a:b].tolist(), stays.row[a:b].tolist(), stays.col[a:b].tolist(),
+                a_day, a_clock, d_day, d_clock,
+            )
         ]
-        for s in stays
+
+    n = len(stays.arrival)
+    write_lines(path, STAYS_HEADER, (
+        lines(a, a + LINES_PER_SLICE) for a in range(0, n, LINES_PER_SLICE)
     ))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from v2grid import cli, engine, make_rect_area, write_planning_areas_geojson
+from v2grid import cli, engine, ingest, make_rect_area, write_planning_areas_geojson
 from v2grid.cli import main
 from v2grid.errors import InvalidInputError, InvariantViolationError
 from v2grid.synth import write_demand_curve_csv
@@ -308,6 +308,16 @@ class TestRunCommand:
         for name in ("simulate_day", "run_scenario", "SocTrace", "ChargeEvent"):
             monkeypatch.setattr(engine, name, forbidden)
         out_dir = run_pipeline(tmp_path, records, "out", ["--events-csv"])
+        assert len((out_dir / "events.csv").read_text().splitlines()) > 1
+
+    def test_run_builds_no_per_stay_objects(self, tmp_path, records, monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the run path built a per-stay or per-user object")
+
+        for name in ("Stay", "Trajectory"):
+            monkeypatch.setattr(ingest, name, forbidden)
+        out_dir = run_pipeline(tmp_path, records, "out", ["--stays-csv", "--events-csv"])
+        assert len((out_dir / "stays.csv").read_text().splitlines()) > 1
         assert len((out_dir / "events.csv").read_text().splitlines()) > 1
 
     def test_events_dump_optional(self, tmp_path, records):

@@ -24,6 +24,7 @@ from v2grid import (
     Regime,
     ScalingConfig,
     Stay,
+    StayColumns,
     Trajectory,
     VehicleParams,
     cell_distance_m,
@@ -390,7 +391,7 @@ class TestRunScenario:
                 stay("u", A, utc_dt(2020, 9, 4, 10, 0), utc_dt(2020, 9, 4, 12, 0)),
             ),
         )
-        days = day_range_of([traj], 0)
+        days = day_range_of(StayColumns.from_trajectories([traj]), 0)
         assert days == [epoch_day(2020, 9, d) for d in (1, 2, 3, 4)]
         traces = list(run_scenario({"u": traj}, params, window, grid, utc_offset_s=0))
         assert len(traces) == 4
@@ -563,14 +564,14 @@ class TestColumnEngine:
     @example(case=_trip_drains_exactly(), chunk=1)
     def test_equals_run_scenario_and_the_oracles(self, case, chunk):
         grid, params, window, off, trajectories, index, scaling = case
-        days = day_range_of(trajectories.values(), off)
-        users = [trajectories[uid] for uid in sorted(trajectories)]
-        n = len(users) * len(days)
+        stays = StayColumns.from_trajectories(trajectories.values())
+        days = day_range_of(stays, off)
+        n = len(stays) * len(days)
         builder = AggregateBuilder(index, scaling)
         parts, clamped = [], 0
         for lo in range(0, n, chunk):
             events, rexc = simulate_user_days(
-                users, days, lo, min(lo + chunk, n), params, window, grid, off
+                stays, days, lo, min(lo + chunk, n), params, window, grid, off
             )
             builder.add_events(events)
             parts.append(events)
@@ -599,8 +600,9 @@ class TestColumnEngine:
         late = stay("u", A, utc_dt(2020, 9, 2, 18), utc_dt(2020, 9, 2, 19))
         early = stay("u", B, utc_dt(2020, 9, 1, 18), utc_dt(2020, 9, 1, 19))
         traj = Trajectory("u", (late, early))
-        days = day_range_of([traj], 0)
-        events, _ = simulate_user_days([traj], days, 0, 2, params, window, grid, 0)
+        stays = StayColumns.from_trajectories([traj])
+        days = day_range_of(stays, 0)
+        events, _ = simulate_user_days(stays, days, 0, 2, params, window, grid, 0)
         want = [e for t in run_scenario({"u": traj}, params, window, grid, 0) for e in t.events]
         assert repr(list(events)) == repr(want) and len(want) == 2
 
@@ -609,17 +611,19 @@ class TestColumnEngine:
             stay("u", A, utc_dt(2020, 9, 1, 10), utc_dt(2020, 9, 1, 12)),
             stay("u", B, utc_dt(2020, 9, 1, 11), utc_dt(2020, 9, 1, 13)),
         ))
-        days = day_range_of([traj], 0)
+        stays = StayColumns.from_trajectories([traj])
+        days = day_range_of(stays, 0)
         with pytest.raises(InvalidInputError, match="non-overlapping"):
             list(run_scenario({"u": traj}, params, window, grid, 0))
         with pytest.raises(InvalidInputError, match="non-overlapping"):
-            simulate_user_days([traj], days, 0, 1, params, window, grid, 0)
+            simulate_user_days(stays, days, 0, 1, params, window, grid, 0)
 
     @pytest.mark.parametrize("lo, hi", [(0, 0), (-1, 1), (0, 3), (2, 1)])
     def test_user_day_range_outside_the_scenario_rejected(self, params, window, grid, lo, hi):
         traj = Trajectory("u", (stay("u", A, utc_dt(2020, 9, 1, 10), utc_dt(2020, 9, 2, 12)),))
+        stays = StayColumns.from_trajectories([traj])
         with pytest.raises(InvalidInputError):
-            simulate_user_days([traj], day_range_of([traj], 0), lo, hi, params, window, grid, 0)
+            simulate_user_days(stays, day_range_of(stays, 0), lo, hi, params, window, grid, 0)
 
 
 def test_event_columns_round_trip():

@@ -23,6 +23,7 @@ from v2grid import (
     Records,
     Regime,
     Stay,
+    StayColumns,
     Trajectory,
     extract_stays,
     ingest_trajectories,
@@ -30,9 +31,10 @@ from v2grid import (
     write_records_csv,
     write_stays_csv,
 )
-from v2grid.engine import EventColumns, write_events_csv
+from v2grid.aggregate import AreaAggregate, write_area_profile_csv
+from v2grid.engine import EVENTS_HEADER, REGIMES, EventColumns, write_events_csv
 from v2grid import ingest
-from v2grid.ingest import format_epoch, local_day_span
+from v2grid.ingest import DAY_S, STAYS_HEADER, format_epoch, local_day_span, write_csv
 from conftest import ping, stay, utc_dt
 from oracles import build_trajectory, filter_active_users, ingest_per_user, read_records_per_row
 
@@ -458,18 +460,18 @@ class TestCsv:
 
     def test_stays_csv_columns(self, tmp_path):
         path = tmp_path / "stays.csv"
-        write_stays_csv(
-            [stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 30))], path
-        )
+        write_stays_csv(StayColumns.from_trajectories([
+            Trajectory("u", (stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 30)),))
+        ]), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "user_id,cell_row,cell_col,arrival,departure"
         assert lines[1] == "u,2,2,2020-09-01T08:00:00Z,2020-09-01T09:30:00Z"
 
     def test_stays_csv_pads_years_below_1000(self, tmp_path):
         path = tmp_path / "stays.csv"
-        write_stays_csv(
-            [stay("u", X, utc_dt(999, 5, 1, 0, 0), utc_dt(999, 5, 1, 1, 30))], path
-        )
+        write_stays_csv(StayColumns.from_trajectories([
+            Trajectory("u", (stay("u", X, utc_dt(999, 5, 1, 0, 0), utc_dt(999, 5, 1, 1, 30)),))
+        ]), path)
         assert path.read_text().splitlines()[1] == (
             "u,2,2,0999-05-01T00:00:00Z,0999-05-01T01:30:00Z"
         )
@@ -540,9 +542,9 @@ class TestOutputTimeText:
     @example(stamps=[int(utc_dt(999, 5, 1).timestamp())] * 2)
     def test_stays_csv_stamps_parse_back(self, tmp_path, stamps):
         stamps.sort()
-        stays = [Stay("u", X, a, b) for a, b in zip(stamps, stamps[1:])]
+        stays = tuple(Stay("u", X, a, b) for a, b in zip(stamps, stamps[1:]))
         path = tmp_path / "stays.csv"
-        write_stays_csv(stays, path)
+        write_stays_csv(StayColumns.from_trajectories([Trajectory("u", stays)]), path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [
@@ -550,6 +552,109 @@ class TestOutputTimeText:
              ingest._parse_timestamp(r["departure"]).timestamp())
             for r in rows
         ] == [(s.arrival, s.departure) for s in stays]
+
+
+# ids csv.writer treats specially: a lone empty field is quoted but an empty
+# field in a longer row is not, and "\r" is left unquoted
+_IDS = st.sampled_from(["", ",", '"', "\r", "\n", " a", "é", 'a"b,c']) | st.text()
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestLineWritersMatchCsvWriter:
+    """Each writer that formats its lines itself writes the bytes
+    `csv.writer` writes for the same rows."""
+
+    @staticmethod
+    def csv_bytes(tmp_path, header, rows) -> bytes:
+        path = tmp_path / "want.csv"
+        write_csv(path, header, rows)
+        return path.read_bytes()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        ids=st.lists(_IDS, min_size=1, max_size=4, unique=True),
+        stays=st.lists(
+            st.tuples(
+                st.integers(0, 3), st.integers(-5, 4096), st.integers(-5, 4096),
+                st.integers(int(utc_dt(1, 1, 1).timestamp()),
+                            int(utc_dt(9999, 12, 31, 23, 59, 59).timestamp())),
+                st.integers(0, 3 * DAY_S),
+            ),
+            max_size=12,
+        ),
+    )
+    @example(ids=["a"], stays=[(0, 1, 2, int(utc_dt(1, 1, 1).timestamp()), 0),
+                               (0, 1, 2, int(utc_dt(9999, 12, 31, 23, 59, 59).timestamp()), 0)])
+    def test_stays_csv(self, tmp_path, ids, stays):
+        ids.sort()
+        stays = sorted((u % len(ids), r, c, a, a + d) for u, r, c, a, d in stays)
+        stays = [s for s in stays if s[4] <= utc_dt(9999, 12, 31, 23, 59, 59).timestamp()]
+        columns = StayColumns(tuple(ids), *np.array(stays, dtype=np.int64).reshape(-1, 5).T)
+        write_stays_csv(columns, tmp_path / "stays.csv")
+        assert (tmp_path / "stays.csv").read_bytes() == self.csv_bytes(tmp_path, STAYS_HEADER, [
+            [ids[u], r, c, format_epoch(0, a) + "Z", format_epoch(0, d) + "Z"]
+            for u, r, c, a, d in stays
+        ])
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        ids=st.lists(_IDS, min_size=1, max_size=4, unique=True),
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 3), st.integers(FIRST_DAY, LAST_DAY - 1),
+                st.integers(-5, 4096), st.integers(-5, 4096), st.integers(0, 2),
+                st.floats(0.0, 24.0), st.floats(0.0, 24.0), _FLOATS, _FLOATS,
+            ),
+            max_size=12,
+        ),
+    )
+    def test_events_csv(self, tmp_path, ids, events):
+        events = [(u % len(ids), *rest) for u, *rest in events]
+        columns = EventColumns(
+            tuple(ids),
+            *(np.array([e[k] for e in events], dtype=np.int64) for k in range(4)),
+            np.array([e[4] for e in events], dtype=np.int8),
+            *(np.array([e[k] for e in events], dtype=np.float64) for k in range(5, 9)),
+        )
+        write_events_csv(columns, tmp_path / "events.csv")
+
+        def instant(day, hour):
+            return format_epoch(day, round(hour * 3600.0))
+
+        assert (tmp_path / "events.csv").read_bytes() == self.csv_bytes(tmp_path, EVENTS_HEADER, [
+            [ids[u], format_epoch(day), r, c, REGIMES[g].value, instant(day, start),
+             instant(day, end), repr(power), repr(energy)]
+            for u, day, r, c, g, start, end, power, energy in events
+        ])
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        keys=st.lists(st.tuples(_IDS, st.integers(FIRST_DAY, LAST_DAY)), max_size=6, unique=True),
+        step=st.sampled_from([360.0, 720.0, 1440.0]),
+        data=st.data(),
+    )
+    def test_area_profile_csv(self, tmp_path, keys, step, data):
+        n_steps = int(1440 // step)
+        aggregates = {
+            (area_id, day): AreaAggregate(
+                area_id, day, 0.0, 0.0, 0.0,
+                np.array(data.draw(st.lists(_FLOATS, min_size=n_steps, max_size=n_steps))),
+                0.0, 0,
+            )
+            for area_id, day in keys
+        }
+        write_area_profile_csv(aggregates, step, tmp_path / "profile.csv")
+        labels = [f"{int(k * step) // 60:02d}:{int(k * step) % 60:02d}" for k in range(n_steps)]
+        assert (tmp_path / "profile.csv").read_bytes() == self.csv_bytes(
+            tmp_path, ["area_id", "day", "step_start", "power_kw"], [
+                [area_id, format_epoch(day), label, repr(power)]
+                for (area_id, day), agg in sorted(aggregates.items())
+                for label, power in zip(labels, agg.demand_profile.tolist())
+            ],
+        )
 
 
 class TestPipeline:
@@ -632,6 +737,11 @@ class TestPipeline:
         trajs, stats = ingest_trajectories(Records.from_records(recs), cfg)
         assert list(trajs) == ["a"]
         assert stats.stays_emitted == 5
+        assert built == []  # the columns hold the stays; a lookup builds them
+        assert trajs["a"].stays == (
+            stay("a", CellId(1, 1), utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 10, 0)),
+            stay("a", CellId(2, 2), utc_dt(2020, 9, 2, 8, 0), utc_dt(2020, 9, 2, 10, 0)),
+        )
         assert [args[0] for args in built] == ["a", "a"]
 
 
