@@ -50,6 +50,8 @@ class GridSpec:
             raise InvalidInputError("cell_size_m must be finite and positive")
         if self.n_rows < 1 or self.n_cols < 1:
             raise InvalidInputError("grid needs at least one row and one column")
+        if self.n_rows * self.n_cols >= 2**63:  # ingest codes a cell in one int64
+            raise InvalidInputError("grid has 2**63 cells or more")
 
     @property
     def n_cells(self) -> int:

@@ -296,41 +296,65 @@ def _runs(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], cut + 1)), np.concatenate((cut, [len(breaks)]))
 
 
+def _by_user_time(user: np.ndarray, t_us: np.ndarray, cell: np.ndarray) -> tuple:
+    """`user`, `t_us` and `cell` (non-empty) in ``np.lexsort((t_us, user))``
+    order: one stable argsort of ``user << b | (t_us - t_us.min())``, b the bit
+    length of the `t_us` span, where that key fits in 63 bits."""
+    t0 = int(t_us.min())
+    b = (int(t_us.max()) - t0).bit_length()
+    if int(user.max()).bit_length() + b > 63:
+        order = np.lexsort((t_us, user))
+        return user[order], t_us[order], cell[order]
+    key = np.left_shift(user, b, dtype=np.int64) | (t_us - t0)
+    order = np.argsort(key, kind="stable")
+    key = key[order]  # only the key and cell are gathered, one at a time
+    cell = cell[order]
+    del order  # before t_us is made, so as not to add to the peak
+    t_us = key & ((1 << b) - 1)
+    t_us += t0
+    key >>= b
+    return key, t_us, cell
+
+
 def _stay_columns(
     records: Records, cfg: IngestConfig, stats: Optional[IngestStats]
 ) -> tuple[np.ndarray, ...]:
     """(user, row, col, arrival, departure) of every stay, as `extract_stays`
     returns them."""
-    order = np.lexsort((records.t_us, records.user))
-    user, t = records.user[order], records.t_us[order] // 1_000_000
-    rows, cols = locate_many(records.lat[order], records.lon[order], cfg.grid)
-    keep = rows >= 0
-    dropped = int(np.count_nonzero(~keep))
+    # each ping's cell code row * n_cols + col, -1 out of the grid, binned
+    # in slices so that locate_many's float temporaries stay small
+    grid, step = cfg.grid, 1 << 14
+    cell = np.empty(len(records), dtype=np.int64)
+    for a in range(0, len(cell), step):
+        rows, cols = locate_many(records.lat[a:a + step], records.lon[a:a + step], grid)
+        cell[a:a + step] = np.where(rows >= 0, rows * grid.n_cols + cols, -1)
+    dropped = int(np.count_nonzero(cell < 0))
     if stats is not None:
         stats.records_out_of_grid += dropped
-    if dropped:
-        user, t, rows, cols = user[keep], t[keep], rows[keep], cols[keep]
-    if len(t) == 0:
-        return (t,) * 5
+    if dropped == len(cell):
+        return (records.t_us[:0],) * 5
+    user, t, cell = _by_user_time(records.user, records.t_us, cell)
+    t //= 1_000_000
+    if dropped:  # one column at a time, so the copies never all coexist
+        keep = cell >= 0
+        user = user[keep]
+        t = t[keep]
+        cell = cell[keep]
 
-    starts, ends = _runs(
-        (user[1:] != user[:-1]) | (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    )
+    starts, ends = _runs((user[1:] != user[:-1]) | (cell[1:] != cell[:-1]))
     long_enough = t[ends] - t[starts] >= cfg.tau_s
     starts, ends = starts[long_enough], ends[long_enough]
     if len(starts) == 0:
         return (t[:0],) * 5
 
     a, b = starts[1:], starts[:-1]
-    touches = (
-        (user[a] == user[b]) & (rows[a] == rows[b]) & (cols[a] == cols[b])
-        & (t[a] == t[ends[:-1]])
-    )
+    touches = (user[a] == user[b]) & (cell[a] == cell[b]) & (t[a] == t[ends[:-1]])
     first, last = _runs(~touches)
     s, e = starts[first], ends[last]
     if stats is not None:
         stats.stays_emitted += len(s)
-    return user[s], rows[s], cols[s], t[s], t[e]
+    row, col = np.divmod(cell[s], grid.n_cols)
+    return user[s], row, col, t[s], t[e]
 
 
 def _stays(names: Sequence[str], user, row, col, arrival, departure) -> list[Stay]:
@@ -363,8 +387,9 @@ def ingest_trajectories(
     """Full pipeline over all users at once: stay extraction, the merge of
     same-cell stays less than tau apart, and the activity filter, which keeps
     users with stays on >= min_consecutive_days consecutive local days.
-    Returns the retained users' stays as columns, users in sorted order, so
-    the result is deterministic regardless of input ordering."""
+    Returns the retained users' stays as columns, users in sorted order. As
+    in `extract_stays`, a user's pings with equal timestamps keep their input
+    order, so only where they lie in different cells does that order matter."""
     stats = IngestStats(users_total=len(records.user_ids))
     user, row, col, arrival, departure = _stay_columns(records, cfg, stats)
     if len(user) == 0:

@@ -354,6 +354,13 @@ def test_grid_origin_beyond_a_pole_rejected():
         GridSpec(90.5, 0.0, 250.0, 2, 2)
 
 
+def test_grid_of_2_to_the_63_cells_rejected():
+    # ingest codes a cell as row * n_cols + col in one int64
+    GridSpec(0.0, 0.0, 250.0, 2**32, 2**31 - 1)
+    with pytest.raises(InvalidInputError):
+        GridSpec(0.0, 0.0, 250.0, 2**32, 2**31)
+
+
 def test_haversine_matches_textbook_value():
     # quarter meridian: equator to pole is ~10 001.0 km for the mean radius
     d = haversine_m(0.0, 0.0, 90.0, 0.0)

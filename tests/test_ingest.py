@@ -5,7 +5,8 @@ from __future__ import annotations
 import csv
 import gc
 import random
-from datetime import date, datetime, time, timedelta
+import tracemalloc
+from datetime import date, datetime, time, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from v2grid import (
     Regime,
     Stay,
     StayColumns,
+    SynthConfig,
     Trajectory,
     extract_stays,
+    generate,
     ingest_trajectories,
     read_records_csv,
     write_records_csv,
@@ -869,3 +872,134 @@ class TestColumnarMatchesPerUserOracle:
             assert records.lon[mine].tobytes() == np.array([r.lon for r in want]).tobytes()
         assert list(trajs.items()) == list(want_trajs.items())
         assert stats == want_stats
+
+
+_US = timedelta(microseconds=1)
+_FIRST_US = (datetime(1, 1, 1, tzinfo=timezone.utc) - EPOCH) // _US
+_LAST_US = (datetime(9999, 12, 31, 23, 59, 59, 999_999, tzinfo=timezone.utc) - EPOCH) // _US
+
+
+@st.composite
+def _user_time_columns(draw):
+    """user codes and t_us of pings drawn from a few of each, so that equal
+    (user, t_us) pairs are common. Stamps may be negative, and may span
+    years 1 to 9999, whose 59 bits with 17 or more users leave the key no
+    room."""
+    users = draw(st.lists(
+        st.one_of(st.integers(0, 40), st.integers(0, 2**40)), min_size=1, max_size=6
+    ))
+    stamps = draw(st.lists(st.one_of(
+        st.integers(-3, 3), st.integers(-10**12, 10**12),
+        st.sampled_from([_FIRST_US, _LAST_US]), st.integers(_FIRST_US, _LAST_US),
+    ), min_size=1, max_size=6))
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(users), st.sampled_from(stamps)), min_size=1, max_size=60
+    ))
+    return tuple(np.array(column, dtype=np.int64) for column in zip(*rows))
+
+
+def _counting_lexsort(monkeypatch) -> list:
+    """Patch np.lexsort to record each call in the returned list."""
+    calls, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    return calls
+
+
+class TestUserTimeSort:
+    @settings(max_examples=300, deadline=None)
+    @given(columns=_user_time_columns())
+    def test_permutation_equals_lexsort(self, columns):
+        user, t_us = columns
+        want = np.lexsort((t_us, user))
+        got_user, got_t_us, order = ingest._by_user_time(user, t_us, np.arange(len(user)))
+        assert order.tolist() == want.tolist()
+        assert got_user.tolist() == user[want].tolist()
+        assert got_t_us.tolist() == t_us[want].tolist()
+
+    @pytest.mark.parametrize("span_bits, lexsort_calls", [(58, 0), (59, 1)])
+    def test_key_is_used_up_to_63_bits(self, monkeypatch, span_bits, lexsort_calls):
+        # 32 users take 5 bits: with a 58-bit span the largest key is
+        # 2**63 - 1, and a 59-bit span falls back to lexsort
+        rng = np.random.default_rng(5)
+        t0 = -(1 << 50)
+        user = rng.integers(0, 32, 400)
+        user[:2] = 31
+        t_us = t0 + rng.choice([0, 1, 1 << (span_bits - 1), (1 << span_bits) - 1], 400)
+        t_us[:2] = t0 + (1 << span_bits) - 1
+        want = np.lexsort((t_us, user))
+        calls = _counting_lexsort(monkeypatch)
+        got_user, got_t_us, order = ingest._by_user_time(user, t_us, np.arange(400))
+        assert len(calls) == lexsort_calls
+        assert order.tolist() == want.tolist()
+        assert got_user.tolist() == user[want].tolist()
+        assert got_t_us.tolist() == t_us[want].tolist()
+
+    def test_csv_across_years_1_to_9999_equals_oracle(self, tmp_path, monkeypatch):
+        # stamps in years 1 and 9999 span 59 bits of microseconds and user
+        # codes up to 16 take 5 more, so read + ingest runs the lexsort
+        # the two periods use different cells, so that no run of pings in one
+        # cell spans the millennia between them
+        rng = random.Random(11)
+        periods = [
+            (datetime(1, 1, 1, 3), CellId(0, 0), CellId(0, 1)),
+            (datetime(9999, 12, 30, 20), CellId(3, 4), CellId(5, 5)),
+        ]
+        rows = []
+        for i in range(17):
+            for start, *cells in periods:
+                home, other = (tuple(f"{v:.6f}" for v in PROP_GRID.cell_centroid(c)) for c in cells)
+                for k in range(rng.randint(2, 8)):
+                    stamp = f"{(start + timedelta(minutes=15 * k)).isoformat()}Z"
+                    rows.append([f"u{i:02d}", stamp, *home])
+                    if rng.random() < 0.3:  # elsewhere or out of the grid, same second
+                        rows.append([f"u{i:02d}", stamp, *rng.choice([other, ("1.0", "2.0")])])
+        rng.shuffle(rows)
+        path = tmp_path / "records.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["user_id", "timestamp", "lat", "lon"])
+            writer.writerows(rows)
+        cfg = IngestConfig(tau_s=1800.0, min_consecutive_days=1, grid=PROP_GRID,
+                           utc_offset_hours=8.0)
+
+        records, skipped = read_records_csv(path)
+        calls = _counting_lexsort(monkeypatch)
+        trajs, stats = ingest_trajectories(records, cfg)
+
+        assert calls
+        by_user, want_skipped = read_records_per_row(path)
+        want_trajs, want_stats = ingest_per_user(by_user, cfg)
+        assert skipped == want_skipped == 0
+        assert stats.records_out_of_grid > 0 and stats.users_retained > 0
+        assert list(trajs.items()) == list(want_trajs.items())
+        assert stats == want_stats
+
+
+@pytest.fixture(scope="module")
+def synth_records() -> Records:
+    """About 50 k pings in `v2grid synth`'s shape: 75 users, 7 days of
+    15-min pings, grouped by user, on synth's default grid."""
+    grid = GridSpec(1.22, 103.60, 250.0, 120, 200)
+    return Records.from_records(
+        generate(SynthConfig.demo(grid, rng_seed=3, n_users=75, n_days=7), grid)
+    )
+
+
+class TestIngestMemory:
+    # the synth grid, and the same grid one row short, which leaves pings
+    # out of the grid
+    @pytest.mark.parametrize("n_rows", [120, 119])
+    def test_peak_is_at_most_1_5_times_the_columns(self, synth_records, n_rows):
+        records = synth_records
+        columns = sum(c.nbytes for c in (records.user, records.t_us, records.lat, records.lon))
+        cfg = IngestConfig(grid=GridSpec(1.22, 103.60, 250.0, n_rows, 200))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            stays, stats = ingest_trajectories(records, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) > 50_000 and stats.users_retained > 0
+        assert (stats.records_out_of_grid > 0) == (n_rows == 119)
+        assert peak <= 1.5 * columns
