@@ -42,7 +42,6 @@ from .engine import (
     run_scenario,
     simulate_day,
     simulate_user_days,
-    slice_trajectory_days,
 )
 from .errors import (
     InvalidConfigError,

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .engine import REGIMES, ChargeEvent, EventColumns, Regime
+from .engine import REGIMES, EventColumns, Regime
 from .geo import AreaIndex, PlanningArea, planning_area_feature, write_feature_collection
 from .ingest import EpochText, csv_fields, format_epoch, write_csv, write_lines
 
@@ -100,12 +100,9 @@ class AggregateBuilder:
         self._energy = np.zeros((0, 3))
         self._profile = np.zeros((0, scaling.steps_per_day))
 
-    def add_events(self, events: Union[EventColumns, Iterable[ChargeEvent]]) -> None:
-        """Add a batch of events, as `EventColumns` or `ChargeEvent`s. A cell
-        outside the grid raises `InvalidInputError` and leaves the builder as
-        it was."""
-        if not isinstance(events, EventColumns):
-            events = EventColumns.from_events(events)
+    def add_events(self, events: EventColumns) -> None:
+        """Add a batch of events. A cell outside the grid raises
+        `InvalidInputError` and leaves the builder as it was."""
         area = self.index.area_codes(events.row, events.col).astype(np.int64)
         if len(area) == 0:
             return

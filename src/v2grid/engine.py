@@ -17,12 +17,11 @@ arrival by (centroid distance) / (vehicle range), clamped at zero. The
 simulation is event-based: regime changes are computed in closed form, so
 traces are exact piecewise-linear curves rather than fixed-step samples.
 
-Two engines apply these rules. `simulate_day` follows one user-day and
-returns its `SocTrace` (breakpoints, events, depletion jumps); `run_scenario`
-streams those traces. `simulate_user_days` computes only the charge events,
-as `EventColumns`, for a range of user-days at once: it runs the rules stay
-rank by stay rank across all those user-days with the same float expressions,
-so its events equal `simulate_day`'s to the bit. ``v2grid run`` uses it.
+One engine, `_simulate_stays`, applies these rules to many user-days at
+once, stay rank by stay rank, as array operations. `simulate_user_days`
+returns only its charge events, as `EventColumns`; ``v2grid run`` uses it.
+`simulate_day` (one user-day) and `run_scenario` (every user-day of a set
+of trajectories) also build each user-day's `SocTrace` from its results.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
-from .geo import CellId, GridSpec, cell_distance_m, cell_distances_m
+from .geo import CellId, GridSpec, cell_distances_m
 from .ingest import (
     DAY_S,
     LINES_PER_SLICE,
@@ -48,6 +47,8 @@ from .ingest import (
     local_day_span,
     write_lines,
 )
+
+_CHUNK_USER_DAYS = 1024  # the user-days run_scenario simulates at once
 
 
 @dataclass(frozen=True)
@@ -253,17 +254,6 @@ def drive_depletion_kwh(distance_km: float, params: VehicleParams) -> float:
     return params.capacity_kwh / params.range_km * distance_km
 
 
-def _window_segments(
-    start: float, end: float, window: PvWindow
-) -> list[tuple[float, float, bool]]:
-    cuts = [start]
-    for b in (window.start_hour, window.end_hour):
-        if start < b < end:
-            cuts.append(b)
-    cuts.append(end)
-    return [(a, b, window.contains(a)) for a, b in zip(cuts, cuts[1:]) if b > a]
-
-
 def simulate_day(
     user_id: str,
     day: int,
@@ -281,101 +271,13 @@ def simulate_day(
             raise InvalidInputError("stays must be ordered and non-overlapping")
         prev_end = st.end_hour
 
-    soc = params.soc_initial
-    breakpoints: list[tuple[float, float]] = [(0.0, soc)]
-    events: list[ChargeEvent] = []
-    jumps: list[DepletionJump] = []
-    range_exceeded = 0
-    cap = params.capacity_kwh
-
-    def mark(t: float, s: float) -> None:
-        if breakpoints[-1] != (t, s):
-            breakpoints.append((t, s))
-
-    prev_cell: Optional[CellId] = None
-    for st in stays:
-        if prev_cell is not None and st.cell != prev_cell:
-            drop = cell_distance_m(prev_cell, st.cell, grid) / 1000.0 / params.range_km
-            if drop > 0.0:
-                mark(st.start_hour, soc)
-                clamped = drop > soc
-                applied = soc if clamped else drop
-                if clamped:
-                    range_exceeded += 1
-                soc = 0.0 if clamped else soc - applied
-                jumps.append(DepletionJump(st.start_hour, applied, prev_cell, st.cell, clamped))
-                mark(st.start_hour, soc)
-
-        for seg_s, seg_e, inside in _window_segments(st.start_hour, st.end_hour, window):
-            if inside:
-                target, rate, regime = (
-                    params.pv_charge_target, params.charge_power_kw, Regime.PV_CHARGE
-                )
-            elif soc > params.soc_threshold:
-                target, rate, regime = (
-                    params.soc_threshold, params.discharge_power_kw, Regime.DISCHARGE
-                )
-            else:
-                target, rate, regime = (
-                    params.soc_threshold, params.charge_power_kw, Regime.NONPV_CHARGE
-                )
-            up = regime is not Regime.DISCHARGE
-            gap = (target - soc) if up else (soc - target)
-            if gap * cap < 1e-12:  # at or past the target, or rounding dust
-                continue
-            need_h = gap * cap / rate
-            if need_h <= seg_e - seg_s:
-                energy = gap * cap
-                t1 = seg_s + need_h
-                new_soc = target
-            else:
-                energy = rate * (seg_e - seg_s)
-                t1 = seg_e
-                delta = energy / cap
-                new_soc = min(soc + delta, target) if up else max(soc - delta, target)
-            if t1 > seg_s and energy > 0.0:
-                mark(seg_s, soc)
-                events.append(
-                    ChargeEvent(user_id, day, st.cell, regime, seg_s, t1, rate, energy)
-                )
-                soc = new_soc
-                mark(t1, soc)
-        prev_cell = st.cell
-
-    mark(24.0, soc)
-    if not -1e-12 <= soc <= 1.0 + 1e-12:
-        raise InvariantViolationError(
-            f"SOC {soc} escaped [0, 1] for user {user_id} on {format_epoch(day)}"
-        )
-    return SocTrace(
-        user_id=user_id,
-        day=day,
-        breakpoints=breakpoints,
-        events=events,
-        depletion_jumps=jumps,
-        soc_initial=params.soc_initial,
-        soc_final=soc,
-        range_exceeded=range_exceeded,
-    )
-
-
-def slice_trajectory_days(
-    trajectory: Trajectory, utc_offset_s: int
-) -> dict[int, list[DayStay]]:
-    """Clip a trajectory's stays to local epoch-days. Stays spanning midnight
-    are split at the boundary; each part lands in its own day."""
-    by_day: dict[int, list[DayStay]] = {}
-    for stay in trajectory.stays:
-        d0, d1 = local_day_span(stay.arrival, stay.departure, utc_offset_s)
-        for k in range(d0, d1 + 1):
-            midnight = k * DAY_S - utc_offset_s
-            s = max(stay.arrival - midnight, 0)
-            e = min(stay.departure - midnight, DAY_S)
-            if e > s:
-                by_day.setdefault(k, []).append(
-                    DayStay(stay.cell, s / 3600.0, e / 3600.0)
-                )
-    return by_day
+    cells = [st.cell for st in stays]
+    row, col = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    hours = [(st.start_hour, st.end_hour) for st in stays]
+    start, end = np.array(hours, dtype=np.float64).reshape(-1, 2).T
+    trace = np.zeros(len(stays), dtype=np.int64)
+    run = _simulate_stays(trace, row, col, start, end, 1, params, window, grid)
+    return _soc_traces([user_id], [day], trace, cells, start, params, *run)[0]
 
 
 def day_range_of(stays: StayColumns, utc_offset_s: int) -> list[int]:
@@ -402,28 +304,32 @@ def run_scenario(
 ) -> Iterator[SocTrace]:
     """One SocTrace per user per day, streamed in (user, day) order.
 
-    The SOC resets to its initial value at every local midnight, so each
-    user-day is independent and the iteration order never affects results.
+    `trajectories` maps each user id to its `Trajectory`. `days` must be
+    ascending local epoch-days (else `InvalidInputError`), by default every
+    day from the first stay to the last. The SOC resets to its initial value
+    at every local midnight, so each user-day is independent.
     """
+    stays = StayColumns.from_trajectories(trajectories.values())
     if days is None:
-        days = day_range_of(StayColumns.from_trajectories(trajectories.values()), utc_offset_s)
-    for uid in sorted(trajectories):
-        by_day = slice_trajectory_days(trajectories[uid], utc_offset_s)
-        for day in days:
-            yield simulate_day(uid, day, by_day.get(day, ()), params, window, grid)
-
-
-# ---------------------------------------------------------------------------
-# Events-only engine on columns
-# ---------------------------------------------------------------------------
+        days = day_range_of(stays, utc_offset_s)
+    n_days = len(days)
+    n_user_days = len(stays.user_ids) * n_days
+    for lo in range(0, n_user_days, _CHUNK_USER_DAYS):
+        hi = min(lo + _CHUNK_USER_DAYS, n_user_days)
+        *_, row, col, start, end, trace = _user_day_stays(stays, days, lo, hi, utc_offset_s)
+        run = _simulate_stays(trace, row, col, start, end, hi - lo, params, window, grid)
+        user_ids = [stays.user_ids[g // n_days] for g in range(lo, hi)]
+        on = [days[g % n_days] for g in range(lo, hi)]
+        cells = list(map(CellId, row.tolist(), col.tolist()))
+        yield from _soc_traces(user_ids, on, trace, cells, start, params, *run)
 
 
 def _day_stays(
     user, row, col, arrival, departure, utc_offset_s: int
 ) -> tuple[np.ndarray, ...]:
     """(user, day, row, col, start_s, end_s) of the given stay columns clipped
-    to local days, as `slice_trajectory_days` clips them: start_s and end_s
-    are int seconds past the day's midnight. Rows come in (stay, day) order."""
+    to local days, a stay across midnight split there: start_s and end_s are
+    int seconds past the day's midnight. Rows come in (stay, day) order."""
     d0 = (arrival + utc_offset_s) // DAY_S
     n = np.maximum(d0, (departure + utc_offset_s - 1) // DAY_S) - d0 + 1
     part = np.repeat(np.arange(len(arrival)), n)
@@ -437,8 +343,8 @@ def _day_stays(
 
 
 def _window_cuts(start: np.ndarray, end: np.ndarray, window: PvWindow):
-    """(seg_start, seg_end, valid, inside) of the up to three window segments
-    of each stay, as (stays, 3) arrays; the valid ones are `_window_segments`."""
+    """(seg_start, seg_end, valid, inside) of the up to three parts of each
+    stay that the window bounds inside it cut, as (stays, 3) arrays."""
     ws, we = window.start_hour, window.end_hour
     cut1 = (start < ws) & (ws < end)
     cut2 = (start < we) & (we < end)
@@ -450,25 +356,15 @@ def _window_cuts(start: np.ndarray, end: np.ndarray, window: PvWindow):
     return seg_start, seg_end, valid, inside
 
 
-def simulate_user_days(
-    stays: StayColumns,
-    days: Sequence[int],
-    lo: int,
-    hi: int,
-    params: VehicleParams,
-    window: PvWindow,
-    grid: GridSpec,
-    utc_offset_s: int = 8 * 3600,
-) -> tuple[EventColumns, int]:
-    """Charge events and clamped trips of user-days ``lo`` to ``hi - 1`` of
-    the users of `stays` x `days` (ascending epoch-days), numbered in (user,
-    day) order.
-
-    The events are those `run_scenario` yields for the same user-days,
-    equal to the bit, in (user, day, stay, segment) order; events carry the
-    user ids of `stays`. A SOC that ends a user-day outside [-1e-12,
-    1 + 1e-12] raises `InvariantViolationError` for the first such user-day.
-    """
+def _user_day_stays(
+    stays: StayColumns, days: Sequence[int], lo: int, hi: int, utc_offset_s: int
+) -> tuple:
+    """The stays of user-days ``lo`` to ``hi - 1`` of the users of `stays` x
+    `days` (ascending epoch-days), numbered in (user, day) order, clipped to
+    those days: (names, user, day, row, col, start, end, trace) with `names`
+    the ids of the users spanned, `user` an index into them, `start` and
+    `end` in hours since the day's midnight and `trace` the user-day less
+    ``lo``, in (trace, stay) order."""
     n_days = len(days)
     days = np.asarray(days, dtype=np.int64)
     if not 0 <= lo < hi <= len(stays.user_ids) * n_days:
@@ -476,7 +372,6 @@ def simulate_user_days(
     if np.any(days[1:] <= days[:-1]):
         raise InvalidInputError("days must be ascending")
     first, stop = lo // n_days, -(-hi // n_days)
-    names = stays.user_ids[first:stop]
     a, b = stays.user_range(first, stop)
     user, day, row, col, start_s, end_s = _day_stays(
         stays.user[a:b] - first, stays.row[a:b], stays.col[a:b], stays.arrival[a:b],
@@ -496,32 +391,65 @@ def simulate_user_days(
     start, end = start_s / 3600.0, end_s / 3600.0
     if np.any((trace[1:] == trace[:-1]) & (start[1:] < end[:-1])):
         raise InvalidInputError("stays must be ordered and non-overlapping")
+    return stays.user_ids[first:stop], user, day, row, col, start, end, trace
 
-    soc, range_exceeded, events = _simulate_stays(
+
+def simulate_user_days(
+    stays: StayColumns,
+    days: Sequence[int],
+    lo: int,
+    hi: int,
+    params: VehicleParams,
+    window: PvWindow,
+    grid: GridSpec,
+    utc_offset_s: int = 8 * 3600,
+) -> tuple[EventColumns, int]:
+    """Charge events and clamped trips of user-days ``lo`` to ``hi - 1`` of
+    the users of `stays` x `days` (ascending epoch-days), numbered in (user,
+    day) order.
+
+    The events are those of `run_scenario`'s traces of the same user-days,
+    in (user, day, stay, segment) order; events carry the user ids of
+    `stays`. A SOC that ends a user-day outside [-1e-12, 1 + 1e-12] raises
+    `InvariantViolationError` for the first such user-day.
+    """
+    names, user, day, row, col, start, end, trace = _user_day_stays(
+        stays, days, lo, hi, utc_offset_s
+    )
+    soc, (_trip, clamped, *_), events = _simulate_stays(
         trace, row, col, start, end, hi - lo, params, window, grid
     )
-    bad = np.flatnonzero(~((-1e-12 <= soc) & (soc <= 1.0 + 1e-12)))
-    if len(bad):
-        g = lo + int(bad[0])
-        raise InvariantViolationError(
-            f"SOC {float(soc[bad[0]])} escaped [0, 1] for user "
-            f"{names[g // n_days - first]} on {format_epoch(int(days[g % n_days]))}"
-        )
-    stay, regime, seg_start, t1, rate, energy = events
+    n_days = len(days)
+    _check_soc(soc, lambda g: (stays.user_ids[(lo + g) // n_days], days[(lo + g) % n_days]))
+    stay, regime, seg_start, t1, rate, energy, _ = events
     return EventColumns(
         names, user[stay], day[stay], row[stay], col[stay],
         regime, seg_start, t1, rate, energy,
-    ), range_exceeded
+    ), int(np.count_nonzero(clamped))
+
+
+def _check_soc(soc: np.ndarray, user_day) -> None:
+    """Raise `InvariantViolationError` for the first user-day g, ``user_day(g)
+    = (user id, day)``, whose final SOC ``soc[g]`` is outside [-1e-12, 1 + 1e-12]."""
+    bad = np.flatnonzero(~((-1e-12 <= soc) & (soc <= 1.0 + 1e-12)))
+    if len(bad):
+        user_id, day = user_day(int(bad[0]))
+        raise InvariantViolationError(
+            f"SOC {float(soc[bad[0]])} escaped [0, 1] for user {user_id} on "
+            f"{format_epoch(int(day))}"
+        )
 
 
 def _simulate_stays(trace, row, col, start, end, n_traces, params, window, grid):
-    """`simulate_day`'s rules over the day-stays of `n_traces` user-days,
-    given in (trace, stay) order. Stays of one rank within their user-day
-    are independent of each other, so each rank and window segment is one
-    set of array operations with `simulate_day`'s float expressions.
+    """The module docstring's rules over the day-stays of `n_traces`
+    user-days, given in (trace, stay) order. Stays of one rank within their
+    user-day are independent of each other, so each rank and window segment
+    is one set of array operations.
 
-    Returns the final SOC of each user-day, the clamped-trip count and the
-    events as (stay index, regime code, start, end, power, energy) columns
+    Returns the final SOC of each user-day; per stay, (trip, clamped, drop,
+    soc): whether a trip ends at it, whether the trip's drop was clamped to
+    the SOC before it, the drop applied and the SOC after it; and the events as
+    (stay index, regime code, start, end, power, energy, SOC after) columns
     in (stay, segment) order."""
     n = len(trace)
     new_trace = np.ones(n, dtype=bool)
@@ -534,29 +462,28 @@ def _simulate_stays(trace, row, col, start, end, n_traces, params, window, grid)
     drop[moved] = cell_distances_m(
         row[moved - 1], col[moved - 1], row[moved], col[moved], grid
     ) / 1000.0 / params.range_km
+    trip = drop > 0.0
 
     # rank-major order: the stays of rank r are the slice bounds[r]:bounds[r + 1]
     order = np.argsort(rank, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(rank))))
-    trace, drop = trace[order], drop[order]
+    by_rank = trace[order], drop[order], trip[order]
     seg_start, seg_end, valid, inside = _window_cuts(start[order], end[order], window)
     regime = np.where(inside, _PV_CHARGE, _NONPV_CHARGE).astype(np.int8)
-    t1 = np.zeros((n, 3))
-    rate = np.zeros((n, 3))
-    energy = np.zeros((n, 3))
+    t1, rate, energy, soc_after = (np.zeros((n, 3)) for _ in range(4))
     emitted = np.zeros((n, 3), dtype=bool)
+    clamped = np.zeros(n, dtype=bool)
+    soc_drop, soc_after_trip = np.zeros(n), np.zeros(n)
 
     cap, thr = params.capacity_kwh, params.soc_threshold
     soc = np.full(n_traces, params.soc_initial)
-    range_exceeded = 0
     for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        t = trace[a:b]
+        t, d, hit = (c[a:b] for c in by_rank)
         s = soc[t]
-        d = drop[a:b]
-        trip = d > 0.0
-        clamped = trip & (d > s)
-        range_exceeded += int(np.count_nonzero(clamped))
-        s = np.where(clamped, 0.0, np.where(trip, s - d, s))
+        over = hit & (d > s)
+        soc_drop[a:b] = applied = np.where(over, s, d)
+        s = np.where(over, 0.0, s - applied)
+        clamped[a:b], soc_after_trip[a:b] = over, s
         for k in range(3):
             ins, seg_s, seg_e = inside[a:b, k], seg_start[a:b, k], seg_end[a:b, k]
             down = ~ins & (s > thr)
@@ -578,7 +505,7 @@ def _simulate_stays(trace, row, col, start, end, n_traces, params, window, grid)
             # gap * cap < 1e-12: at or past the target, or rounding dust
             emit = valid[a:b, k] & ~(gap_kwh < 1e-12) & (end_h > seg_s) & (e > 0.0)
             s = np.where(emit, new_soc, s)
-            emitted[a:b, k] = emit
+            emitted[a:b, k], soc_after[a:b, k] = emit, s
             regime[a:b, k][down] = _DISCHARGE
             t1[a:b, k], rate[a:b, k], energy[a:b, k] = end_h, r, e
         soc[t] = s
@@ -588,8 +515,72 @@ def _simulate_stays(trace, row, col, start, end, n_traces, params, window, grid)
     back[order] = np.arange(n)
     emitted = emitted[back]
     stay, _segment = np.nonzero(emitted)
-    columns = (regime, seg_start, t1, rate, energy)
-    return soc, range_exceeded, (stay, *(c[back][emitted] for c in columns))
+    columns = (regime, seg_start, t1, rate, energy, soc_after)
+    return (
+        soc,
+        (trip, clamped[back], soc_drop[back], soc_after_trip[back]),
+        (stay, *(c[back][emitted] for c in columns)),
+    )
+
+
+def _soc_traces(user_ids, days, trace, cells, start, params, soc, trips, events):
+    """The checked `SocTrace` of each user-day g, user ``user_ids[g]`` on
+    ``days[g]``, of a `_simulate_stays` run on stays `trace`, `cells`, `start`.
+
+    A user-day's SOC changes at each trip and event, in stay order, a trip
+    first. Each change marks a breakpoint at its start with the SOC before it
+    and one at its end with the SOC after it, between (0, initial SOC) and
+    (24, final SOC); a breakpoint equal to the one before it is left out."""
+    _check_soc(soc, lambda g: (user_ids[g], days[g]))
+    trip, clamped, soc_drop, soc_after_trip = trips
+    stay, regime, seg_start, seg_end, power, energy, soc_after_event = events
+    n = len(soc)
+    at = np.flatnonzero(trip)
+    changes = np.concatenate([at, stay])
+    order = np.argsort(changes, kind="stable")
+    g = trace[changes[order]]
+    soc_to = np.concatenate([soc_after_trip[at], soc_after_event])[order]
+    soc_from = np.roll(soc_to, 1)
+    soc_from[np.diff(g, prepend=-1) != 0] = params.soc_initial  # first of its user-day
+    marks = np.column_stack([
+        np.concatenate([start[at], seg_start])[order], soc_from,
+        np.concatenate([start[at], seg_end])[order], soc_to,
+    ]).reshape(-1, 2)
+    marks = np.concatenate([np.tile([0.0, params.soc_initial], (n, 1)), marks,
+                            np.column_stack([np.full(n, 24.0), soc])])
+    owner = np.concatenate([np.arange(n), np.repeat(g, 2), np.arange(n)])
+    by_owner = np.argsort(owner, kind="stable")
+    marks, owner = marks[by_owner], owner[by_owner]
+    # a user-day's first mark (hour 0) never equals the last one before it (hour 24)
+    kept = np.concatenate([[True], np.any(marks[1:] != marks[:-1], axis=1)])
+
+    breakpoints = list(zip(*marks[kept].T.tolist()))
+    charge_events = [
+        ChargeEvent(user_ids[u], days[u], cells[i], REGIMES[r], a, b, p, e)
+        for u, i, r, a, b, p, e in zip(
+            trace[stay].tolist(), stay.tolist(), regime.tolist(), seg_start.tolist(),
+            seg_end.tolist(), power.tolist(), energy.tolist(),
+        )
+    ]
+    jumps = [
+        DepletionJump(h, d, cells[i - 1], cells[i], c)
+        for i, h, d, c in zip(
+            at.tolist(), start[at].tolist(), soc_drop[at].tolist(), clamped[at].tolist()
+        )
+    ]
+
+    def split(items: list, of_trace: np.ndarray) -> list[list]:
+        ends = np.cumsum(np.bincount(of_trace, minlength=n)).tolist()
+        return [items[a:b] for a, b in zip([0, *ends], ends)]
+
+    return [
+        SocTrace(user_id, day, b, e, j, params.soc_initial, s, x)
+        for user_id, day, b, e, j, s, x in zip(
+            user_ids, days, split(breakpoints, owner[kept]),
+            split(charge_events, trace[stay]), split(jumps, trace[at]), soc.tolist(),
+            np.bincount(trace[at[clamped[at]]], minlength=n).tolist(),
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,11 @@ def _normalised_weights(weights: Optional[Sequence[float]], n: int) -> np.ndarra
     return w / w.sum()
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy seeds its generators with non-negative integers only
+        raise InvalidConfigError(f"rng_seed {seed} must be >= 0")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     rng_seed: int = 42
@@ -68,6 +73,7 @@ class SynthConfig:
     min_home_stay_minutes: float = 75.0  # shorter home visits are not planted
 
     def __post_init__(self) -> None:
+        _check_seed(self.rng_seed)
         if self.n_users < 1 or self.n_days < 1:
             raise InvalidConfigError("n_users and n_days must be >= 1")
         if not self.home_cells:
@@ -93,6 +99,9 @@ class SynthConfig:
             _normalised_weights(self.work_weights, len(self.work_cells))
         if self.amenity_cells:
             _normalised_weights(self.amenity_weights, len(self.amenity_cells))
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfigError(f"{name} must be finite, not {value}")
 
     @property
     def utc_offset_s(self) -> int:
@@ -107,6 +116,7 @@ class SynthConfig:
     def demo(cls, grid: GridSpec, rng_seed: int = 42, n_users: int = 100,
              n_days: int = 7, **overrides) -> "SynthConfig":
         """Config with cell pools sampled deterministically from the grid."""
+        _check_seed(rng_seed)
         rng = np.random.default_rng([rng_seed, 0xC0FFEE])
         n_cells = grid.n_cells
 

@@ -3,8 +3,11 @@
 The battery oracle integrates minute by minute, and the attendance oracle
 scans boolean day masks directly; neither reuses engine logic beyond the
 public parameter containers. The reference event engine is ``simulate_day``
-as it was before its regime rule and distance source were simplified; it
-shares only ``_window_segments`` and ``haversine_m`` with the package. The
+as it was before its regime rule and distance source were simplified and
+before it ran on the column engine: one stay and one window segment at a
+time, from ``slice_trajectory_days``'s day-stays and ``window_segments``'
+cuts; it shares only ``haversine_m``, and ``local_day_span`` for the day
+split, with the package. The
 per-user ingest is the path the package used
 before its columnar one: it reads one ``LocationRecord`` per row, extracts
 stays one user at a time, merges them per user with ``build_trajectory`` and
@@ -50,9 +53,10 @@ from v2grid import (
     haversine_m,
     locate_many,
 )
-from v2grid.engine import _window_segments
 from v2grid.geo import EARTH_RADIUS_M, PolygonParts, Ring
-from v2grid.ingest import RECORDS_HEADER, _parse_timestamp, format_epoch, local_day_span
+from v2grid.ingest import (
+    DAY_S, RECORDS_HEADER, _parse_timestamp, format_epoch, local_day_span,
+)
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -166,6 +170,38 @@ def group_events(events, stays: Sequence[DayStay]):
 # ---------------------------------------------------------------------------
 
 
+def window_segments(
+    start: float, end: float, window: PvWindow
+) -> list[tuple[float, float, bool]]:
+    """(start, end, inside the window) of the parts of [start, end] that the
+    window bounds inside it cut."""
+    cuts = [start]
+    for b in (window.start_hour, window.end_hour):
+        if start < b < end:
+            cuts.append(b)
+    cuts.append(end)
+    return [(a, b, window.contains(a)) for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
+def slice_trajectory_days(
+    trajectory: Trajectory, utc_offset_s: int
+) -> dict[int, list[DayStay]]:
+    """Clip a trajectory's stays to local epoch-days. Stays spanning midnight
+    are split at the boundary; each part lands in its own day."""
+    by_day: dict[int, list[DayStay]] = {}
+    for stay in trajectory.stays:
+        d0, d1 = local_day_span(stay.arrival, stay.departure, utc_offset_s)
+        for k in range(d0, d1 + 1):
+            midnight = k * DAY_S - utc_offset_s
+            s = max(stay.arrival - midnight, 0)
+            e = min(stay.departure - midnight, DAY_S)
+            if e > s:
+                by_day.setdefault(k, []).append(
+                    DayStay(stay.cell, s / 3600.0, e / 3600.0)
+                )
+    return by_day
+
+
 def simulate_day_reference(
     user_id: str,
     day: int,
@@ -213,7 +249,7 @@ def simulate_day_reference(
                 jumps.append(DepletionJump(st.start_hour, applied, prev_cell, st.cell, clamped))
                 mark(st.start_hour, soc)
 
-        for seg_s, seg_e, inside in _window_segments(st.start_hour, st.end_hour, window):
+        for seg_s, seg_e, inside in window_segments(st.start_hour, st.end_hour, window):
             if inside:
                 target, rate, regime, up = (
                     params.pv_charge_target, params.charge_power_kw, Regime.PV_CHARGE, True,

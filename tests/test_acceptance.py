@@ -19,6 +19,7 @@ import pytest
 from v2grid import (
     AggregateBuilder,
     CellId,
+    EventColumns,
     GridSpec,
     PvWindow,
     Records,
@@ -143,47 +144,47 @@ def test_criterion_05_invariant_suite_at_scale():
         cap = params.capacity_kwh
         n_traces = 0
         n_events = 0
-        for uid, traj in planted_trajectories(cfg):
-            for trace in run_scenario(
-                {uid: traj}, params, window, grid, utc_offset_s=8 * 3600, days=days
-            ):
-                n_traces += 1
-                for _t, s in trace.breakpoints:
-                    assert 0.0 <= s <= 1.0
-                charge = discharge = 0.0
-                for ev in trace.events:
-                    n_events += 1
-                    if ev.regime is Regime.PV_CHARGE:
-                        assert window.start_hour <= ev.start_hour
-                        assert ev.end_hour <= window.end_hour
-                        charge += ev.energy_kwh
-                    elif ev.regime is Regime.NONPV_CHARGE:
-                        assert (
-                            ev.end_hour <= window.start_hour
-                            or ev.start_hour >= window.end_hour
-                        )
-                        charge += ev.energy_kwh
-                    else:
-                        assert (
-                            ev.end_hour <= window.start_hour
-                            or ev.start_hour >= window.end_hour
-                        )
-                        discharge += ev.energy_kwh
-                jumps = sum(j.soc_drop for j in trace.depletion_jumps)
-                residual = (trace.soc_final - trace.soc_initial) - (
-                    (charge - discharge) / cap - jumps
-                )
-                assert abs(residual) < 1e-9
-                # floor and ceiling checks on the piecewise trace: discharge
-                # never runs below the threshold, charging never above bounds
-                for (t1, s1), (t2, s2) in zip(trace.breakpoints, trace.breakpoints[1:]):
-                    if t2 <= t1:
-                        continue
-                    slope = (s2 - s1) / (t2 - t1)
-                    if slope < -1e-9:  # discharging segment
-                        assert s2 >= thr - 1e-9
-                    elif slope > 1e-9:
-                        assert s2 <= 1.0 + 1e-12
+        for trace in run_scenario(
+            dict(planted_trajectories(cfg)), params, window, grid,
+            utc_offset_s=8 * 3600, days=days,
+        ):
+            n_traces += 1
+            for _t, s in trace.breakpoints:
+                assert 0.0 <= s <= 1.0
+            charge = discharge = 0.0
+            for ev in trace.events:
+                n_events += 1
+                if ev.regime is Regime.PV_CHARGE:
+                    assert window.start_hour <= ev.start_hour
+                    assert ev.end_hour <= window.end_hour
+                    charge += ev.energy_kwh
+                elif ev.regime is Regime.NONPV_CHARGE:
+                    assert (
+                        ev.end_hour <= window.start_hour
+                        or ev.start_hour >= window.end_hour
+                    )
+                    charge += ev.energy_kwh
+                else:
+                    assert (
+                        ev.end_hour <= window.start_hour
+                        or ev.start_hour >= window.end_hour
+                    )
+                    discharge += ev.energy_kwh
+            jumps = sum(j.soc_drop for j in trace.depletion_jumps)
+            residual = (trace.soc_final - trace.soc_initial) - (
+                (charge - discharge) / cap - jumps
+            )
+            assert abs(residual) < 1e-9
+            # floor and ceiling checks on the piecewise trace: discharge
+            # never runs below the threshold, charging never above bounds
+            for (t1, s1), (t2, s2) in zip(trace.breakpoints, trace.breakpoints[1:]):
+                if t2 <= t1:
+                    continue
+                slope = (s2 - s1) / (t2 - t1)
+                if slope < -1e-9:  # discharging segment
+                    assert s2 >= thr - 1e-9
+                elif slope > 1e-9:
+                    assert s2 <= 1.0 + 1e-12
         elapsed = time.perf_counter() - t0
         assert n_traces == 70_000
         assert n_events > 100_000
@@ -224,7 +225,7 @@ def test_criterion_06_scaling_laws():
             for d in (0.03, 0.06)
         }
         for b in variants.values():
-            b.add_events(events)
+            b.add_events(EventColumns.from_events(events))
         lo = variants[0.03].aggregates()
         hi = variants[0.06].aggregates()
         assert set(lo) == set(hi) and lo
@@ -240,8 +241,8 @@ def test_criterion_06_scaling_laws():
             fine = AggregateBuilder(
                 index, ScalingConfig(0.03, 400, 100_000, time_step_minutes=fine_min)
             )
-            coarse.add_events(events)
-            fine.add_events(events)
+            coarse.add_events(EventColumns.from_events(events))
+            fine.add_events(EventColumns.from_events(events))
             ca, fa = coarse.aggregates(), fine.aggregates()
             for key in ca:
                 assert fa[key].p_ev_peak_kw >= ca[key].p_ev_peak_kw - 1e-9

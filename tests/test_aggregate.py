@@ -13,6 +13,7 @@ from v2grid import (
     AggregateBuilder,
     CellId,
     ChargeEvent,
+    EventColumns,
     GridSpec,
     InvalidConfigError,
     InvalidInputError,
@@ -49,7 +50,7 @@ def paper_scaling(**overrides) -> ScalingConfig:
 
 def aggregate(events, index, scaling):
     builder = AggregateBuilder(index, scaling)
-    builder.add_events(events)
+    builder.add_events(EventColumns.from_events(events))
     return builder.aggregates()
 
 
@@ -171,8 +172,8 @@ class TestLinearityAndConservation:
         ]
         lo = AggregateBuilder(index, paper_scaling(ev_penetration=0.03))
         hi = AggregateBuilder(index, paper_scaling(ev_penetration=0.06))
-        lo.add_events(events)
-        hi.add_events(events)
+        lo.add_events(EventColumns.from_events(events))
+        hi.add_events(EventColumns.from_events(events))
         a, b = lo.aggregates(), hi.aggregates()
         assert set(a) == set(b)
         for key in a:
@@ -279,7 +280,7 @@ class TestBatchReduction:
 
         builder = AggregateBuilder(TWO_AREAS, scaling)
         for batch in batches:
-            builder.add_events(batch)
+            builder.add_events(EventColumns.from_events(batch))
         got = builder.aggregates()
         want, unassigned = aggregate_per_event(TWO_AREAS, scaling, events)
         assert list(got) == list(want)
@@ -296,7 +297,7 @@ class TestBatchReduction:
         events = [ev(regime=Regime.PV_CHARGE, start=k * dt, end=3 * dt, power=power)
                   for k, power in enumerate((1.0, 1e-16, 1e-16))]
         builder = AggregateBuilder(TWO_AREAS, scaling)
-        builder.add_events(events)
+        builder.add_events(EventColumns.from_events(events))
         (key, got), = builder.aggregates().items()
         want = aggregate_per_event(TWO_AREAS, scaling, events)[0][key]
         reverse = aggregate_per_event(TWO_AREAS, scaling, events[::-1])[0][key]
@@ -305,10 +306,12 @@ class TestBatchReduction:
 
     def test_cell_outside_the_grid_leaves_the_builder_as_it_was(self, index):
         builder = AggregateBuilder(index, paper_scaling())
-        builder.add_events([ev(regime=Regime.PV_CHARGE)])
+        builder.add_events(EventColumns.from_events([ev(regime=Regime.PV_CHARGE)]))
         before = builder.aggregates()
         with pytest.raises(InvalidInputError):
-            builder.add_events([ev(), ev(cell=OUT_CELL), ev(cell=CellId(99, 99))])
+            builder.add_events(EventColumns.from_events(
+                [ev(), ev(cell=OUT_CELL), ev(cell=CellId(99, 99))]
+            ))
         after = builder.aggregates()
         assert list(after) == list(before)
         assert all(_bits(after[k]) == _bits(before[k]) for k in before)

@@ -104,6 +104,16 @@ class TestSynthCommand:
         assert main(["synth", "--users", "2", "--tz", tz, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--mean-stays", "nan"), ("--mean-stays", "inf"), ("--ping-interval", "inf"),
+        ("--seed", "-1"),
+    ])
+    def test_non_finite_float_or_negative_seed_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--users", "2", flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_outputs_and_manifest_parameter_echo(self, tmp_path, records):

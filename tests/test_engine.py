@@ -33,7 +33,6 @@ from v2grid import (
     run_scenario,
     simulate_day,
     simulate_user_days,
-    slice_trajectory_days,
 )
 from v2grid.ingest import DAY_S
 from conftest import epoch_day, stay, utc_dt
@@ -42,6 +41,7 @@ from oracles import (
     brute_force_day,
     group_events,
     simulate_day_reference,
+    slice_trajectory_days,
 )
 
 DAY = date(2020, 9, 1)
@@ -464,13 +464,16 @@ def engine_cases(draw):
     return grid, params, window, stays
 
 
-def _trace_repr(simulate, case) -> tuple[str, ...]:
-    grid, params, window, stays = case
-    trace = simulate("u", 18506, stays, params, window, grid)
+def _trace_fields(trace) -> tuple[str, ...]:
     return tuple(map(repr, (
         trace.breakpoints, trace.events, trace.depletion_jumps,
         trace.soc_final, trace.range_exceeded,
     )))
+
+
+def _trace_repr(simulate, case) -> tuple[str, ...]:
+    grid, params, window, stays = case
+    return _trace_fields(simulate("u", 18506, stays, params, window, grid))
 
 
 _EQUATOR = GridSpec(0.0, 0.0, 250.0, 20, 20)
@@ -581,16 +584,15 @@ class TestColumnEngine:
         want = [e for trace in traces for e in trace.events]
         assert list(map(repr, EventColumns.concat(parts))) == list(map(repr, want))
         assert clamped == sum(trace.range_exceeded for trace in traces)
-        reference = [
-            e
+        reference_traces = [
+            simulate_day_reference(uid, day, by_day.get(day, ()), params, window, grid)
             for uid in sorted(trajectories)
             for by_day in [slice_trajectory_days(trajectories[uid], off)]
             for day in days
-            for e in simulate_day_reference(
-                uid, day, by_day.get(day, ()), params, window, grid
-            ).events
         ]
+        reference = [e for trace in reference_traces for e in trace.events]
         assert repr(reference) == repr(want)
+        assert list(map(_trace_fields, traces)) == list(map(_trace_fields, reference_traces))
         aggregates, unassigned = aggregate_per_event(index, scaling, want)
         assert _bits(builder.aggregates()) == _bits(aggregates)
         assert builder.events_unassigned == unassigned
@@ -616,6 +618,15 @@ class TestColumnEngine:
         with pytest.raises(InvalidInputError, match="non-overlapping"):
             list(run_scenario({"u": traj}, params, window, grid, 0))
         with pytest.raises(InvalidInputError, match="non-overlapping"):
+            simulate_user_days(stays, days, 0, 1, params, window, grid, 0)
+
+    @pytest.mark.parametrize("days", [[18506, 18505], [18506, 18506]])
+    def test_days_out_of_order_rejected(self, params, window, grid, days):
+        traj = Trajectory("u", (stay("u", A, utc_dt(2020, 9, 1, 10), utc_dt(2020, 9, 1, 12)),))
+        stays = StayColumns.from_trajectories([traj])
+        with pytest.raises(InvalidInputError, match="ascending"):
+            list(run_scenario({"u": traj}, params, window, grid, 0, days))
+        with pytest.raises(InvalidInputError, match="ascending"):
             simulate_user_days(stays, days, 0, 1, params, window, grid, 0)
 
     @pytest.mark.parametrize("lo, hi", [(0, 0), (-1, 1), (0, 3), (2, 1)])
