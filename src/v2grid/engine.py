@@ -485,6 +485,8 @@ def _simulate_stays(trace, row, col, start, end, n_traces, params, window, grid)
         s = np.where(over, 0.0, s - applied)
         clamped[a:b], soc_after_trip[a:b] = over, s
         for k in range(3):
+            if not valid[a:b, k].any():  # emits nothing, so leaves s as it is
+                continue
             ins, seg_s, seg_e = inside[a:b, k], seg_start[a:b, k], seg_end[a:b, k]
             down = ~ins & (s > thr)
             target = np.where(ins, params.pv_charge_target, thr)

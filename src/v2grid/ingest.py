@@ -298,11 +298,30 @@ def _runs(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _by_user_time(user: np.ndarray, t_us: np.ndarray, cell: np.ndarray) -> tuple:
     """`user`, `t_us` and `cell` (non-empty) in ``np.lexsort((t_us, user))``
-    order: one stable argsort of ``user << b | (t_us - t_us.min())``, b the bit
-    length of the `t_us` span, where that key fits in 63 bits."""
+    order.
+
+    Where `t_us` is already non-decreasing (a feed in time order) that is a
+    stable sort of the user codes alone: an LSD radix sort, one stable
+    argsort of each 16 bits of the codes as `uint16`, which numpy
+    radix-sorts. The sorted codes are then counted out, not gathered, unless
+    they are too sparse. Otherwise the order is one stable argsort of ``user
+    << b | (t_us - t_us.min())``, b the bit length of the `t_us` span, where
+    that key fits in 63 bits, and `np.lexsort` where it does not. Columns are
+    gathered one at a time."""
+    top = int(user.max())
+    if (t_us[1:] >= t_us[:-1]).all():
+        order = np.argsort(user.astype(np.uint16), kind="stable")  # the low 16 bits
+        for shift in range(16, top.bit_length(), 16):
+            digit = (user[order] >> shift).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
+        t_us, cell = t_us[order], cell[order]
+        if top >= len(user):  # codes too sparse to count
+            return user[order], t_us, cell
+        del order  # before user is made, so as not to add to the peak
+        return np.repeat(np.arange(top + 1), np.bincount(user)), t_us, cell
     t0 = int(t_us.min())
     b = (int(t_us.max()) - t0).bit_length()
-    if int(user.max()).bit_length() + b > 63:
+    if top.bit_length() + b > 63:
         order = np.lexsort((t_us, user))
         return user[order], t_us[order], cell[order]
     key = np.left_shift(user, b, dtype=np.int64) | (t_us - t0)
@@ -439,10 +458,22 @@ _SECOND = timedelta(seconds=1)
 _BLOCK_BYTES = 1 << 20
 _COMMA, _NEWLINE, _DOT, _MINUS, _ZERO = b",\n.-0"
 
-# separator positions and characters of YYYY-MM-DDTHH:MM:SSZ
-_SEP_AT = [4, 7, 10, 13, 16, 19]
-_SEP_CODES = np.array([ord(c) for c in "--T::Z"], dtype=np.uint32)
-_DIGIT_AT = [i for i in range(20) if i not in _SEP_AT]
+
+def _stamp_form(template: str) -> tuple[list[int], np.ndarray, list[int]]:
+    """Separator positions, their character codes and the digit positions of
+    a stamp form, whose digits are 0s and whose offset sign is a +."""
+    seps = [i for i, c in enumerate(template) if c not in "0+"]
+    digits = [i for i, c in enumerate(template) if c == "0"]
+    return seps, np.array([ord(template[i]) for i in seps], dtype=np.uint32), digits
+
+
+# the stamp forms `_canonical_epochs` reads, by length
+_STAMP_FORMS = {
+    len(t): _stamp_form(t) for t in ("0000-00-00T00:00:00Z", "0000-00-00T00:00:00+00:00")
+}
+_SIGN_AT = 19  # of the offset form
+# epoch seconds of 0001-01-01T00:00:00 and 9999-12-31T23:59:59 UTC
+_FIRST_S, _LAST_S = -62135596800, 253402300799
 
 
 def _parse_timestamp(text: str) -> datetime:
@@ -453,19 +484,26 @@ def _parse_timestamp(text: str) -> datetime:
 
 
 def _canonical_epochs(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds of the rows of `chars`, an (n, 20) array of character
-    codes, that spell YYYY-MM-DDTHH:MM:SSZ and name a real UTC time, and the
-    mask of those rows.
+    """Epoch seconds of the rows of `chars`, an (n, 20) or (n, 25) array of
+    character codes, and the mask of the rows read. A row of 20 is read when
+    it spells YYYY-MM-DDTHH:MM:SSZ and names a real UTC time; a row of 25
+    when it spells YYYY-MM-DDTHH:MM:SS±HH:MM, names a real local time, its
+    offset has hours <= 23 and minutes <= 59, and the UTC time lies in years
+    1 to 9999.
 
-    Other forms (offsets, fractions, other separators) are left to
-    `_parse_timestamp`: numpy's own datetime parser accepts strings that
+    Other forms (fractions, other separators, offset minutes of 60 or more,
+    which ``datetime.fromisoformat`` accepts) and the rows not read are left
+    to `_parse_timestamp`: numpy's own datetime parser accepts strings that
     ``datetime.fromisoformat`` rejects, such as year 0 or a leading sign.
     """
-    digits = chars[:, _DIGIT_AT] - chars.dtype.type(ord("0"))  # non-digits wrap above 9
-    ok = (chars[:, _SEP_AT] == _SEP_CODES).all(axis=1) & (digits <= 9).all(axis=1)
+    sep_at, sep_codes, digit_at = _STAMP_FORMS[chars.shape[1]]
+    digits = chars[:, digit_at] - chars.dtype.type(ord("0"))  # non-digits wrap above 9
+    ok = (chars[:, sep_at] == sep_codes).all(axis=1) & (digits <= 9).all(axis=1)
     # the other rows give garbage from here on, and are masked out
     pairs = digits.astype(np.int32)
-    century, year, month, day, hour, minute, second = (pairs[:, 0::2] * 10 + pairs[:, 1::2]).T
+    century, year, month, day, hour, minute, second, *offset = (
+        pairs[:, 0::2] * 10 + pairs[:, 1::2]
+    ).T
     year += century * 100
     ok &= (year >= 1) & (month >= 1) & (month <= 12)
     # first days of the months from the earliest to one past the latest
@@ -477,20 +515,28 @@ def _canonical_epochs(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok &= (day >= 1) & (day <= starts[m + 1] - starts[m])
     ok &= (hour < 24) & (minute < 60) & (second < 60)
     t = (starts[m] + day - 1) * DAY_S + hour * 3600 + minute * 60 + second
+    if offset:
+        off_hour, off_minute = offset
+        sign = chars[:, _SIGN_AT]
+        ok &= (sign == ord("+")) | (sign == ord("-"))
+        ok &= (off_hour <= 23) & (off_minute <= 59)
+        off = off_hour * 3600 + off_minute * 60
+        t -= np.where(sign == ord("-"), -off, off)
+        ok &= (t >= _FIRST_S) & (t <= _LAST_S)
     return np.where(ok, t, 0), ok
 
 
-def _parse_timestamps(
-    canonical: np.ndarray, chars: np.ndarray, text
-) -> tuple[np.ndarray, np.ndarray]:
-    """(epoch microseconds, ok) of n timestamps as `_parse_timestamp` reads
-    them. `canonical` masks the stamps 20 characters long and `chars` holds
-    their codes, which `_canonical_epochs` reads; the rest are parsed one by
-    one from ``text(i)``."""
-    t, ok_canonical = _canonical_epochs(chars)
-    t_us = np.zeros(len(canonical), dtype=np.int64)
-    ok = np.zeros(len(canonical), dtype=bool)
-    t_us[canonical], ok[canonical] = t * 1_000_000, ok_canonical
+def _parse_timestamps(length: np.ndarray, chars, text) -> tuple[np.ndarray, np.ndarray]:
+    """(epoch microseconds, ok) of the timestamps of `length` characters, as
+    `_parse_timestamp` reads them. ``chars(rows, width)`` gives the codes of
+    the stamps `rows`, each `width` long, for `_canonical_epochs`; the stamps
+    it does not read are parsed one by one from ``text(i)``."""
+    t_us = np.zeros(len(length), dtype=np.int64)
+    ok = np.zeros(len(length), dtype=bool)
+    for width in _STAMP_FORMS:
+        rows = np.flatnonzero(length == width)
+        t, ok[rows] = _canonical_epochs(chars(rows, width))
+        t_us[rows] = t * 1_000_000
     for i in np.flatnonzero(~ok).tolist():
         try:
             t_us[i] = (_parse_timestamp(text(i)) - _EPOCH) // _MICROSECOND
@@ -540,6 +586,13 @@ def read_records_csv(path) -> tuple[Records, int]:
     quote, a carriage return, a NUL, a non-ASCII byte or a line longer than
     ``csv.field_size_limit()`` on, `csv.reader` reads the rest of the file
     as UTF-8 text.
+
+    On both paths, stamps spelled YYYY-MM-DDTHH:MM:SSZ or
+    YYYY-MM-DDTHH:MM:SS±HH:MM are converted in one vectorised pass per block
+    (`_canonical_epochs`), and the rest one at a time by `_parse_timestamp`.
+    The byte scan finds each block's distinct user ids as uint64 words
+    (`_user_codes`), so rows in time order cost about as much as rows
+    grouped by user.
     """
     try:
         return _read_records_csv(path)
@@ -624,9 +677,8 @@ def _scan_rows(
     rows = np.flatnonzero(np.diff(before, prepend=0) == 3)
     c1, c2, c3 = (commas[before[rows] - j] for j in (3, 2, 1))
 
-    canonical = c2 - c1 == 21
     t_us, ok = _parse_timestamps(
-        canonical, _windows(data, c1[canonical] + 1, 20),
+        c2 - c1 - 1, lambda rows, width: _windows(data, c1[rows] + 1, width),
         lambda i: data[c1[i] + 1:c2[i]].tobytes().decode("ascii"),
     )
     dots = np.append(np.flatnonzero(data == _DOT), len(data))
@@ -678,26 +730,56 @@ def _parse_coordinates(
     return out
 
 
+# _KEEP[k] keeps the first k bytes of a big-endian uint64 word
+_KEEP = np.array([((1 << 8 * k) - 1) << (64 - 8 * k) for k in range(9)], dtype=np.uint64)
+
+
+def _changes(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Mask of the entries that differ from the one before them in any of
+    the equally long `columns`; the first entry always does."""
+    new = np.zeros(len(columns[0]), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        new[1:] |= column[1:] != column[:-1]
+    return new
+
+
 def _user_codes(
     data: np.ndarray, start: np.ndarray, stop: np.ndarray, index: dict[str, int]
 ) -> np.ndarray:
     """Codes in `index` of the user ids ``data[start:stop]``; new ids are
-    added to it, in sorted order.
+    added to it.
 
-    Where ids come in runs (a file grouped by user), only the first id of
-    each run is sorted: when the runs are fewer than half the rows."""
+    Each id is read as ⌈w/8⌉ big-endian uint64 words of its bytes, NUL-padded
+    to w, the length of the longest id; ids hold no NUL, so two ids are equal
+    when their words are. The distinct ids are found by sorting the words,
+    and only they are decoded. Where ids come in runs (a file grouped by
+    user), only the first id of each run is sorted: when the runs are fewer
+    than half the rows."""
     length = stop - start
-    width = max(1, int(length.max(initial=0)))
-    names = _windows(data, start, width)
-    names[np.arange(width) >= length[:, None]] = 0  # NUL-padded, as numpy bytes are
-    names = names.view(f"S{width}")[:, 0]
-    heads = np.flatnonzero(np.concatenate(([True], names[1:] != names[:-1])))
+    n_words = max(1, -(-int(length.max(initial=0)) // 8))
+    if int(start.max(initial=0)) + 8 * n_words > len(data):
+        data = np.concatenate((data, np.zeros(8 * n_words, dtype=np.uint8)))
+    # the big-endian word at each byte offset of data
+    at = np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
+    words = []
+    for j in range(n_words):
+        word = at[start + 8 * j].astype(np.uint64)
+        word &= _KEEP[np.clip(length - 8 * j, 0, 8)]
+        words.append(word)
+    heads = np.flatnonzero(_changes(words))
     runs = None
-    if 2 * len(heads) < len(names):
-        runs = np.diff(np.append(heads, len(names)))
-        names = names[heads]
-    distinct, inverse = np.unique(names, return_inverse=True)
-    codes = [index.setdefault(name.decode("ascii"), len(index)) for name in distinct.tolist()]
+    if 2 * len(heads) < len(length):
+        runs = np.diff(np.append(heads, len(length)))
+        words = [word[heads] for word in words]
+    order = np.argsort(words[0]) if n_words == 1 else np.lexsort(words)
+    words = [word[order] for word in words]
+    new = _changes(words)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    distinct = np.column_stack([word[new] for word in words]).astype(">u8")
+    names = distinct.view(f"S{8 * n_words}")[:, 0].tolist()  # NULs stripped
+    codes = [index.setdefault(name.decode("ascii"), len(index)) for name in names]
     codes = np.array(codes, dtype=np.int64)[inverse]
     return codes if runs is None else np.repeat(codes, runs)
 
@@ -722,9 +804,11 @@ def _read_csv_rows(text, header_read: bool, index: dict[str, int], columns: tupl
             if not rows:
                 continue
             uids, stamps, lat_texts, lon_texts = zip(*rows)
-            canonical = np.fromiter(map(len, stamps), dtype=np.int64, count=len(stamps)) == 20
-            chars = np.array(stamps, dtype="U20")[canonical].view(np.uint32).reshape(-1, 20)
-            t_us, ok = _parse_timestamps(canonical, chars, stamps.__getitem__)
+            length = np.fromiter(map(len, stamps), dtype=np.int64, count=len(stamps))
+            chars = np.array(stamps, dtype="U25").view(np.uint32).reshape(-1, 25)
+            t_us, ok = _parse_timestamps(
+                length, lambda rows, width: chars[rows, :width], stamps.__getitem__
+            )
             lat, lon = _parse_floats(lat_texts), _parse_floats(lon_texts)
             ok &= _in_range(lat, lon)
             skipped += len(rows) - int(np.count_nonzero(ok))

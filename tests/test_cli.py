@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -310,6 +311,34 @@ class TestRunCommand:
             assert outputs(run_pipeline(tmp_path, records, f"chunk{chunk}", flags)) == (
                 files, manifest
             )
+
+    def test_time_ordered_local_stamps_give_the_same_results(self, tmp_path, records):
+        # the same pings as a live feed sends them: in time order, stamped
+        # in local +08:00 time
+        with open(records, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        instants = [datetime.fromisoformat(row[1].replace("Z", "+00:00")) for row in rows]
+        order = sorted(range(len(rows)), key=instants.__getitem__)
+        local = timezone(timedelta(hours=8))
+        feed = tmp_path / "feed.csv"
+        with open(feed, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(
+                [rows[i][0], instants[i].astimezone(local).isoformat(), *rows[i][2:]]
+                for i in order
+            )
+        assert order != list(range(len(rows)))
+
+        results = []
+        for label, path in (("grouped", records), ("feed", feed)):
+            out_dir = run_pipeline(tmp_path, path, label)
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            results.append((
+                {name: digest(out_dir / name) for name in OUTPUT_FILES},
+                manifest["counts"], manifest["warnings"],
+            ))
+        assert results[0] == results[1]
 
     def test_run_builds_no_per_event_objects(self, tmp_path, records, monkeypatch):
         def forbidden(*_args, **_kwargs):

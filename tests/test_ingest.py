@@ -7,6 +7,7 @@ import gc
 import random
 import tracemalloc
 from datetime import date, datetime, time, timedelta, timezone
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -776,16 +777,25 @@ _odd_coords = st.sampled_from([
 def _stamp(draw, ts):
     form = draw(st.sampled_from(["Z"] * 10 + ["offset", "frac", "frac", "naive", "bad", "junk"]))
     if form == "offset":
-        hours = draw(st.integers(-12, 14))
-        local = ts + timedelta(hours=hours)
-        return f"{local:%Y-%m-%dT%H:%M:%S}{'+' if hours >= 0 else '-'}{abs(hours):02d}:00"
+        # -00:00 means UTC, +24:00 is rejected, and fromisoformat reads
+        # +05:60 as +06:00 and rejects +23:60
+        sign, hours, minutes = draw(st.one_of(
+            st.tuples(st.sampled_from("+-"), st.integers(0, 14), st.sampled_from([0, 0, 30, 45])),
+            st.sampled_from([("+", 23, 59), ("-", 23, 59), ("-", 0, 0), ("+", 24, 0),
+                             ("+", 5, 60), ("-", 23, 60)]),
+        ))
+        local = ts + int(f"{sign}1") * timedelta(hours=hours, minutes=minutes)
+        return f"{local:%Y-%m-%dT%H:%M:%S}{sign}{hours:02d}:{minutes:02d}"
     if form == "frac":
         return f"{ts:%Y-%m-%dT%H:%M:%S}.{draw(st.integers(0, 999_999)):06d}Z"
     if form == "naive":
         return f"{ts:%Y-%m-%dT%H:%M:%S}"
-    if form == "bad":  # canonical-shaped or numpy-readable, rejected by fromisoformat
+    if form == "bad":  # canonical-shaped or numpy-readable, rejected by fromisoformat,
+        # or real local times whose UTC time lies outside years 1 to 9999
         return draw(st.sampled_from(["2020-13-45T99:00:00Z", "2021-02-29T00:00:00Z",
-                                     "0000-01-01T00:00:00Z", "+2020-09-01T00:00:00"]))
+                                     "0000-01-01T00:00:00Z", "+2020-09-01T00:00:00",
+                                     "0001-01-01T00:10:00+00:30", "0001-01-01T00:00:00+00:01",
+                                     "9999-12-31T23:50:00-00:30", "9999-12-31T23:59:59-00:01"]))
     if form == "junk":
         return draw(st.sampled_from(["", "yesterday", "2020-09-01", "2020-09-01T08:00:00ZZ"]))
     return f"{ts:%Y-%m-%dT%H:%M:%SZ}"
@@ -796,8 +806,13 @@ def _visit(draw, plain=False):
     """Rows of one user pinging one place about every 15 min (a candidate
     stay), some of them malformed, some in the same second as the previous
     ping. A `plain` visit has ids that `csv.writer` writes without quotes
-    and in ASCII."""
-    uid = draw(st.sampled_from(["a", "b", ""] if plain else ["a", "c,d", "é", ""]))
+    and in ASCII, some of them longer than 8 bytes and equal in their first
+    8 bytes."""
+    uid = draw(st.sampled_from(
+        ["a", "b", "", "abcdefgh", "abcdefghi", "abcdefghij", "abcdefghijklmnopq",
+         "abcdefghijklmnopqrs", "abcdefghijklmnopqrz"]
+        if plain else ["a", "c,d", "é", ""]
+    ))
     place = draw(st.one_of(*[_cell_coords] * 5, _odd_coords))
     # whole hours over four days, mostly a few of them, so that visits of one
     # user often share seconds and some users are active on three days
@@ -818,13 +833,24 @@ def _visit(draw, plain=False):
     return rows
 
 
+def _instant(text: str) -> datetime:
+    """The UTC instant of a timestamp text; the earliest one where
+    `read_records_csv` rejects it."""
+    try:
+        return ingest._parse_timestamp(text)
+    except (ValueError, OverflowError):
+        return datetime.min.replace(tzinfo=timezone.utc)
+
+
 class TestColumnarMatchesPerUserOracle:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         plain_visits=st.lists(_visit(plain=True), max_size=20),
         visits=st.lists(_visit(), max_size=20),
-        shuffle_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        # as drawn, shuffled by a seed, or stably sorted by instant as a
+        # live feed sends them
+        row_order=st.one_of(st.sampled_from(["drawn", "instant"]), st.integers(0, 2**32 - 1)),
         quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
         newline=st.sampled_from(["\n", "\r\n", "\r"]),
         block_bytes=st.sampled_from([1, 64, 4096, ingest._BLOCK_BYTES]),
@@ -832,24 +858,28 @@ class TestColumnarMatchesPerUserOracle:
         tau_s=st.sampled_from([1800.0, 3600.0]),
     )
     def test_read_and_ingest_equal_oracle(
-        self, tmp_path, plain_visits, visits, shuffle_seed, quoting, newline, block_bytes,
+        self, tmp_path, plain_visits, visits, row_order, quoting, newline, block_bytes,
         min_days, tau_s,
     ):
         # the plain rows come first, as ASCII without quotes or carriage
         # returns, so the byte scan reads them; the other rows may hand the
-        # rest of the file to csv.reader, at the first block that holds one
-        head = [row for visit in plain_visits for row in visit]
-        rows = [row for visit in visits for row in visit]
-        if shuffle_seed is not None:
-            random.Random(shuffle_seed).shuffle(head)
-            random.Random(shuffle_seed).shuffle(rows)
+        # rest of the file to csv.reader, at the first block that holds one.
+        # Sorted by instant, the two kinds mix.
+        head = [(True, row) for visit in plain_visits for row in visit]
+        rows = [(False, row) for visit in visits for row in visit]
+        if isinstance(row_order, int):
+            random.Random(row_order).shuffle(head)
+            random.Random(row_order).shuffle(rows)
+        rows = head + rows
+        if row_order == "instant":  # malformed stamps first
+            rows.sort(key=lambda row: _instant(row[1][1]))
         path = tmp_path / "records.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             plain = csv.writer(fh, lineterminator="\n")
             writer = csv.writer(fh, quoting=quoting, lineterminator=newline)
             (plain if head else writer).writerow(["user_id", "timestamp", "lat", "lon"])
-            plain.writerows(head)
-            writer.writerows(rows)
+            for is_plain, row in rows:
+                (plain if is_plain else writer).writerow(row)
         cfg = IngestConfig(tau_s=tau_s, min_consecutive_days=min_days, grid=PROP_GRID,
                            utc_offset_hours=8.0)
 
@@ -861,6 +891,8 @@ class TestColumnarMatchesPerUserOracle:
         by_user, want_skipped = read_records_per_row(path)
         want_trajs, want_stats = ingest_per_user(by_user, cfg)
         assert skipped == want_skipped
+        if row_order == "instant":  # so ingest sorts by user alone
+            assert (records.t_us[1:] >= records.t_us[:-1]).all()
         assert records.user_ids == tuple(sorted(by_user))
         assert len(records) == sum(len(v) for v in by_user.values())
         for code, uid in enumerate(records.user_ids):
@@ -884,10 +916,13 @@ def _user_time_columns(draw):
     """user codes and t_us of pings drawn from a few of each, so that equal
     (user, t_us) pairs are common. Stamps may be negative, and may span
     years 1 to 9999, whose 59 bits with 17 or more users leave the key no
-    room."""
-    users = draw(st.lists(
-        st.one_of(st.integers(0, 40), st.integers(0, 2**40)), min_size=1, max_size=6
-    ))
+    room. Codes of 2**16 or more take a second 16-bit radix digit, and
+    codes of 2**32 or more a third. Some draws come in time order, as a
+    live feed does, with tied stamps."""
+    users = draw(st.lists(st.one_of(
+        st.integers(0, 40), st.integers(0, 2**40),
+        st.integers(2**16, 2**17), st.integers(2**32, 2**33),
+    ), min_size=1, max_size=6))
     stamps = draw(st.lists(st.one_of(
         st.integers(-3, 3), st.integers(-10**12, 10**12),
         st.sampled_from([_FIRST_US, _LAST_US]), st.integers(_FIRST_US, _LAST_US),
@@ -895,6 +930,8 @@ def _user_time_columns(draw):
     rows = draw(st.lists(
         st.tuples(st.sampled_from(users), st.sampled_from(stamps)), min_size=1, max_size=60
     ))
+    if draw(st.booleans()):
+        rows.sort(key=itemgetter(1))
     return tuple(np.array(column, dtype=np.int64) for column in zip(*rows))
 
 
@@ -987,19 +1024,26 @@ def synth_records() -> Records:
 
 class TestIngestMemory:
     # the synth grid, and the same grid one row short, which leaves pings
-    # out of the grid
+    # out of the grid; each with the rows grouped by user, as synth writes
+    # them, and in time order, as a live feed sends them
     @pytest.mark.parametrize("n_rows", [120, 119])
     def test_peak_is_at_most_1_5_times_the_columns(self, synth_records, n_rows):
-        records = synth_records
-        columns = sum(c.nbytes for c in (records.user, records.t_us, records.lat, records.lon))
+        grouped = synth_records
+        columns = (grouped.user, grouped.t_us, grouped.lat, grouped.lon)
+        order = np.argsort(grouped.t_us, kind="stable")
+        in_time = Records(grouped.user_ids, *(c[order] for c in columns))
         cfg = IngestConfig(grid=GridSpec(1.22, 103.60, 250.0, n_rows, 200))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            stays, stats = ingest_trajectories(records, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(records) > 50_000 and stats.users_retained > 0
-        assert (stats.records_out_of_grid > 0) == (n_rows == 119)
-        assert peak <= 1.5 * columns
+        results = []
+        for records in (grouped, in_time):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                stays, stats = ingest_trajectories(records, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(records) > 50_000 and stats.users_retained > 0
+            assert (stats.records_out_of_grid > 0) == (n_rows == 119)
+            assert peak <= 1.5 * sum(c.nbytes for c in columns)
+            results.append((stats, [c.tolist() for c in (stays.user, stays.arrival)]))
+        assert results[0] == results[1]
