@@ -7,6 +7,20 @@ charging infrastructure, under an uncoordinated solar-window charging scheme.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# OpenBLAS starts a spinning worker per extra CPU as numpy loads, and v2grid makes
+# no threaded BLAS call: load numpy with one thread, unless the user set a count.
+if "numpy" not in sys.modules and not os.environ.keys() & {
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"
+}:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        __import__("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .aggregate import (
     AggregateBuilder,
     AreaAggregate,

@@ -616,6 +616,7 @@ def _append(columns: tuple[array, ...], *values: np.ndarray) -> None:
 
 def _read_records_csv(path) -> tuple[Records, int]:
     index: dict[str, int] = {}
+    raw: dict[bytes, int] = {}  # the byte scan's ids, undecoded, to their codes
     columns = (array("q"), array("q"), array("d"), array("d"))
     skipped = 0
     header_read = False
@@ -640,7 +641,7 @@ def _read_records_csv(path) -> tuple[Records, int]:
                 header_read, lo, ends = True, int(ends[0]) + 1, ends[1:]
             if len(ends):
                 data = np.frombuffer(block, dtype=np.uint8)
-                skipped += _scan_rows(data, lo, ends, index, columns)
+                skipped += _scan_rows(data, lo, ends, index, raw, columns)
     return _sorted_users(index, *(np.frombuffer(c, dtype=c.typecode) for c in columns)), skipped
 
 
@@ -666,11 +667,12 @@ def _windows(data: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
 
 
 def _scan_rows(
-    data: np.ndarray, lo: int, ends: np.ndarray, index: dict[str, int], columns: tuple
+    data: np.ndarray, lo: int, ends: np.ndarray, index: dict[str, int],
+    raw: dict[bytes, int], columns: tuple,
 ) -> int:
     """Append to `columns` the rows of the plain ASCII lines ``data[lo:]``,
     which end at `ends`; returns the number of rows skipped. User codes come
-    from and go into `index`."""
+    from and go into `index` and `raw` (see `_user_codes`)."""
     starts = np.concatenate(([lo], ends[:-1] + 1))
     commas = np.flatnonzero(data[lo:] == _COMMA) + lo
     before = np.searchsorted(commas, ends)  # commas before each line end
@@ -685,7 +687,7 @@ def _scan_rows(
     lat = _parse_coordinates(data, dots, c2 + 1, c3)
     lon = _parse_coordinates(data, dots, c3 + 1, ends[rows])
     keep = np.flatnonzero(ok & _in_range(lat, lon))
-    codes = _user_codes(data, starts[rows[keep]], c1[keep], index)
+    codes = _user_codes(data, starts[rows[keep]], c1[keep], index, raw)
     _append(columns, codes, t_us[keep], lat[keep], lon[keep])
     return len(ends) - len(keep)
 
@@ -701,6 +703,10 @@ def _parse_coordinates(
     float64 holds exactly, so one IEEE division gives the correctly rounded
     value, as float() does (Clinger's fast path). A field with a non-digit
     in a digit place, and every other field, goes through float().
+
+    The significands of a template come from one matrix-vector product.
+    Every partial sum in it is an integer below 2**53, so it is exact in any
+    order, and the value does not depend on how many threads BLAS uses.
     """
     length = stop - start
     neg = data[start] == _MINUS  # a field ends before a comma or newline
@@ -745,10 +751,12 @@ def _changes(columns: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _user_codes(
-    data: np.ndarray, start: np.ndarray, stop: np.ndarray, index: dict[str, int]
+    data: np.ndarray, start: np.ndarray, stop: np.ndarray, index: dict[str, int],
+    raw: dict[bytes, int],
 ) -> np.ndarray:
     """Codes in `index` of the user ids ``data[start:stop]``; new ids are
-    added to it.
+    added to it. `raw` maps the ids' bytes to the same codes, so each id is
+    decoded once per read, the first time a block holds it.
 
     Each id is read as ⌈w/8⌉ big-endian uint64 words of its bytes, NUL-padded
     to w, the length of the longest id; ids hold no NUL, so two ids are equal
@@ -779,8 +787,11 @@ def _user_codes(
     inverse[order] = np.cumsum(new) - 1
     distinct = np.column_stack([word[new] for word in words]).astype(">u8")
     names = distinct.view(f"S{8 * n_words}")[:, 0].tolist()  # NULs stripped
-    codes = [index.setdefault(name.decode("ascii"), len(index)) for name in names]
-    codes = np.array(codes, dtype=np.int64)[inverse]
+    codes = np.array([raw.get(name, -1) for name in names], dtype=np.int64)
+    for i in np.flatnonzero(codes < 0).tolist():
+        name = names[i]
+        codes[i] = raw[name] = index.setdefault(name.decode("ascii"), len(index))
+    codes = codes[inverse]
     return codes if runs is None else np.repeat(codes, runs)
 
 

@@ -557,36 +557,72 @@ def test_grid_size_is_capped(monkeypatch):
         cli._grid_from_areas(areas, 250.0)
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _python_env(**variables: str) -> dict[str, str]:
+    """The environment for a Python subprocess that imports v2grid from this
+    checkout, without the variables that set OpenBLAS's thread count."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**env, **variables}
+
+
 def test_cli_import_leaves_out_scipy_stats(tmp_path):
     # scipy costs about 0.27 s and 20 MB at every start, so neither the import
     # nor a whole run that reaches pearson_r may load it; multiprocessing
     # would mean a process pool is back on the run path; numpy.ma, which
-    # some numpy calls import on first use, costs 10-30 ms
+    # some numpy calls import on first use, costs 10-30 ms. OpenBLAS's worker
+    # threads cost about 60 ms of CPU as numpy loads, so the process keeps
+    # one thread, and the variable that asked for it is gone again.
     records, areas, demand = (tmp_path / n for n in ("records.csv", "areas.geojson", "demand.csv"))
     assert main([
         "synth", "--users", "20", "--seed", "3", "--out", str(records),
         "--areas-out", str(areas), "--demand-out", str(demand),
     ]) == 0
     code = (
-        "import json, sys\n"
+        "import json, os, sys\n"
         "def unwanted():\n"
         "    return sorted(m for m in sys.modules\n"
         "                  if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
         "                  or m.split('.')[:2] == ['numpy', 'ma'])\n"
+        "def threads():\n"
+        "    return len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
         "from v2grid import cli\n"
-        "after_import = unwanted()\n"
+        "after_import = [unwanted(), threads(), 'OPENBLAS_NUM_THREADS' in os.environ]\n"
         "code = cli.main(sys.argv[1:])\n"
-        "print(json.dumps([after_import, code, unwanted()]))\n"
+        "print(json.dumps([after_import, code, unwanted(), threads()]))\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", code, "run", str(records), str(areas), str(demand),
          "--out-dir", str(tmp_path / "out"), "--events-csv", "--stays-csv"],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
-        capture_output=True, text=True, timeout=120,
+        env=_python_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[[], 1, False], 0, [], 1]
     # the statistics are not withheld, so pearson_r ran
     assert (tmp_path / "out" / "regression.txt").read_text().startswith("r = ")
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="OpenBLAS starts worker threads only with two or more CPUs",
+)
+def test_blas_thread_count_set_by_the_user_wins():
+    code = (
+        "import os, sys\n"
+        "__import__(sys.argv[1])\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+
+    def threads_after_import(module: str, **variables: str) -> list[str]:
+        proc = subprocess.run([sys.executable, "-c", code, module], env=_python_env(**variables),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    # without v2grid's rule, numpy's OpenBLAS starts workers here
+    count, variable = threads_after_import("numpy")
+    assert int(count) > 1 and variable == "None"
+    assert threads_after_import("v2grid", OPENBLAS_NUM_THREADS="2") == ["2", "2"]
