@@ -275,7 +275,7 @@ def _read_inputs(args: argparse.Namespace, window: PvWindow, ingest_cfg: IngestC
     night_frac = night_fraction(read_demand_csv(args.demand), window)
     grid = _grid_from_areas(areas, args.cell_size)
     index = build_area_index(grid, areas)
-    records, rows_skipped = read_records_csv(args.records)
+    records, rows_skipped = read_records_csv(args.records, grid=grid)
     stays, stats = ingest_trajectories(records, dataclasses.replace(ingest_cfg, grid=grid))
     rows_skipped += stats.rows_skipped
     counts = {

@@ -122,20 +122,30 @@ class Records:
     Ping i belongs to user ``user_ids[user[i]]``; ``user_ids`` is sorted, so
     ordering by code orders by user id. ``t_us`` is the UTC epoch microsecond
     of the timestamp; pings order by it, and stays floor it to the second.
+
+    A ping's place comes in one of two forms. In the lat/lon form, ``lat``
+    and ``lon`` hold its coordinates and ``cell`` and ``grid`` are None: 28
+    bytes per ping. In the grid form, which ``read_records_csv(path,
+    grid=grid)`` returns, ``cell`` holds the code ``row * grid.n_cols +
+    col`` of its cell in ``grid``, -1 out of the grid, and ``lat`` and
+    ``lon`` are None: 16 bytes per ping.
     """
 
     user_ids: tuple[str, ...]
-    user: np.ndarray  # int64 index into user_ids
+    user: np.ndarray  # int32 index into user_ids
     t_us: np.ndarray  # int64
-    lat: np.ndarray  # float64
-    lon: np.ndarray  # float64
+    lat: Optional[np.ndarray] = None  # float64
+    lon: Optional[np.ndarray] = None  # float64
+    cell: Optional[np.ndarray] = None  # int32
+    grid: Optional[GridSpec] = None
 
     def __len__(self) -> int:
         return len(self.t_us)
 
     @classmethod
     def from_records(cls, records: Iterable[LocationRecord]) -> "Records":
-        """The columns of `records`, pings in the order given."""
+        """The columns of `records`, in the lat/lon form, pings in the order
+        given."""
         index: dict[str, int] = {}
         codes, ts, lats, lons = [], [], [], []
         for r in records:
@@ -143,23 +153,31 @@ class Records:
             ts.append((r.timestamp - _EPOCH) // _MICROSECOND)
             lats.append(r.lat)
             lons.append(r.lon)
-        return _sorted_users(
-            index,
-            np.array(codes, dtype=np.int64),
+        return cls(
+            *_sorted_users(index, np.array(codes, dtype=np.int32)),
             np.array(ts, dtype=np.int64),
             np.array(lats, dtype=np.float64),
             np.array(lons, dtype=np.float64),
         )
 
 
-def _sorted_users(index: Mapping[str, int], codes: np.ndarray, *columns) -> Records:
-    """Records whose user codes, given in `index` order, are renumbered to
-    follow the sorted user ids."""
+def _sorted_users(
+    index: Mapping[str, int], codes: np.ndarray
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The user ids of `index`, sorted, and `codes`, given in `index` order,
+    renumbered to follow them."""
     names = list(index)
     order = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), dtype=np.int64)
+    rank = np.empty(len(names), dtype=np.int32)
     rank[order] = np.arange(len(names))
-    return Records(tuple(names[i] for i in order), rank[codes], *columns)
+    return tuple(names[i] for i in order), rank[codes]
+
+
+def _cell_codes(lat: np.ndarray, lon: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The int64 code ``row * grid.n_cols + col`` of each point's cell, -1
+    out of the grid."""
+    rows, cols = locate_many(lat, lon, grid)
+    return np.where(rows >= 0, rows * grid.n_cols + cols, -1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,13 +358,18 @@ def _stay_columns(
 ) -> tuple[np.ndarray, ...]:
     """(user, row, col, arrival, departure) of every stay, as `extract_stays`
     returns them."""
-    # each ping's cell code row * n_cols + col, -1 out of the grid, binned
-    # in slices so that locate_many's float temporaries stay small
-    grid, step = cfg.grid, 1 << 14
-    cell = np.empty(len(records), dtype=np.int64)
-    for a in range(0, len(cell), step):
-        rows, cols = locate_many(records.lat[a:a + step], records.lon[a:a + step], grid)
-        cell[a:a + step] = np.where(rows >= 0, rows * grid.n_cols + cols, -1)
+    grid = cfg.grid
+    if records.grid is not None:  # the cells were located in the read
+        if records.grid != grid:
+            raise InvalidInputError(
+                f"records were located in grid {records.grid}, not the ingest grid {grid}"
+            )
+        cell = records.cell
+    else:  # binned in slices, so that locate_many's float temporaries stay small
+        step = 1 << 14
+        cell = np.empty(len(records), dtype=np.int64)
+        for a in range(0, len(cell), step):
+            cell[a:a + step] = _cell_codes(records.lat[a:a + step], records.lon[a:a + step], grid)
     dropped = int(np.count_nonzero(cell < 0))
     if stats is not None:
         stats.records_out_of_grid += dropped
@@ -372,7 +395,7 @@ def _stay_columns(
     s, e = starts[first], ends[last]
     if stats is not None:
         stats.stays_emitted += len(s)
-    row, col = np.divmod(cell[s], grid.n_cols)
+    row, col = np.divmod(cell[s].astype(np.int64), grid.n_cols)
     return user[s], row, col, t[s], t[e]
 
 
@@ -571,13 +594,18 @@ def format_timestamp(ts: datetime) -> str:
     return format_epoch(0, (ts - _EPOCH) // _SECOND) + "Z"
 
 
-def read_records_csv(path) -> tuple[Records, int]:
+def read_records_csv(path, grid: Optional[GridSpec] = None) -> tuple[Records, int]:
     """Read the ingest CSV; malformed rows are skipped and counted.
 
     A row is malformed when it does not have four fields, its timestamp is
     not ISO 8601 (naive means UTC), a coordinate is not a float, or a
     coordinate is out of range. Returns (records, skipped-row count); rows
     are kept in file order, and ingest sorts them.
+
+    Without `grid`, the records come in the lat/lon form. Given a `grid`,
+    each block's rows are located in it as they are read, and the records
+    come in its grid form: int32 user codes, int64 `t_us` and int32 cell
+    codes, 16 bytes per ping. The grid must have fewer than 2**31 cells.
 
     The file is scanned as bytes in line-aligned blocks of about
     `_BLOCK_BYTES`, with the same results as `csv.reader`: on text without
@@ -594,8 +622,10 @@ def read_records_csv(path) -> tuple[Records, int]:
     (`_user_codes`), so rows in time order cost about as much as rows
     grouped by user.
     """
+    if grid is not None and grid.n_cells >= 2**31:  # its cell codes are int32
+        raise InvalidInputError(f"grid has {grid.n_cells} cells, 2**31 or more")
     try:
-        return _read_records_csv(path)
+        return _read_records_csv(path, grid)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InvalidInputError(f"records CSV {path} cannot be read: {exc}") from exc
 
@@ -605,19 +635,24 @@ def _check_header(header: Sequence[str]) -> None:
         raise InvalidInputError(f"records CSV must have header {','.join(RECORDS_HEADER)}")
 
 
-def _append(columns: tuple[array, ...], *values: np.ndarray) -> None:
-    """Append each of `values` to its buffer in `columns`: user codes, t_us,
-    lat and lon of the rows read so far. A buffer grows in place, so the
-    rows never sit in the heap as chunks between the scan's temporaries, and
-    no concatenation doubles them at the end."""
-    for column, value in zip(columns, values):
-        column.frombytes(memoryview(value).cast("B"))
-
-
-def _read_records_csv(path) -> tuple[Records, int]:
+def _read_records_csv(path, grid: Optional[GridSpec]) -> tuple[Records, int]:
     index: dict[str, int] = {}
     raw: dict[bytes, int] = {}  # the byte scan's ids, undecoded, to their codes
-    columns = (array("q"), array("q"), array("d"), array("d"))
+    # user codes, t_us, and lat and lon or the cell codes in `grid`. A
+    # buffer grows in place, so the rows never sit in the heap as chunks
+    # between the scan's temporaries, and no concatenation doubles them at
+    # the end.
+    columns = (array("i"), array("q"), *(
+        (array("d"), array("d")) if grid is None else (array("i"),)
+    ))
+
+    def append(codes: np.ndarray, t_us: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> None:
+        """Append rows to `columns`: their codes in `index` and their
+        fields, each block's cells located in one call."""
+        place = (lat, lon) if grid is None else (_cell_codes(lat, lon, grid),)
+        for column, value in zip(columns, (codes, t_us, *place)):
+            column.frombytes(np.ascontiguousarray(value, dtype=column.typecode).data.cast("B"))
+
     skipped = 0
     header_read = False
     with open(path, "rb") as fh:
@@ -633,7 +668,7 @@ def _read_records_csv(path) -> tuple[Records, int]:
             if ends is None:
                 fh.seek(at)
                 with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-                    skipped += _read_csv_rows(text, header_read, index, columns)
+                    skipped += _read_csv_rows(text, header_read, index, append)
                 break
             lo = 0
             if not header_read:
@@ -641,8 +676,13 @@ def _read_records_csv(path) -> tuple[Records, int]:
                 header_read, lo, ends = True, int(ends[0]) + 1, ends[1:]
             if len(ends):
                 data = np.frombuffer(block, dtype=np.uint8)
-                skipped += _scan_rows(data, lo, ends, index, raw, columns)
-    return _sorted_users(index, *(np.frombuffer(c, dtype=c.typecode) for c in columns)), skipped
+                skipped += _scan_rows(data, lo, ends, index, raw, append)
+    codes, *rest = (np.frombuffer(c, dtype=c.typecode) for c in columns)
+    user_ids, user = _sorted_users(index, codes)
+    if grid is None:
+        return Records(user_ids, user, *rest), skipped
+    t_us, cell = rest
+    return Records(user_ids, user, t_us, cell=cell, grid=grid), skipped
 
 
 def _line_ends(block: bytes) -> Optional[np.ndarray]:
@@ -668,11 +708,12 @@ def _windows(data: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
 
 def _scan_rows(
     data: np.ndarray, lo: int, ends: np.ndarray, index: dict[str, int],
-    raw: dict[bytes, int], columns: tuple,
+    raw: dict[bytes, int], append,
 ) -> int:
-    """Append to `columns` the rows of the plain ASCII lines ``data[lo:]``,
-    which end at `ends`; returns the number of rows skipped. User codes come
-    from and go into `index` and `raw` (see `_user_codes`)."""
+    """Pass to ``append(codes, t_us, lat, lon)`` the rows of the plain ASCII
+    lines ``data[lo:]``, which end at `ends`; returns the number of rows
+    skipped. User codes come from and go into `index` and `raw` (see
+    `_user_codes`)."""
     starts = np.concatenate(([lo], ends[:-1] + 1))
     commas = np.flatnonzero(data[lo:] == _COMMA) + lo
     before = np.searchsorted(commas, ends)  # commas before each line end
@@ -688,7 +729,7 @@ def _scan_rows(
     lon = _parse_coordinates(data, dots, c3 + 1, ends[rows])
     keep = np.flatnonzero(ok & _in_range(lat, lon))
     codes = _user_codes(data, starts[rows[keep]], c1[keep], index, raw)
-    _append(columns, codes, t_us[keep], lat[keep], lon[keep])
+    append(codes, t_us[keep], lat[keep], lon[keep])
     return len(ends) - len(keep)
 
 
@@ -787,7 +828,7 @@ def _user_codes(
     inverse[order] = np.cumsum(new) - 1
     distinct = np.column_stack([word[new] for word in words]).astype(">u8")
     names = distinct.view(f"S{8 * n_words}")[:, 0].tolist()  # NULs stripped
-    codes = np.array([raw.get(name, -1) for name in names], dtype=np.int64)
+    codes = np.array([raw.get(name, -1) for name in names], dtype=np.int32)
     for i in np.flatnonzero(codes < 0).tolist():
         name = names[i]
         codes[i] = raw[name] = index.setdefault(name.decode("ascii"), len(index))
@@ -795,10 +836,10 @@ def _user_codes(
     return codes if runs is None else np.repeat(codes, runs)
 
 
-def _read_csv_rows(text, header_read: bool, index: dict[str, int], columns: tuple) -> int:
-    """Append to `columns` the rows `csv.reader` reads from `text`, after
-    the header unless `header_read`; returns the number of rows skipped.
-    User codes come from and go into `index`."""
+def _read_csv_rows(text, header_read: bool, index: dict[str, int], append) -> int:
+    """Pass to ``append(codes, t_us, lat, lon)`` the rows `csv.reader` reads
+    from `text`, after the header unless `header_read`; returns the number of
+    rows skipped. User codes come from and go into `index`."""
     reader = csv.reader(text)
     if not header_read and (header := next(reader, None)) is not None:
         _check_header(header)
@@ -826,8 +867,8 @@ def _read_csv_rows(text, header_read: bool, index: dict[str, int], columns: tupl
             uids = list(compress(uids, ok))
             for uid in dict.fromkeys(uids):
                 index.setdefault(uid, len(index))
-            codes = np.fromiter(map(index.__getitem__, uids), dtype=np.int64, count=len(uids))
-            _append(columns, codes, t_us[ok], lat[ok], lon[ok])
+            codes = np.fromiter(map(index.__getitem__, uids), dtype=np.int32, count=len(uids))
+            append(codes, t_us[ok], lat[ok], lon[ok])
         return skipped
     finally:
         if collecting:

@@ -7,7 +7,7 @@ import gc
 import random
 import tracemalloc
 from datetime import date, datetime, time, timedelta, timezone
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 import pytest
@@ -37,6 +37,7 @@ from v2grid import (
 )
 from v2grid.aggregate import AreaAggregate, write_area_profile_csv
 from v2grid.engine import EVENTS_HEADER, REGIMES, EventColumns, write_events_csv
+from v2grid.geo import locate_many
 from v2grid import ingest
 from v2grid.ingest import DAY_S, STAYS_HEADER, format_epoch, local_day_span, write_csv
 from conftest import ping, stay, utc_dt
@@ -842,44 +843,54 @@ def _instant(text: str) -> datetime:
         return datetime.min.replace(tzinfo=timezone.utc)
 
 
+# the oracle test's draws: the rows of visits in one of three orders,
+# written with csv.writer in one of its quoting and line-end forms, read
+# in blocks of one of four sizes and ingested with one tau and min_days
+_FILES = dict(
+    plain_visits=st.lists(_visit(plain=True), max_size=20),
+    visits=st.lists(_visit(), max_size=20),
+    # as drawn, shuffled by a seed, or stably sorted by instant as a live
+    # feed sends them
+    row_order=st.one_of(st.sampled_from(["drawn", "instant"]), st.integers(0, 2**32 - 1)),
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    block_bytes=st.sampled_from([1, 64, 4096, ingest._BLOCK_BYTES]),
+    min_days=st.sampled_from([1, 2, 3]),
+    tau_s=st.sampled_from([1800.0, 3600.0]),
+)
+
+
+def _write_visits(path, plain_visits, visits, row_order, quoting, newline) -> None:
+    """The rows of the visits as a records CSV. The plain rows come first,
+    as ASCII without quotes or carriage returns, so the byte scan reads
+    them; the other rows may hand the rest of the file to csv.reader, at the
+    first block that holds one. Sorted by instant, the two kinds mix."""
+    head = [(True, row) for visit in plain_visits for row in visit]
+    rows = [(False, row) for visit in visits for row in visit]
+    if isinstance(row_order, int):
+        random.Random(row_order).shuffle(head)
+        random.Random(row_order).shuffle(rows)
+    rows = head + rows
+    if row_order == "instant":  # malformed stamps first
+        rows.sort(key=lambda row: _instant(row[1][1]))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        plain = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, quoting=quoting, lineterminator=newline)
+        (plain if head else writer).writerow(["user_id", "timestamp", "lat", "lon"])
+        for is_plain, row in rows:
+            (plain if is_plain else writer).writerow(row)
+
+
 class TestColumnarMatchesPerUserOracle:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        plain_visits=st.lists(_visit(plain=True), max_size=20),
-        visits=st.lists(_visit(), max_size=20),
-        # as drawn, shuffled by a seed, or stably sorted by instant as a
-        # live feed sends them
-        row_order=st.one_of(st.sampled_from(["drawn", "instant"]), st.integers(0, 2**32 - 1)),
-        quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
-        newline=st.sampled_from(["\n", "\r\n", "\r"]),
-        block_bytes=st.sampled_from([1, 64, 4096, ingest._BLOCK_BYTES]),
-        min_days=st.sampled_from([1, 2, 3]),
-        tau_s=st.sampled_from([1800.0, 3600.0]),
-    )
+    @given(**_FILES)
     def test_read_and_ingest_equal_oracle(
         self, tmp_path, plain_visits, visits, row_order, quoting, newline, block_bytes,
         min_days, tau_s,
     ):
-        # the plain rows come first, as ASCII without quotes or carriage
-        # returns, so the byte scan reads them; the other rows may hand the
-        # rest of the file to csv.reader, at the first block that holds one.
-        # Sorted by instant, the two kinds mix.
-        head = [(True, row) for visit in plain_visits for row in visit]
-        rows = [(False, row) for visit in visits for row in visit]
-        if isinstance(row_order, int):
-            random.Random(row_order).shuffle(head)
-            random.Random(row_order).shuffle(rows)
-        rows = head + rows
-        if row_order == "instant":  # malformed stamps first
-            rows.sort(key=lambda row: _instant(row[1][1]))
         path = tmp_path / "records.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            plain = csv.writer(fh, lineterminator="\n")
-            writer = csv.writer(fh, quoting=quoting, lineterminator=newline)
-            (plain if head else writer).writerow(["user_id", "timestamp", "lat", "lon"])
-            for is_plain, row in rows:
-                (plain if is_plain else writer).writerow(row)
+        _write_visits(path, plain_visits, visits, row_order, quoting, newline)
         cfg = IngestConfig(tau_s=tau_s, min_consecutive_days=min_days, grid=PROP_GRID,
                            utc_offset_hours=8.0)
 
@@ -904,6 +915,74 @@ class TestColumnarMatchesPerUserOracle:
             assert records.lon[mine].tobytes() == np.array([r.lon for r in want]).tobytes()
         assert list(trajs.items()) == list(want_trajs.items())
         assert stats == want_stats
+
+
+def _assert_same_stays(got: StayColumns, want: StayColumns) -> None:
+    assert got.user_ids == want.user_ids
+    for name in ("user", "row", "col", "arrival", "departure"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
+class TestGridFormRead:
+    """``read_records_csv(path, grid=grid)`` against the lat/lon read
+    followed by `locate_many`, and ingest of the two forms."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(**_FILES)
+    def test_grid_form_equals_lat_lon_form_located(
+        self, tmp_path, plain_visits, visits, row_order, quoting, newline, block_bytes,
+        min_days, tau_s,
+    ):
+        path = tmp_path / "records.csv"
+        _write_visits(path, plain_visits, visits, row_order, quoting, newline)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+            located, skipped = read_records_csv(path, grid=PROP_GRID)
+            records, want_skipped = read_records_csv(path)
+        rows, cols = locate_many(records.lat, records.lon, PROP_GRID)
+
+        assert skipped == want_skipped
+        assert located.grid == PROP_GRID and located.lat is None and located.lon is None
+        assert records.grid is None and records.cell is None
+        assert located.user_ids == records.user_ids
+        assert located.user.dtype == records.user.dtype == np.int32
+        assert located.user.tobytes() == records.user.tobytes()
+        assert located.t_us.tobytes() == records.t_us.tobytes()
+        assert located.cell.dtype == np.int32
+        want_cell = np.where(rows >= 0, rows * PROP_GRID.n_cols + cols, -1)
+        assert located.cell.tolist() == want_cell.tolist()
+
+        cfg = IngestConfig(tau_s=tau_s, min_consecutive_days=min_days, grid=PROP_GRID,
+                           utc_offset_hours=8.0)
+        got, got_stats = ingest_trajectories(located, cfg)
+        want, want_stats = ingest_trajectories(records, cfg)
+        _assert_same_stays(got, want)
+        assert got_stats == want_stats
+
+    def test_ingest_rejects_records_located_in_another_grid(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("user_id,timestamp,lat,lon\nu,2020-09-01T08:00:00Z,1.25,103.7\n")
+        located, _ = read_records_csv(path, grid=PROP_GRID)
+        taller = GridSpec(PROP_GRID.origin_lat, PROP_GRID.origin_lon, 250.0, 7, 6)
+        with pytest.raises(InvalidInputError, match="grid"):
+            ingest_trajectories(located, IngestConfig(grid=taller))
+        assert ingest_trajectories(located, IngestConfig(grid=PROP_GRID))[1].users_total == 1
+
+    def test_grid_of_2_31_cells_rejected_before_reading(self, tmp_path):
+        # the file is not there: the grid is rejected before it is opened
+        with pytest.raises(InvalidInputError, match=r"2\*\*31"):
+            read_records_csv(tmp_path / "missing.csv", grid=GridSpec(0.0, 0.0, 250.0, 2**16, 2**15))
+
+    def test_largest_cell_code_fits_int32(self, tmp_path):
+        # 2**31 - 1 cells of 9 mm in one row: the last one has code 2**31 - 2
+        grid = GridSpec(0.0, 0.0, 0.009, 1, 2**31 - 1)
+        lat, lon = grid.cell_centroid(CellId(0, 2**31 - 2))
+        path = tmp_path / "records.csv"
+        path.write_text(f"user_id,timestamp,lat,lon\nu,2020-09-01T08:00:00Z,{lat!r},{lon!r}\n")
+        located, skipped = read_records_csv(path, grid=grid)
+        assert (located.cell.tolist(), skipped) == ([2**31 - 2], 0)
 
 
 _US = timedelta(microseconds=1)
@@ -1013,13 +1092,26 @@ class TestUserTimeSort:
 
 
 @pytest.fixture(scope="module")
-def synth_records() -> Records:
+def synth_pings() -> list[LocationRecord]:
     """About 50 k pings in `v2grid synth`'s shape: 75 users, 7 days of
     15-min pings, grouped by user, on synth's default grid."""
     grid = GridSpec(1.22, 103.60, 250.0, 120, 200)
-    return Records.from_records(
-        generate(SynthConfig.demo(grid, rng_seed=3, n_users=75, n_days=7), grid)
-    )
+    return list(generate(SynthConfig.demo(grid, rng_seed=3, n_users=75, n_days=7), grid))
+
+
+@pytest.fixture(scope="module")
+def synth_records(synth_pings) -> Records:
+    return Records.from_records(synth_pings)
+
+
+@pytest.fixture(scope="module")
+def synth_csvs(synth_pings, tmp_path_factory) -> list:
+    """`synth_pings` as records CSV files, grouped by user and in time order."""
+    out = tmp_path_factory.mktemp("synth")
+    paths = [out / "grouped.csv", out / "in_time.csv"]
+    write_records_csv(synth_pings, paths[0])
+    write_records_csv(sorted(synth_pings, key=attrgetter("timestamp")), paths[1])
+    return paths
 
 
 class TestIngestMemory:
@@ -1047,3 +1139,32 @@ class TestIngestMemory:
             assert peak <= 1.5 * sum(c.nbytes for c in columns)
             results.append((stats, [c.tolist() for c in (stays.user, stays.arrival)]))
         assert results[0] == results[1]
+
+    # the grid form's columns take 16 bytes a ping. A block's scan
+    # temporaries do not grow with the file; 64 KiB blocks keep them small
+    # beside the columns of 50 k pings, as 1 MiB blocks are beside millions.
+    @pytest.mark.parametrize("n_rows", [120, 119])
+    def test_grid_form_read_and_ingest_peak_at_most_3_times_the_columns(
+        self, synth_records, synth_csvs, monkeypatch, n_rows
+    ):
+        grid = GridSpec(1.22, 103.60, 250.0, n_rows, 200)
+        cfg = IngestConfig(grid=grid)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 16)
+        want_stays, want_stats = ingest_trajectories(synth_records, cfg)
+        for path in synth_csvs:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                records, skipped = read_records_csv(path, grid=grid)
+                held = tracemalloc.get_traced_memory()[0]
+                stays, stats = ingest_trajectories(records, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            columns = sum(c.nbytes for c in (records.user, records.t_us, records.cell))
+            assert columns == 16 * len(records) and len(records) > 50_000 and skipped == 0
+            assert (stats.records_out_of_grid > 0) == (n_rows == 119)
+            assert held <= 1.1 * columns  # the columns and a few % of growth room
+            assert peak <= 3 * columns
+            _assert_same_stays(stays, want_stays)
+            assert stats == want_stats
