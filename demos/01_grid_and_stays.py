@@ -50,7 +50,7 @@ print(f"{len(records)} pings over one day")
 print(f"first ping lands in cell {locate(records[0].lat, records[0].lon, grid)}")
 print()
 
-stays = extract_stays(Records.from_records(records), cfg)
+stays = extract_stays(Records.from_records(records, grid), cfg)
 LOCAL = timezone(timedelta(hours=8))
 print(f"{len(stays)} stays of at least {cfg.tau_s / 3600.0:g} h extracted:")
 for s in stays:

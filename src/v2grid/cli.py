@@ -57,6 +57,7 @@ from .baseline import (
     write_regression_txt,
 )
 from .engine import (
+    _CHUNK_USER_DAYS,
     EventColumns,
     PvWindow,
     VehicleParams,
@@ -90,7 +91,6 @@ from .synth import (
     write_demand_curve_csv,
 )
 
-_CHUNK_USER_DAYS = 1024  # bounds the stay and event columns held at once
 # 4096 x 4096 cells: build_area_index takes about 0.5 s and 470 MB there (2-vCPU VM)
 _MAX_GRID_CELLS = 1 << 24
 
@@ -277,7 +277,6 @@ def _read_inputs(args: argparse.Namespace, window: PvWindow, ingest_cfg: IngestC
     index = build_area_index(grid, areas)
     records, rows_skipped = read_records_csv(args.records, grid=grid)
     stays, stats = ingest_trajectories(records, dataclasses.replace(ingest_cfg, grid=grid))
-    rows_skipped += stats.rows_skipped
     counts = {
         "rows_read": len(records) + rows_skipped,
         "rows_skipped": rows_skipped,

@@ -48,7 +48,7 @@ from .ingest import (
     write_lines,
 )
 
-_CHUNK_USER_DAYS = 1024  # the user-days run_scenario simulates at once
+_CHUNK_USER_DAYS = 1024  # user-days simulated at once; bounds the columns held
 
 
 @dataclass(frozen=True)

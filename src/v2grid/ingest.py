@@ -117,35 +117,30 @@ class LocationRecord:
 
 @dataclass(frozen=True, eq=False)
 class Records:
-    """Location pings as columns, one array entry per ping.
+    """Location pings as columns, one array entry per ping, each located in
+    `grid`: 16 bytes per ping.
 
     Ping i belongs to user ``user_ids[user[i]]``; ``user_ids`` is sorted, so
     ordering by code orders by user id. ``t_us`` is the UTC epoch microsecond
     of the timestamp; pings order by it, and stays floor it to the second.
-
-    A ping's place comes in one of two forms. In the lat/lon form, ``lat``
-    and ``lon`` hold its coordinates and ``cell`` and ``grid`` are None: 28
-    bytes per ping. In the grid form, which ``read_records_csv(path,
-    grid=grid)`` returns, ``cell`` holds the code ``row * grid.n_cols +
-    col`` of its cell in ``grid``, -1 out of the grid, and ``lat`` and
-    ``lon`` are None: 16 bytes per ping.
+    ``cell`` holds the code ``row * grid.n_cols + col`` of the ping's cell,
+    -1 out of the grid.
     """
 
     user_ids: tuple[str, ...]
     user: np.ndarray  # int32 index into user_ids
     t_us: np.ndarray  # int64
-    lat: Optional[np.ndarray] = None  # float64
-    lon: Optional[np.ndarray] = None  # float64
-    cell: Optional[np.ndarray] = None  # int32
-    grid: Optional[GridSpec] = None
+    cell: np.ndarray  # int32
+    grid: GridSpec
 
     def __len__(self) -> int:
         return len(self.t_us)
 
     @classmethod
-    def from_records(cls, records: Iterable[LocationRecord]) -> "Records":
-        """The columns of `records`, in the lat/lon form, pings in the order
-        given."""
+    def from_records(cls, records: Iterable[LocationRecord], grid: GridSpec) -> "Records":
+        """The columns of `records`, located in `grid`, pings in the order
+        given. The grid must have fewer than 2**31 cells."""
+        _check_cell_codes_fit(grid)
         index: dict[str, int] = {}
         codes, ts, lats, lons = [], [], [], []
         for r in records:
@@ -156,8 +151,8 @@ class Records:
         return cls(
             *_sorted_users(index, np.array(codes, dtype=np.int32)),
             np.array(ts, dtype=np.int64),
-            np.array(lats, dtype=np.float64),
-            np.array(lons, dtype=np.float64),
+            _cell_codes(np.array(lats, dtype=np.float64), np.array(lons, dtype=np.float64), grid),
+            grid,
         )
 
 
@@ -173,11 +168,16 @@ def _sorted_users(
     return tuple(names[i] for i in order), rank[codes]
 
 
+def _check_cell_codes_fit(grid: GridSpec) -> None:
+    if grid.n_cells >= 2**31:  # its cell codes are int32
+        raise InvalidInputError(f"grid has {grid.n_cells} cells, 2**31 or more")
+
+
 def _cell_codes(lat: np.ndarray, lon: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The int64 code ``row * grid.n_cols + col`` of each point's cell, -1
+    """The int32 code ``row * grid.n_cols + col`` of each point's cell, -1
     out of the grid."""
     rows, cols = locate_many(lat, lon, grid)
-    return np.where(rows >= 0, rows * grid.n_cols + cols, -1)
+    return np.where(rows >= 0, rows * grid.n_cols + cols, -1).astype(np.int32)
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,7 +291,6 @@ class IngestConfig:
 class IngestStats:
     """Counters surfaced as run warnings."""
 
-    rows_skipped: int = 0
     records_out_of_grid: int = 0
     users_total: int = 0
     users_retained: int = 0
@@ -357,19 +356,13 @@ def _stay_columns(
     records: Records, cfg: IngestConfig, stats: Optional[IngestStats]
 ) -> tuple[np.ndarray, ...]:
     """(user, row, col, arrival, departure) of every stay, as `extract_stays`
-    returns them."""
+    returns them. The records must be located in ``cfg.grid``."""
     grid = cfg.grid
-    if records.grid is not None:  # the cells were located in the read
-        if records.grid != grid:
-            raise InvalidInputError(
-                f"records were located in grid {records.grid}, not the ingest grid {grid}"
-            )
-        cell = records.cell
-    else:  # binned in slices, so that locate_many's float temporaries stay small
-        step = 1 << 14
-        cell = np.empty(len(records), dtype=np.int64)
-        for a in range(0, len(cell), step):
-            cell[a:a + step] = _cell_codes(records.lat[a:a + step], records.lon[a:a + step], grid)
+    if records.grid != grid:
+        raise InvalidInputError(
+            f"records were located in grid {records.grid}, not the ingest grid {grid}"
+        )
+    cell = records.cell
     dropped = int(np.count_nonzero(cell < 0))
     if stats is not None:
         stats.records_out_of_grid += dropped
@@ -594,18 +587,19 @@ def format_timestamp(ts: datetime) -> str:
     return format_epoch(0, (ts - _EPOCH) // _SECOND) + "Z"
 
 
-def read_records_csv(path, grid: Optional[GridSpec] = None) -> tuple[Records, int]:
-    """Read the ingest CSV; malformed rows are skipped and counted.
+def read_records_csv(path, grid: GridSpec) -> tuple[Records, int]:
+    """Read the ingest CSV, its pings located in `grid`; malformed rows are
+    skipped and counted.
 
     A row is malformed when it does not have four fields, its timestamp is
     not ISO 8601 (naive means UTC), a coordinate is not a float, or a
     coordinate is out of range. Returns (records, skipped-row count); rows
     are kept in file order, and ingest sorts them.
 
-    Without `grid`, the records come in the lat/lon form. Given a `grid`,
-    each block's rows are located in it as they are read, and the records
-    come in its grid form: int32 user codes, int64 `t_us` and int32 cell
-    codes, 16 bytes per ping. The grid must have fewer than 2**31 cells.
+    Each block's kept rows are located in `grid` with one `locate_many`
+    call as they are read, so only int32 user codes, int64 `t_us` and int32
+    cell codes are kept: 16 bytes per ping. The grid must have fewer than
+    2**31 cells.
 
     The file is scanned as bytes in line-aligned blocks of about
     `_BLOCK_BYTES`, with the same results as `csv.reader`: on text without
@@ -622,8 +616,7 @@ def read_records_csv(path, grid: Optional[GridSpec] = None) -> tuple[Records, in
     (`_user_codes`), so rows in time order cost about as much as rows
     grouped by user.
     """
-    if grid is not None and grid.n_cells >= 2**31:  # its cell codes are int32
-        raise InvalidInputError(f"grid has {grid.n_cells} cells, 2**31 or more")
+    _check_cell_codes_fit(grid)
     try:
         return _read_records_csv(path, grid)
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -635,22 +628,18 @@ def _check_header(header: Sequence[str]) -> None:
         raise InvalidInputError(f"records CSV must have header {','.join(RECORDS_HEADER)}")
 
 
-def _read_records_csv(path, grid: Optional[GridSpec]) -> tuple[Records, int]:
+def _read_records_csv(path, grid: GridSpec) -> tuple[Records, int]:
     index: dict[str, int] = {}
     raw: dict[bytes, int] = {}  # the byte scan's ids, undecoded, to their codes
-    # user codes, t_us, and lat and lon or the cell codes in `grid`. A
-    # buffer grows in place, so the rows never sit in the heap as chunks
-    # between the scan's temporaries, and no concatenation doubles them at
-    # the end.
-    columns = (array("i"), array("q"), *(
-        (array("d"), array("d")) if grid is None else (array("i"),)
-    ))
+    # user codes, t_us and the cell codes in `grid`. A buffer grows in
+    # place, so the rows never sit in the heap as chunks between the scan's
+    # temporaries, and no concatenation doubles them at the end.
+    columns = (array("i"), array("q"), array("i"))
 
     def append(codes: np.ndarray, t_us: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> None:
         """Append rows to `columns`: their codes in `index` and their
         fields, each block's cells located in one call."""
-        place = (lat, lon) if grid is None else (_cell_codes(lat, lon, grid),)
-        for column, value in zip(columns, (codes, t_us, *place)):
+        for column, value in zip(columns, (codes, t_us, _cell_codes(lat, lon, grid))):
             column.frombytes(np.ascontiguousarray(value, dtype=column.typecode).data.cast("B"))
 
     skipped = 0
@@ -677,12 +666,8 @@ def _read_records_csv(path, grid: Optional[GridSpec]) -> tuple[Records, int]:
             if len(ends):
                 data = np.frombuffer(block, dtype=np.uint8)
                 skipped += _scan_rows(data, lo, ends, index, raw, append)
-    codes, *rest = (np.frombuffer(c, dtype=c.typecode) for c in columns)
-    user_ids, user = _sorted_users(index, codes)
-    if grid is None:
-        return Records(user_ids, user, *rest), skipped
-    t_us, cell = rest
-    return Records(user_ids, user, t_us, cell=cell, grid=grid), skipped
+    codes, t_us, cell = (np.frombuffer(c, dtype=c.typecode) for c in columns)
+    return Records(*_sorted_users(index, codes), t_us, cell, grid), skipped
 
 
 def _line_ends(block: bytes) -> Optional[np.ndarray]:

@@ -259,12 +259,12 @@ def test_criterion_07_pipeline_properties(grid, ingest_cfg):
             for _ in range(150):
                 t = t + timedelta(minutes=int(rng.integers(4, 50)))
                 recs.append(ping("u", t, grid, cells[int(rng.integers(0, len(cells)))]))
-            stays = extract_stays(Records.from_records(recs), ingest_cfg)
+            stays = extract_stays(Records.from_records(recs, grid), ingest_cfg)
             assert all(s.duration_s >= ingest_cfg.tau_s for s in stays)
             shuffled = list(recs)
             rng.shuffle(shuffled)
             shuffled.sort(key=lambda r: r.timestamp)
-            assert extract_stays(Records.from_records(shuffled), ingest_cfg) == stays
+            assert extract_stays(Records.from_records(shuffled, grid), ingest_cfg) == stays
         # consecutive-day filter against the run-length oracle, through the
         # whole ingest: one user per pattern, one two-hour visit per active
         # day in a cell of that day's own, so that no merge bridges a missing day
@@ -277,7 +277,7 @@ def test_criterion_07_pipeline_properties(grid, ingest_cfg):
             for d in np.flatnonzero(pattern)
             for h in (9, 11)
         ]
-        trajs, stats = ingest_trajectories(Records.from_records(recs), ingest_cfg)
+        trajs, stats = ingest_trajectories(Records.from_records(recs, grid), ingest_cfg)
         expected = {
             f"u{i:04d}"
             for i, pattern in enumerate(patterns)

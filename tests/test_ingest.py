@@ -45,10 +45,27 @@ from oracles import build_trajectory, filter_active_users, ingest_per_user, read
 
 X = CellId(2, 2)
 Y = CellId(5, 7)
+PROP_GRID = GridSpec(origin_lat=1.25, origin_lon=103.7, cell_size_m=250.0, n_rows=6, n_cols=6)
 
 
 def extract(recs, cfg, stats=None):
-    return extract_stays(Records.from_records(recs), cfg, stats)
+    return extract_stays(Records.from_records(recs, cfg.grid), cfg, stats)
+
+
+def _read_located(path):
+    """``read_records_csv(path, grid=PROP_GRID)``, and the lat and lon of
+    the kept rows in file order, as the read hands them to `locate_many`."""
+    lats, lons = [np.empty(0)], [np.empty(0)]
+
+    def recording(lat, lon, grid):
+        lats.append(lat)
+        lons.append(lon)
+        return locate_many(lat, lon, grid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "locate_many", recording)
+        records, skipped = read_records_csv(path, grid=PROP_GRID)
+    return records, skipped, np.concatenate(lats), np.concatenate(lons)
 
 
 class TestExtractStays:
@@ -338,7 +355,7 @@ class TestCsv:
             fh.write("u3,not-a-time,1.0,2.0\n")
             fh.write("u3,2020-09-01T08:00:00Z,91.0,2.0\n")  # latitude out of range
             fh.write("u3,2020-09-01T08:00:00Z,1.0\n")  # short row
-        records, skipped = read_records_csv(path)
+        records, skipped = read_records_csv(path, grid=grid)
         assert skipped == 3
         assert set(records.user_ids) == {"u1", "u2"}
         u1 = records.user == records.user_ids.index("u1")
@@ -366,7 +383,7 @@ class TestCsv:
     def test_timestamp_forms(self, tmp_path, stamp, epoch):
         path = tmp_path / "records.csv"
         path.write_text(f"user_id,timestamp,lat,lon\nu,{stamp},1.0,2.0\n")
-        records, skipped = read_records_csv(path)
+        records, skipped = read_records_csv(path, grid=PROP_GRID)
         if epoch is None:
             assert (len(records), skipped) == (0, 1)
         else:
@@ -393,7 +410,7 @@ class TestCsv:
     def test_rows_as_csv_reader_splits_them(self, tmp_path, text, rows, skipped):
         path = tmp_path / "records.csv"
         path.write_text(text)
-        records, got_skipped = read_records_csv(path)
+        records, got_skipped = read_records_csv(path, grid=PROP_GRID)
         by_user, want_skipped = read_records_per_row(path)
         assert (len(records), got_skipped) == (rows, skipped)
         assert (sum(map(len, by_user.values())), want_skipped) == (rows, skipped)
@@ -404,17 +421,19 @@ class TestCsv:
         path = tmp_path / "records.csv"
         path.write_text("user_id,timestamp,lat,lon\nu,2020-09-01T08:00:00Z,1.0,2.0\nx\n")
         monkeypatch.setattr(ingest, "_read_csv_rows", None)
-        records, skipped = read_records_csv(path)
+        records, skipped = read_records_csv(path, grid=PROP_GRID)
         assert (records.user_ids, len(records), skipped) == (("u",), 1, 1)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.tuples(_coordinate_texts, _coordinate_texts), min_size=1, max_size=30))
     def test_coordinates_equal_float_bit_for_bit(self, tmp_path, pairs):
-        path = tmp_path / "records.csv"
-        path.write_text("user_id,timestamp,lat,lon\n" + "".join(
-            f"u,2020-09-01T08:00:00Z,{lat},{lon}\n" for lat, lon in pairs
-        ))
+        # \n line ends take the byte scan, \r\n ones csv.reader
+        paths = [tmp_path / "scan.csv", tmp_path / "csv_reader.csv"]
+        for path, newline in zip(paths, ("\n", "\r\n")):
+            path.write_text("user_id,timestamp,lat,lon\n" + "".join(
+                f"u,2020-09-01T08:00:00Z,{lat},{lon}\n" for lat, lon in pairs
+            ), newline=newline)
         want = []
         for lat_text, lon_text in pairs:
             try:
@@ -423,10 +442,11 @@ class TestCsv:
                 continue
             if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
                 want.append((lat, lon))
-        records, skipped = read_records_csv(path)
-        assert skipped == len(pairs) - len(want)
-        assert records.lat.tobytes() == np.array([w[0] for w in want]).tobytes()
-        assert records.lon.tobytes() == np.array([w[1] for w in want]).tobytes()
+        for path in paths:
+            records, skipped, lat, lon = _read_located(path)
+            assert (len(records), skipped) == (len(want), len(pairs) - len(want))
+            assert lat.tobytes() == np.array([w[0] for w in want]).tobytes()
+            assert lon.tobytes() == np.array([w[1] for w in want]).tobytes()
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_read_restores_garbage_collector_state(self, tmp_path, enabled):
@@ -434,7 +454,7 @@ class TestCsv:
         path.write_text("user_id,timestamp,lat,lon\nu,2020-09-01T08:00:00Z,1.0,2.0\n")
         try:
             (gc.enable if enabled else gc.disable)()
-            read_records_csv(path)
+            read_records_csv(path, grid=PROP_GRID)
             assert gc.isenabled() == enabled
         finally:
             gc.enable()
@@ -452,7 +472,7 @@ class TestCsv:
             monkeypatch.setattr(ingest, name, lambda *args, real=real, kind=kind: (
                 states[kind].append(gc.isenabled()) or real(*args)
             ))
-        records, skipped = read_records_csv(path)
+        records, skipped = read_records_csv(path, grid=PROP_GRID)
         assert (records.user_ids, len(records), skipped) == (("u", "é"), 4, 0)
         assert states == {"scan": [True] * 6, "csv": [False] * 2}
         assert gc.isenabled()
@@ -461,7 +481,7 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c,d\n")
         with pytest.raises(InvalidInputError):
-            read_records_csv(path)
+            read_records_csv(path, grid=PROP_GRID)
 
     def test_stays_csv_columns(self, tmp_path):
         path = tmp_path / "stays.csv"
@@ -674,7 +694,7 @@ class TestPipeline:
             ping("b", utc_dt(2020, 9, 1, 8, 0) + timedelta(minutes=m), grid, Y)
             for m in (0, 30, 70)
         ]
-        trajs, stats = ingest_trajectories(Records.from_records(active + casual), cfg)
+        trajs, stats = ingest_trajectories(Records.from_records(active + casual, grid), cfg)
         # user a pings the same cell on both days, so the run bridges the gap
         # into one long stay that overlaps two calendar days
         assert set(trajs) == {"a"}
@@ -696,7 +716,7 @@ class TestPipeline:
             ping("u", back, grid, X),
             ping("u", back + timedelta(hours=1), grid, X),
         ]
-        trajs, stats = ingest_trajectories(Records.from_records(recs), cfg)
+        trajs, stats = ingest_trajectories(Records.from_records(recs, grid), cfg)
         assert stats.stays_emitted == 2
         assert len(trajs["u"].stays) == n_stays
         assert trajs["u"].stays[0].arrival == int(utc_dt(2020, 9, 1, 8, 0).timestamp())
@@ -707,7 +727,7 @@ class TestPipeline:
         recs = [
             ping(uid, utc_dt(2020, 9, 1, h, 0), grid, X) for uid in ("u", "v") for h in (8, 10)
         ]
-        trajs, _ = ingest_trajectories(Records.from_records(recs), cfg)
+        trajs, _ = ingest_trajectories(Records.from_records(recs, grid), cfg)
         visit = (utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 10, 0))
         assert trajs == {uid: Trajectory(uid, (stay(uid, X, *visit),)) for uid in ("u", "v")}
 
@@ -723,7 +743,7 @@ class TestPipeline:
             ping("u", utc_dt(2020, 9, 3, 0, 30), grid, X),
             ping("u", utc_dt(2020, 9, 4, 6, 30), grid, X),
         ]
-        trajs, stats = ingest_trajectories(Records.from_records(recs), cfg)
+        trajs, stats = ingest_trajectories(Records.from_records(recs, grid), cfg)
         assert stats.stays_emitted == 2
         assert trajs == {"u": Trajectory("u", (
             stay("u", X, utc_dt(2020, 8, 31, 17, 0), utc_dt(2020, 9, 4, 6, 30)),
@@ -739,7 +759,7 @@ class TestPipeline:
         ]
         built = []
         monkeypatch.setattr(ingest, "Stay", lambda *args: built.append(args) or Stay(*args))
-        trajs, stats = ingest_trajectories(Records.from_records(recs), cfg)
+        trajs, stats = ingest_trajectories(Records.from_records(recs, grid), cfg)
         assert list(trajs) == ["a"]
         assert stats.stays_emitted == 5
         assert built == []  # the columns hold the stays; a lookup builds them
@@ -754,7 +774,6 @@ class TestPipeline:
 # Columnar read + ingest against the per-user oracle on random CSV files
 # ---------------------------------------------------------------------------
 
-PROP_GRID = GridSpec(origin_lat=1.25, origin_lon=103.7, cell_size_m=250.0, n_rows=6, n_cols=6)
 PROP_CELLS = [CellId(0, 0), CellId(0, 1), CellId(3, 4)]
 DAY0 = utc_dt(2020, 9, 1)
 EPOCH = utc_dt(1970, 1, 1)
@@ -882,6 +901,9 @@ def _write_visits(path, plain_visits, visits, row_order, quoting, newline) -> No
 
 
 class TestColumnarMatchesPerUserOracle:
+    """The read and ingest against `read_records_per_row`, `locate_many` of
+    its pings and `ingest_per_user`."""
+
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(**_FILES)
@@ -896,7 +918,7 @@ class TestColumnarMatchesPerUserOracle:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
-            records, skipped = read_records_csv(path)
+            records, skipped, lat, lon = _read_located(path)
         trajs, stats = ingest_trajectories(records, cfg)
 
         by_user, want_skipped = read_records_per_row(path)
@@ -904,15 +926,24 @@ class TestColumnarMatchesPerUserOracle:
         assert skipped == want_skipped
         if row_order == "instant":  # so ingest sorts by user alone
             assert (records.t_us[1:] >= records.t_us[:-1]).all()
+        assert records.grid == PROP_GRID
+        assert (records.user.dtype, records.t_us.dtype, records.cell.dtype) == (
+            np.int32, np.int64, np.int32
+        )
         assert records.user_ids == tuple(sorted(by_user))
-        assert len(records) == sum(len(v) for v in by_user.values())
+        assert len(records) == len(lat) == sum(len(v) for v in by_user.values())
         for code, uid in enumerate(records.user_ids):
             mine, want = records.user == code, by_user[uid]
             assert records.t_us[mine].tolist() == [
                 (r.timestamp - EPOCH) // timedelta(microseconds=1) for r in want
             ]
-            assert records.lat[mine].tobytes() == np.array([r.lat for r in want]).tobytes()
-            assert records.lon[mine].tobytes() == np.array([r.lon for r in want]).tobytes()
+            want_lat = np.array([r.lat for r in want])
+            want_lon = np.array([r.lon for r in want])
+            assert lat[mine].tobytes() == want_lat.tobytes()
+            assert lon[mine].tobytes() == want_lon.tobytes()
+            rows, cols = locate_many(want_lat, want_lon, PROP_GRID)
+            want_cell = np.where(rows >= 0, rows * PROP_GRID.n_cols + cols, -1)
+            assert records.cell[mine].tolist() == want_cell.tolist()
         assert list(trajs.items()) == list(want_trajs.items())
         assert stats == want_stats
 
@@ -925,41 +956,7 @@ def _assert_same_stays(got: StayColumns, want: StayColumns) -> None:
 
 
 class TestGridFormRead:
-    """``read_records_csv(path, grid=grid)`` against the lat/lon read
-    followed by `locate_many`, and ingest of the two forms."""
-
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(**_FILES)
-    def test_grid_form_equals_lat_lon_form_located(
-        self, tmp_path, plain_visits, visits, row_order, quoting, newline, block_bytes,
-        min_days, tau_s,
-    ):
-        path = tmp_path / "records.csv"
-        _write_visits(path, plain_visits, visits, row_order, quoting, newline)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
-            located, skipped = read_records_csv(path, grid=PROP_GRID)
-            records, want_skipped = read_records_csv(path)
-        rows, cols = locate_many(records.lat, records.lon, PROP_GRID)
-
-        assert skipped == want_skipped
-        assert located.grid == PROP_GRID and located.lat is None and located.lon is None
-        assert records.grid is None and records.cell is None
-        assert located.user_ids == records.user_ids
-        assert located.user.dtype == records.user.dtype == np.int32
-        assert located.user.tobytes() == records.user.tobytes()
-        assert located.t_us.tobytes() == records.t_us.tobytes()
-        assert located.cell.dtype == np.int32
-        want_cell = np.where(rows >= 0, rows * PROP_GRID.n_cols + cols, -1)
-        assert located.cell.tolist() == want_cell.tolist()
-
-        cfg = IngestConfig(tau_s=tau_s, min_consecutive_days=min_days, grid=PROP_GRID,
-                           utc_offset_hours=8.0)
-        got, got_stats = ingest_trajectories(located, cfg)
-        want, want_stats = ingest_trajectories(records, cfg)
-        _assert_same_stays(got, want)
-        assert got_stats == want_stats
+    """The grid that records are located in."""
 
     def test_ingest_rejects_records_located_in_another_grid(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -974,6 +971,10 @@ class TestGridFormRead:
         # the file is not there: the grid is rejected before it is opened
         with pytest.raises(InvalidInputError, match=r"2\*\*31"):
             read_records_csv(tmp_path / "missing.csv", grid=GridSpec(0.0, 0.0, 250.0, 2**16, 2**15))
+
+    def test_from_records_rejects_a_grid_of_2_31_cells(self):
+        with pytest.raises(InvalidInputError, match=r"2\*\*31"):
+            Records.from_records([], GridSpec(0.0, 0.0, 250.0, 2**16, 2**15))
 
     def test_largest_cell_code_fits_int32(self, tmp_path):
         # 2**31 - 1 cells of 9 mm in one row: the last one has code 2**31 - 2
@@ -1078,7 +1079,7 @@ class TestUserTimeSort:
         cfg = IngestConfig(tau_s=1800.0, min_consecutive_days=1, grid=PROP_GRID,
                            utc_offset_hours=8.0)
 
-        records, skipped = read_records_csv(path)
+        records, skipped = read_records_csv(path, grid=PROP_GRID)
         calls = _counting_lexsort(monkeypatch)
         trajs, stats = ingest_trajectories(records, cfg)
 
@@ -1100,11 +1101,6 @@ def synth_pings() -> list[LocationRecord]:
 
 
 @pytest.fixture(scope="module")
-def synth_records(synth_pings) -> Records:
-    return Records.from_records(synth_pings)
-
-
-@pytest.fixture(scope="module")
 def synth_csvs(synth_pings, tmp_path_factory) -> list:
     """`synth_pings` as records CSV files, grouped by user and in time order."""
     out = tmp_path_factory.mktemp("synth")
@@ -1118,13 +1114,15 @@ class TestIngestMemory:
     # the synth grid, and the same grid one row short, which leaves pings
     # out of the grid; each with the rows grouped by user, as synth writes
     # them, and in time order, as a live feed sends them
+    # 42 bytes a ping: 1.5 times 28, the bytes a ping of float64 lat and
+    # lon, an int32 user code and an int64 t_us
     @pytest.mark.parametrize("n_rows", [120, 119])
-    def test_peak_is_at_most_1_5_times_the_columns(self, synth_records, n_rows):
-        grouped = synth_records
-        columns = (grouped.user, grouped.t_us, grouped.lat, grouped.lon)
-        order = np.argsort(grouped.t_us, kind="stable")
-        in_time = Records(grouped.user_ids, *(c[order] for c in columns))
+    def test_peak_is_at_most_42_bytes_a_ping(self, synth_pings, n_rows):
         cfg = IngestConfig(grid=GridSpec(1.22, 103.60, 250.0, n_rows, 200))
+        grouped = Records.from_records(synth_pings, cfg.grid)
+        order = np.argsort(grouped.t_us, kind="stable")
+        in_time = Records(grouped.user_ids, grouped.user[order], grouped.t_us[order],
+                          grouped.cell[order], grouped.grid)
         results = []
         for records in (grouped, in_time):
             gc.collect()
@@ -1136,21 +1134,21 @@ class TestIngestMemory:
                 tracemalloc.stop()
             assert len(records) > 50_000 and stats.users_retained > 0
             assert (stats.records_out_of_grid > 0) == (n_rows == 119)
-            assert peak <= 1.5 * sum(c.nbytes for c in columns)
+            assert peak <= 42 * len(records)
             results.append((stats, [c.tolist() for c in (stays.user, stays.arrival)]))
         assert results[0] == results[1]
 
-    # the grid form's columns take 16 bytes a ping. A block's scan
-    # temporaries do not grow with the file; 64 KiB blocks keep them small
-    # beside the columns of 50 k pings, as 1 MiB blocks are beside millions.
+    # the columns take 16 bytes a ping. A block's scan temporaries do not
+    # grow with the file; 64 KiB blocks keep them small beside the columns
+    # of 50 k pings, as 1 MiB blocks are beside millions.
     @pytest.mark.parametrize("n_rows", [120, 119])
     def test_grid_form_read_and_ingest_peak_at_most_3_times_the_columns(
-        self, synth_records, synth_csvs, monkeypatch, n_rows
+        self, synth_pings, synth_csvs, monkeypatch, n_rows
     ):
         grid = GridSpec(1.22, 103.60, 250.0, n_rows, 200)
         cfg = IngestConfig(grid=grid)
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 16)
-        want_stays, want_stats = ingest_trajectories(synth_records, cfg)
+        want_stays, want_stats = ingest_trajectories(Records.from_records(synth_pings, grid), cfg)
         for path in synth_csvs:
             gc.collect()
             tracemalloc.start()

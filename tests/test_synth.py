@@ -128,7 +128,7 @@ class TestPlans:
             mean_stays_per_day=3.0,
         )
         icfg = IngestConfig(grid=grid, utc_offset_hours=8.0)
-        records = Records.from_records(generate(cfg, grid))
+        records = Records.from_records(generate(cfg, grid), grid)
         assert len(records), "generator produced no pings at all"
         assert extract_stays(records, icfg) == []
 
@@ -152,7 +152,7 @@ class TestRoundTrip:
             utc_offset_hours=8.0,
         )
         planted = dict(planted_trajectories(cfg))
-        recovered, _stats = ingest_trajectories(Records.from_records(generate(cfg, grid)), icfg)
+        recovered, _stats = ingest_trajectories(Records.from_records(generate(cfg, grid), grid), icfg)
         assert set(recovered) == set(planted)
         for uid, traj in recovered.items():
             want = planted[uid].stays
@@ -166,7 +166,7 @@ class TestRoundTrip:
         cfg = small_cfg(grid, n_users=2, n_days=2)
         path = tmp_path / "records.csv"
         write_records_csv(generate(cfg, grid), path)
-        records, skipped = read_records_csv(path)
+        records, skipped = read_records_csv(path, grid=grid)
         assert skipped == 0
         assert set(records.user_ids) == {"u00000", "u00001"}
         assert len(records) == sum(1 for _ in generate(cfg, grid))
