@@ -958,6 +958,40 @@ def _assert_same_stays(got: StayColumns, want: StayColumns) -> None:
 class TestGridFormRead:
     """The grid that records are located in."""
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(**_FILES)
+    def test_grid_form_equals_lat_lon_form_located(
+        self, tmp_path, plain_visits, visits, row_order, quoting, newline, block_bytes,
+        min_days, tau_s,
+    ):
+        # the read locates each block's pings as it goes; `Records.from_records`
+        # locates the per-row oracle's lat/lon pings all at once
+        path = tmp_path / "records.csv"
+        _write_visits(path, plain_visits, visits, row_order, quoting, newline)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+            located, skipped = read_records_csv(path, grid=PROP_GRID)
+        by_user, want_skipped = read_records_per_row(path)
+        records = Records.from_records(
+            [r for uid in sorted(by_user) for r in by_user[uid]], PROP_GRID
+        )
+
+        assert skipped == want_skipped
+        assert located.grid == records.grid == PROP_GRID
+        assert located.user_ids == records.user_ids
+        order = np.argsort(located.user, kind="stable")  # file order within a user
+        for name in ("user", "t_us", "cell"):
+            a, b = getattr(located, name)[order], getattr(records, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+        cfg = IngestConfig(tau_s=tau_s, min_consecutive_days=min_days, grid=PROP_GRID,
+                           utc_offset_hours=8.0)
+        got, got_stats = ingest_trajectories(located, cfg)
+        want, want_stats = ingest_trajectories(records, cfg)
+        _assert_same_stays(got, want)
+        assert got_stats == want_stats
+
     def test_ingest_rejects_records_located_in_another_grid(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text("user_id,timestamp,lat,lon\nu,2020-09-01T08:00:00Z,1.25,103.7\n")
