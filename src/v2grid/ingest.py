@@ -324,7 +324,10 @@ def _by_user_time(user: np.ndarray, t_us: np.ndarray, cell: np.ndarray) -> tuple
     they are too sparse. Otherwise the order is one stable argsort of ``user
     << b | (t_us - t_us.min())``, b the bit length of the `t_us` span, where
     that key fits in 63 bits, and `np.lexsort` where it does not. Columns are
-    gathered one at a time."""
+    gathered one at a time. A key that is already non-decreasing (input
+    grouped by user, each user's pings in time order, as `v2grid synth`
+    writes them) is neither sorted nor gathered, and `cell` is returned
+    as given."""
     top = int(user.max())
     if (t_us[1:] >= t_us[:-1]).all():
         order = np.argsort(user.astype(np.uint16), kind="stable")  # the low 16 bits
@@ -342,10 +345,11 @@ def _by_user_time(user: np.ndarray, t_us: np.ndarray, cell: np.ndarray) -> tuple
         order = np.lexsort((t_us, user))
         return user[order], t_us[order], cell[order]
     key = np.left_shift(user, b, dtype=np.int64) | (t_us - t0)
-    order = np.argsort(key, kind="stable")
-    key = key[order]  # only the key and cell are gathered, one at a time
-    cell = cell[order]
-    del order  # before t_us is made, so as not to add to the peak
+    if not (key[1:] >= key[:-1]).all():  # input grouped by user, in time order, is sorted
+        order = np.argsort(key, kind="stable")
+        key = key[order]  # only the key and cell are gathered, one at a time
+        cell = cell[order]
+        del order  # before t_us is made, so as not to add to the peak
     t_us = key & ((1 << b) - 1)
     t_us += t0
     key >>= b
@@ -475,12 +479,12 @@ _BLOCK_BYTES = 1 << 20
 _COMMA, _NEWLINE, _DOT, _MINUS, _ZERO = b",\n.-0"
 
 
-def _stamp_form(template: str) -> tuple[list[int], np.ndarray, list[int]]:
+def _stamp_form(template: str) -> tuple[list[int], list[int], list[int]]:
     """Separator positions, their character codes and the digit positions of
     a stamp form, whose digits are 0s and whose offset sign is a +."""
     seps = [i for i, c in enumerate(template) if c not in "0+"]
     digits = [i for i, c in enumerate(template) if c == "0"]
-    return seps, np.array([ord(template[i]) for i in seps], dtype=np.uint32), digits
+    return seps, [ord(template[i]) for i in seps], digits
 
 
 # the stamp forms `_canonical_epochs` reads, by length
@@ -513,13 +517,16 @@ def _canonical_epochs(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``datetime.fromisoformat`` rejects, such as year 0 or a leading sign.
     """
     sep_at, sep_codes, digit_at = _STAMP_FORMS[chars.shape[1]]
-    digits = chars[:, digit_at] - chars.dtype.type(ord("0"))  # non-digits wrap above 9
-    ok = (chars[:, sep_at] == sep_codes).all(axis=1) & (digits <= 9).all(axis=1)
+    # one contiguous row per digit place; non-digits wrap above 9
+    digits = chars.T[digit_at] - chars.dtype.type(ord("0"))
+    ok = digits.max(axis=0) <= 9
+    for at, code in zip(sep_at, sep_codes):
+        ok &= chars[:, at] == code
     # the other rows give garbage from here on, and are masked out
-    pairs = digits.astype(np.int32)
-    century, year, month, day, hour, minute, second, *offset = (
-        pairs[:, 0::2] * 10 + pairs[:, 1::2]
-    ).T
+    pairs = digits[0::2].astype(np.int32)
+    pairs *= 10
+    pairs += digits[1::2]
+    century, year, month, day, hour, minute, second, *offset = pairs
     year += century * 100
     ok &= (year >= 1) & (month >= 1) & (month <= 12)
     # first days of the months from the earliest to one past the latest
@@ -528,7 +535,7 @@ def _canonical_epochs(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.arange(lo, hi + 2).astype("datetime64[M]").astype("datetime64[D]")
     starts = starts.astype(np.int64)
     m = np.where(ok, months - lo, 0)
-    ok &= (day >= 1) & (day <= starts[m + 1] - starts[m])
+    ok &= (day >= 1) & (day <= np.diff(starts)[m])
     ok &= (hour < 24) & (minute < 60) & (second < 60)
     t = (starts[m] + day - 1) * DAY_S + hour * 3600 + minute * 60 + second
     if offset:
@@ -553,13 +560,19 @@ def _parse_timestamps(length: np.ndarray, chars, text) -> tuple[np.ndarray, np.n
         rows = np.flatnonzero(length == width)
         t, ok[rows] = _canonical_epochs(chars(rows, width))
         t_us[rows] = t * 1_000_000
+    _parse_stamps_left(t_us, ok, text)
+    return t_us, ok
+
+
+def _parse_stamps_left(t_us: np.ndarray, ok: np.ndarray, text) -> None:
+    """Parse the timestamps not yet read, where `ok` is False, one by one
+    from ``text(i)`` into `t_us`, setting `ok` where they parse."""
     for i in np.flatnonzero(~ok).tolist():
         try:
             t_us[i] = (_parse_timestamp(text(i)) - _EPOCH) // _MICROSECOND
         except (ValueError, OverflowError):
             continue
         ok[i] = True
-    return t_us, ok
 
 
 def _float_or_nan(text: str) -> float:
@@ -615,6 +628,16 @@ def read_records_csv(path, grid: GridSpec) -> tuple[Records, int]:
     The byte scan finds each block's distinct user ids as uint64 words
     (`_user_codes`), so rows in time order cost about as much as rows
     grouped by user.
+
+    Row templates: the byte scan takes a block's template from the first
+    line of its most common length with three commas, and reads the lines
+    of that layout as one (n, width) byte matrix whose fields are fixed
+    column slices (`_template_rows`). A row of the template whose stamp
+    `_canonical_epochs` does not read, or whose coordinate has a non-digit
+    in a digit place or 16 or more digits, goes to `_parse_timestamp` and
+    float(). Lines of another length or layout are copied out and each of
+    their fields is found on its own (`_field_rows`); so are all lines of a
+    block whose template takes fewer than half of them.
     """
     _check_cell_codes_fit(grid)
     try:
@@ -698,7 +721,106 @@ def _scan_rows(
     """Pass to ``append(codes, t_us, lat, lon)`` the rows of the plain ASCII
     lines ``data[lo:]``, which end at `ends`; returns the number of rows
     skipped. User codes come from and go into `index` and `raw` (see
-    `_user_codes`)."""
+    `_user_codes`).
+
+    The lines of the block's row template are read from fixed columns
+    (`_template_rows`). The other lines are copied out, in order, and each
+    of their fields is found on its own (`_field_rows`); so are all lines
+    of a block whose template takes fewer than half of them. The rows are
+    kept in file order, and the block makes one `_user_codes` and one
+    `append` call."""
+    starts = np.concatenate(([lo], ends[:-1] + 1))
+    length = ends + 1 - starts  # each line's bytes, its newline included
+    template = _template_rows(data, lo, starts, length)
+    if template is None:
+        rows, *fields = _field_rows(data, lo, ends)
+    else:
+        rows, *fields = template
+        if len(rows) < len(ends):
+            rest = np.ones(len(ends), dtype=bool)
+            rest[rows] = False
+            lines = np.flatnonzero(rest)
+            copy = data[lo:][np.repeat(rest, length)]
+            more, *more_fields = _field_rows(copy, 0, np.cumsum(length[lines]) - 1)
+            merged = []
+            for a, b in zip(fields, more_fields):
+                column = np.zeros(len(ends), dtype=a.dtype)  # ok is False on lines of no row
+                column[rows], column[lines[more]] = a, b
+                merged.append(column)
+            rows, fields = np.arange(len(ends)), merged
+    id_length, t_us, ok, lat, lon = fields
+    keep = np.flatnonzero(ok & _in_range(lat, lon))
+    if len(keep) < len(ends):
+        starts = starts[rows[keep]]
+        id_length, t_us, lat, lon = (column[keep] for column in (id_length, t_us, lat, lon))
+    append(_user_codes(data, starts, starts + id_length, index, raw), t_us, lat, lon)
+    return len(ends) - len(keep)
+
+
+def _template_rows(data: np.ndarray, lo: int, starts: np.ndarray, length: np.ndarray) -> tuple:
+    """(rows, id length, t_us, ok, lat, lon) of the lines that take the
+    block's row template (see `read_records_csv`), `rows` their indexes
+    among the block's lines; None when they are fewer than half the lines.
+
+    A line takes the template when it has its width, commas at its comma
+    offsets and nowhere else, and its dots and minus signs. Those lines are
+    one (n, width) byte matrix, the block itself reshaped when every line
+    has the width, and each field is a fixed column slice of it."""
+    width = int(length[0])
+    if (length == width).all():
+        rows, lines = np.arange(len(length)), data[lo:].reshape(-1, width)
+    else:
+        values, counts = np.unique(length, return_counts=True)
+        width = int(values[counts.argmax()])
+        rows = np.flatnonzero(length == width)
+        lines = _windows(data, starts[rows], width)
+    commas = lines == _COMMA
+    per_row = None  # each line's comma count, where it is needed
+    first = 0
+    if np.count_nonzero(commas[0]) != 3:
+        per_row = np.count_nonzero(commas, axis=1)
+        first = int(np.argmax(per_row == 3))
+        if per_row[first] != 3:
+            return None
+    template = lines[first]
+    c1, c2, c3 = np.flatnonzero(template == _COMMA).tolist()
+    match = commas[:, c1] & commas[:, c2] & commas[:, c3]
+    # the lines with commas at the template's offsets have no other comma
+    # when the block holds no more commas than theirs
+    if np.count_nonzero(commas) != 3 * np.count_nonzero(match):
+        if per_row is None:
+            per_row = np.count_nonzero(commas, axis=1)
+        match &= per_row == 3
+    del commas
+    coordinates = []
+    for a, b in ((c2 + 1, c3), (c3 + 1, width - 1)):
+        field = template[a:b]
+        dot = int(np.argmax(field == _DOT)) if _DOT in field else -1
+        neg = b > a and field[0] == _MINUS
+        if dot >= 0:
+            match &= lines[:, a + dot] == _DOT
+        if b > a:
+            match &= (lines[:, a] == _MINUS) == neg
+        coordinates.append((a, b, dot, neg))
+    if 2 * np.count_nonzero(match) < len(length):
+        return None
+    if not match.all():
+        rows, lines = rows[match], lines[match]
+    stamps = lines[:, c1 + 1:c2]
+    if stamps.shape[1] in _STAMP_FORMS:
+        t_us, ok = _canonical_epochs(stamps)
+        t_us *= 1_000_000
+    else:
+        t_us, ok = np.zeros(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=bool)
+    _parse_stamps_left(t_us, ok, lambda i: stamps[i].tobytes().decode("ascii"))
+    lat, lon = (_parse_coordinates(lines[:, a:b], dot, neg) for a, b, dot, neg in coordinates)
+    return rows, np.full(len(rows), c1), t_us, ok, lat, lon
+
+
+def _field_rows(data: np.ndarray, lo: int, ends: np.ndarray) -> tuple:
+    """(rows, id length, t_us, ok, lat, lon) of the lines ``data[lo:]``,
+    which end at `ends`, with three commas, `rows` their indexes among the
+    lines. Each field of each line is found on its own."""
     starts = np.concatenate(([lo], ends[:-1] + 1))
     commas = np.flatnonzero(data[lo:] == _COMMA) + lo
     before = np.searchsorted(commas, ends)  # commas before each line end
@@ -710,30 +832,20 @@ def _scan_rows(
         lambda i: data[c1[i] + 1:c2[i]].tobytes().decode("ascii"),
     )
     dots = np.append(np.flatnonzero(data == _DOT), len(data))
-    lat = _parse_coordinates(data, dots, c2 + 1, c3)
-    lon = _parse_coordinates(data, dots, c3 + 1, ends[rows])
-    keep = np.flatnonzero(ok & _in_range(lat, lon))
-    codes = _user_codes(data, starts[rows[keep]], c1[keep], index, raw)
-    append(codes, t_us[keep], lat[keep], lon[keep])
-    return len(ends) - len(keep)
+    lat = _parse_fields(data, dots, c2 + 1, c3)
+    lon = _parse_fields(data, dots, c3 + 1, ends[rows])
+    return rows, c1 - starts[rows], t_us, ok, lat, lon
 
 
-def _parse_coordinates(
+def _parse_fields(
     data: np.ndarray, dots: np.ndarray, start: np.ndarray, stop: np.ndarray
 ) -> np.ndarray:
     """float() of each field ``data[start:stop]``; NaN where float() raises.
 
-    The fields are grouped by template: length, offset of the first dot and
-    a leading minus. In a template of 1 to 15 digits the digits make an
-    integer significand below 2**53 and the dot a power of ten 10**k that
-    float64 holds exactly, so one IEEE division gives the correctly rounded
-    value, as float() does (Clinger's fast path). A field with a non-digit
-    in a digit place, and every other field, goes through float().
-
-    The significands of a template come from one matrix-vector product.
-    Every partial sum in it is an integer below 2**53, so it is exact in any
-    order, and the value does not depend on how many threads BLAS uses.
-    """
+    The fields are grouped by layout: length, offset of the first dot and a
+    leading minus. Each layout of 1 to 15 digits is gathered as one byte
+    matrix for `_parse_coordinates`; every other field goes through
+    float()."""
     length = stop - start
     neg = data[start] == _MINUS  # a field ends before a comma or newline
     dot = dots[np.searchsorted(dots, start)] - start
@@ -744,21 +856,47 @@ def _parse_coordinates(
     key = key[order]
     firsts = np.flatnonzero(np.diff(key, prepend=-2))
     out = np.empty(len(start))
-    parsed = np.zeros(len(start), dtype=bool)
     for k, at in zip(key[firsts].tolist(), np.split(order, firsts[1:])):
-        if k < 0:
+        if k >= 0:
+            width, d = k >> 6, ((k >> 1) & 31) - 1
+            out[at] = _parse_coordinates(_windows(data, start[at], width), d, bool(k & 1))
             continue
-        width, d = k >> 6, ((k >> 1) & 31) - 1
-        places = [j for j in range(k & 1, width) if j != d]
-        digits = _windows(data, start[at], width)[:, places] - np.uint8(_ZERO)
-        # each partial sum is an integer below 2**53, so float64 holds it exactly
+        for i in at.tolist():
+            out[i] = _float_or_nan(data[start[i]:stop[i]].tobytes().decode("ascii"))
+    return out
+
+
+def _parse_coordinates(fields: np.ndarray, dot: int, neg: bool) -> np.ndarray:
+    """float() of each row of `fields`, an (n, width) array of the bytes of
+    coordinate fields of one layout: a dot at column `dot` (-1: none) and,
+    if `neg`, a minus at column 0. NaN where float() raises.
+
+    When the layout has 1 to 15 digits they make an integer significand
+    below 2**53 and the dot a power of ten 10**k that float64 holds
+    exactly, so one IEEE division gives the correctly rounded value, as
+    float() does (Clinger's fast path). A field with a non-digit in a digit
+    place, and every field of a layout of no digits or more than 15, goes
+    through float().
+
+    The significands come from one matrix-vector product. Every partial
+    sum in it is an integer below 2**53, so it is exact in any order, and
+    the value does not depend on how many threads BLAS uses.
+    """
+    width = fields.shape[1]
+    places = [j for j in range(int(neg), width) if j != dot]
+    out = np.empty(len(fields))
+    parsed = np.zeros(len(fields), dtype=bool)
+    if 1 <= len(places) <= 15:
+        # one row per digit place; non-digits wrap above 9
+        digits = fields.T[places] - np.uint8(_ZERO)
         powers = (10 ** np.arange(len(places) - 1, -1, -1)).astype(np.float64)
-        decimals = width - 1 - d if d >= 0 else 0
-        value = (digits.astype(np.float64) @ powers) / float(10**decimals)
-        out[at] = -value if k & 1 else value
-        parsed[at] = (digits <= 9).all(axis=1)
+        decimals = width - 1 - dot if dot >= 0 else 0
+        out[:] = (powers @ digits.astype(np.float64)) / float(10**decimals)
+        if neg:
+            np.negative(out, out=out)
+        parsed = digits.max(axis=0) <= 9
     for i in np.flatnonzero(~parsed).tolist():
-        out[i] = _float_or_nan(data[start[i]:stop[i]].tobytes().decode("ascii"))
+        out[i] = _float_or_nan(fields[i].tobytes().decode("ascii"))
     return out
 
 

@@ -424,6 +424,19 @@ class TestCsv:
         records, skipped = read_records_csv(path, grid=PROP_GRID)
         assert (records.user_ids, len(records), skipped) == (("u",), 1, 1)
 
+    def test_synth_file_is_read_by_row_template(self, synth_csvs, synth_pings, monkeypatch):
+        # every line of a `v2grid synth` file has one layout, so no line is
+        # left to the per-field scan
+        calls = []
+        field_rows = ingest._field_rows
+        monkeypatch.setattr(ingest, "_field_rows", lambda *args: (
+            calls.append(1) or field_rows(*args)
+        ))
+        for path in synth_csvs:
+            records, skipped = read_records_csv(path, grid=PROP_GRID)
+            assert (len(records), skipped) == (len(synth_pings), 0)
+        assert calls == []
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.tuples(_coordinate_texts, _coordinate_texts), min_size=1, max_size=30))
@@ -1020,6 +1033,136 @@ class TestGridFormRead:
         assert (located.cell.tolist(), skipped) == ([2**31 - 2], 0)
 
 
+# changes to one row of a block whose rows share one layout: (field,
+# change), or (comma number, comma move), or (None, change of the row)
+_ROW_CHANGES = [
+    (2, "dot left"), (3, "dot right"), (2, "no dot"),  # same length
+    (0, "comma right"), (1, "comma left"), (2, "comma right"),  # same length
+    (0, "id ends in comma"),
+    (2, "minus"), (3, "minus"),
+    (2, "x"), (3, "x"), (2, "space"), (3, "space"), (2, "plus"), (3, "plus"),
+    (2, "space first"), (3, "plus first"),  # same length
+    (2, "16 digits"), (3, "16 digits"),
+    (1, "other stamp form"), (1, "bad date"), (1, "offset minutes 60"),
+    (2, "out of range"), (3, "out of range"),
+    (None, "short"), (None, "long"), (None, "blank"),
+]
+
+
+def _swapped(text: str, i: int, j: int) -> str:
+    chars = list(text)
+    chars[i], chars[j] = chars[j], chars[i]
+    return "".join(chars)
+
+
+def _changed(fields: list[str], field, change: str) -> str:
+    """The line of `fields` with one of `_ROW_CHANGES` made."""
+    line = ",".join(fields)
+    if change.startswith("comma"):
+        at = [i for i, c in enumerate(line) if c == ","][field]
+        return _swapped(line, at, at - 1 if change == "comma left" else at + 1)
+    if field is None:
+        return {"short": ",".join(fields[:3]), "long": line + ",x", "blank": ""}[change]
+    text = fields[field]
+    if change.startswith("dot") and "." in text:
+        at = text.index(".")
+        text = _swapped(text, at, at - 1 if change == "dot left" else at + 1)
+    elif change == "no dot":
+        text = text.replace(".", "5")
+    elif change == "id ends in comma":
+        text = text[:-1] + ","
+    elif change in ("minus", "space", "plus"):
+        text = {"minus": "-", "space": " ", "plus": "+"}[change] + text
+    elif change in ("space first", "plus first"):
+        text = {"space first": " ", "plus first": "+"}[change] + text[1:]
+    elif change == "x":
+        text = text[:-1] + "x"
+    elif change == "16 digits":
+        text = f"{float(text):.{16 - len(text.split('.')[0].lstrip('-'))}f}"
+    elif change == "other stamp form":
+        text = (text[:19] + "+08:00" if text[19:] in ("", "Z")
+                else text[:19] + "Z")
+    elif change == "bad date":
+        text = "2021-02-29" + text[10:]
+    elif change == "offset minutes 60":  # read by datetime.fromisoformat only
+        text = text[:19] + "+07:60"
+    elif change == "out of range":  # 99.x is no latitude, 9xx.x no longitude
+        text = ("99" if field == 2 else "9") + text.lstrip("-")[1:]
+    return ",".join([*fields[:field], text, *fields[field + 1:]])
+
+
+@st.composite
+def _template_blocks(draw):
+    """Lines of a records CSV, most of them of one layout (id width, stamp
+    form, the integer part and decimals of each coordinate) and the rest
+    changed by one of `_ROW_CHANGES`. A latitude of 9 and 15 decimals has
+    16 digits, and a significand that float64 may not hold."""
+    id_width = draw(st.integers(1, 9))
+    zone = draw(st.sampled_from(["Z", "+08:00", ""]))  # "": naive, read as UTC
+    lat_whole, lat_decimals = draw(st.sampled_from(["1", "-1", "9"])), draw(st.integers(0, 7))
+    if lat_whole == "9":
+        lat_decimals = draw(st.sampled_from([lat_decimals, 15]))
+    lon_decimals = draw(st.integers(0, 7))
+
+    def coordinate(whole: str, decimals: int) -> str:
+        digits = f"{draw(st.integers(0, 10**decimals - 1)):0{decimals}d}"
+        return f"{whole}.{digits}" if decimals else whole
+
+    lines = []
+    for _ in range(draw(st.integers(1, 60))):
+        ts = DAY0 + timedelta(minutes=draw(st.integers(0, 3 * 24 * 60)))
+        if zone == "+08:00":
+            ts += timedelta(hours=8)
+        fields = [
+            f"{draw(st.integers(0, 3)):0{id_width}d}",
+            f"{ts:%Y-%m-%dT%H:%M:%S}{zone}",
+            coordinate(lat_whole, lat_decimals),
+            coordinate("103", lon_decimals),
+        ]
+        change = draw(st.one_of(st.none(), st.none(), st.none(), st.sampled_from(_ROW_CHANGES)))
+        lines.append(",".join(fields) if change is None else _changed(fields, *change))
+    return lines
+
+
+class TestRowTemplates:
+    """Blocks of one layout, with rows of other layouts and rows a template
+    check rejects, read bit for bit as the csv.reader path and the per-row
+    oracle read them."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=_template_blocks())
+    def test_read_equals_csv_reader_and_oracle(self, tmp_path, lines):
+        # \n line ends take the byte scan, \r\n ones csv.reader
+        scan, csv_reader = tmp_path / "scan.csv", tmp_path / "csv_reader.csv"
+        for path, newline in ((scan, "\n"), (csv_reader, "\r\n")):
+            path.write_text("user_id,timestamp,lat,lon\n" + "\n".join(lines) + "\n",
+                            newline=newline)
+        want = _read_located(csv_reader)
+        by_user, want_skipped = read_records_per_row(scan)
+        assert want[1] == want_skipped
+        assert want[0].user_ids == tuple(sorted(by_user))
+        for block_bytes in (1, 200, 1000, ingest._BLOCK_BYTES):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+                got = _read_located(scan)
+            assert got[1] == want[1]
+            assert got[0].user_ids == want[0].user_ids
+            for name in ("user", "t_us", "cell"):
+                a, b = getattr(got[0], name), getattr(want[0], name)
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+            assert got[2].tobytes() == want[2].tobytes()
+            assert got[3].tobytes() == want[3].tobytes()
+        records, _, lat, lon = want
+        for code, uid in enumerate(records.user_ids):
+            mine, rows = records.user == code, by_user[uid]
+            assert records.t_us[mine].tolist() == [
+                (r.timestamp - EPOCH) // timedelta(microseconds=1) for r in rows
+            ]
+            assert lat[mine].tobytes() == np.array([r.lat for r in rows]).tobytes()
+            assert lon[mine].tobytes() == np.array([r.lon for r in rows]).tobytes()
+
+
 _US = timedelta(microseconds=1)
 _FIRST_US = (datetime(1, 1, 1, tzinfo=timezone.utc) - EPOCH) // _US
 _LAST_US = (datetime(9999, 12, 31, 23, 59, 59, 999_999, tzinfo=timezone.utc) - EPOCH) // _US
@@ -1171,6 +1314,36 @@ class TestIngestMemory:
             assert peak <= 42 * len(records)
             results.append((stats, [c.tolist() for c in (stays.user, stays.arrival)]))
         assert results[0] == results[1]
+
+    # input grouped by user, each user's pings in time order, as synth
+    # writes it, is already in order and is not sorted: ingest holds the
+    # key and t_us, 16 bytes a ping, and a few masks beside the records,
+    # and 8 bytes a ping more to drop the pings out of the grid
+    @pytest.mark.parametrize("n_rows, bytes_a_ping", [(120, 20), (119, 26)])
+    def test_grouped_input_is_not_sorted(self, synth_pings, monkeypatch, n_rows, bytes_a_ping):
+        cfg = IngestConfig(grid=GridSpec(1.22, 103.60, 250.0, n_rows, 200))
+        grouped = Records.from_records(synth_pings, cfg.grid)
+        order = np.random.default_rng(3).permutation(len(grouped))
+        want_stays, want_stats = ingest_trajectories(Records(
+            grouped.user_ids, grouped.user[order], grouped.t_us[order], grouped.cell[order],
+            grouped.grid,
+        ), cfg)
+        sorts, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: (
+            sorts.append(1) or argsort(*args, **kwargs)
+        ))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            stays, stats = ingest_trajectories(grouped, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorts == []
+        assert (stats.records_out_of_grid > 0) == (n_rows == 119)
+        assert peak <= bytes_a_ping * len(grouped)
+        _assert_same_stays(stays, want_stays)
+        assert stats == want_stats
 
     # the columns take 16 bytes a ping. A block's scan temporaries do not
     # grow with the file; 64 KiB blocks keep them small beside the columns
