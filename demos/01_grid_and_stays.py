@@ -18,7 +18,7 @@ from v2grid import (
 )
 
 grid = GridSpec(origin_lat=1.25, origin_lon=103.7, cell_size_m=250.0, n_rows=40, n_cols=60)
-cfg = IngestConfig(grid=grid, utc_offset_hours=8.0)
+cfg = IngestConfig(utc_offset_hours=8.0)
 
 HOME = CellId(5, 5)
 TRANSIT = CellId(10, 12)  # driven through, one ping only

@@ -35,7 +35,7 @@ window = PvWindow(9.0, 17.0)
 print("generating records ...")
 records = Records.from_records(generate(cfg, grid), grid)
 
-icfg = IngestConfig(grid=grid, utc_offset_hours=8.0)
+icfg = IngestConfig(utc_offset_hours=8.0)
 stays, stats = ingest_trajectories(records, icfg)
 print(
     f"{len(records)} records -> {stats.stays_emitted} stays, "

@@ -237,13 +237,13 @@ def _beta_fraction(a: float, y: float) -> float:
     raise ArithmeticError(f"incomplete beta fraction did not converge at a = {a}")
 
 
-_MAX_HIST_BINS = 2000  # ratios up to 100 at the default bin width
+_BIN_WIDTH = 0.05  # of the coverage ratio histogram
+_MAX_HIST_BINS = 2000  # ratios up to 100
 
 
 def coverage_and_stats(
     e_ev_by_area: Mapping[str, float],
     e_hh_by_area: Mapping[str, float],
-    bin_width: float = 0.05,
 ) -> CoverageResult:
     """Coverage ratios over paired areas plus the regression of supply on
     household consumption.
@@ -252,11 +252,10 @@ def coverage_and_stats(
     are excluded pairwise. The statistics are withheld, with the ratios and
     the histogram still computed, when there are fewer than 3 pairs or when
     either energy series has zero variance. The ratio histogram has at most
-    ``_MAX_HIST_BINS`` bins of `bin_width` from 0, plus one row from their end
-    to the largest ratio when it lies past them; its counts sum to the pairs.
+    ``_MAX_HIST_BINS`` bins of ``_BIN_WIDTH`` from 0, plus one row from their
+    end to the largest ratio when it lies past them; its counts sum to the
+    pairs.
     """
-    if bin_width <= 0:
-        raise InvalidInputError("bin_width must be positive")
     paired = sorted(
         a for a in e_ev_by_area.keys() & e_hh_by_area.keys() if e_hh_by_area[a] > 0
     )
@@ -267,12 +266,12 @@ def coverage_and_stats(
     if ratios:
         vals = np.array([ratios[a] for a in paired])
         top = float(vals.max())
-        n_bins = max(1, math.ceil(min(top / bin_width, _MAX_HIST_BINS) - 1e-12))
+        n_bins = max(1, math.ceil(min(top / _BIN_WIDTH, _MAX_HIST_BINS) - 1e-12))
         # np.histogram drops values past the last edge, which the rounding
         # above can leave a few ulps below `top`
-        if n_bins < _MAX_HIST_BINS and top > n_bins * bin_width:
+        if n_bins < _MAX_HIST_BINS and top > n_bins * _BIN_WIDTH:
             n_bins += 1
-        edges = np.arange(n_bins + 1) * bin_width
+        edges = np.arange(n_bins + 1) * _BIN_WIDTH
         counts, _ = np.histogram(vals, bins=edges)
         hist = [
             (float(edges[i]), float(edges[i + 1]), int(counts[i]))

@@ -20,7 +20,6 @@ digests of every input and output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -276,7 +275,7 @@ def _read_inputs(args: argparse.Namespace, window: PvWindow, ingest_cfg: IngestC
     grid = _grid_from_areas(areas, args.cell_size)
     index = build_area_index(grid, areas)
     records, rows_skipped = read_records_csv(args.records, grid=grid)
-    stays, stats = ingest_trajectories(records, dataclasses.replace(ingest_cfg, grid=grid))
+    stays, stats = ingest_trajectories(records, ingest_cfg)
     counts = {
         "rows_read": len(records) + rows_skipped,
         "rows_skipped": rows_skipped,

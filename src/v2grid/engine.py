@@ -330,8 +330,8 @@ def _day_stays(
     """(user, day, row, col, start_s, end_s) of the given stay columns clipped
     to local days, a stay across midnight split there: start_s and end_s are
     int seconds past the day's midnight. Rows come in (stay, day) order."""
-    d0 = (arrival + utc_offset_s) // DAY_S
-    n = np.maximum(d0, (departure + utc_offset_s - 1) // DAY_S) - d0 + 1
+    d0, d1 = local_day_span(arrival, departure, utc_offset_s)
+    n = d1 - d0 + 1
     part = np.repeat(np.arange(len(arrival)), n)
     day = d0[part] + np.arange(len(part)) - np.repeat(np.cumsum(n) - n, n)
     midnight = day * DAY_S - utc_offset_s

@@ -50,8 +50,10 @@ class GridSpec:
             raise InvalidInputError("cell_size_m must be finite and positive")
         if self.n_rows < 1 or self.n_cols < 1:
             raise InvalidInputError("grid needs at least one row and one column")
-        if self.n_rows * self.n_cols >= 2**63:  # ingest codes a cell in one int64
-            raise InvalidInputError("grid has 2**63 cells or more")
+        # ingest codes a cell in one int32, and cell_distances_m a pair of
+        # cells in one int64
+        if self.n_rows * self.n_cols >= 2**31:
+            raise InvalidInputError(f"grid has {self.n_rows * self.n_cols} cells, 2**31 or more")
 
     @property
     def n_cells(self) -> int:
@@ -143,8 +145,7 @@ def cell_distance_m(a: CellId, b: CellId, grid: GridSpec) -> float:
         raise InvalidInputError("cells must lie inside the grid")
     if a == b:
         return 0.0
-    lat, lon = _centroid_axes(grid)
-    return haversine_m(lat[a.row], lon[a.col], lat[b.row], lon[b.col])
+    return haversine_m(*grid.cell_centroid(a), *grid.cell_centroid(b))
 
 
 def cell_distances_m(
@@ -158,7 +159,8 @@ def cell_distances_m(
     with `math`'s functions mapped over the pairs (numpy's sin, cos and
     arcsin may differ from them in the last place) and numpy doing only the
     arithmetic and the comparison, which it rounds as Python does. A row's
-    latitude in radians and its cosine are taken once per row.
+    latitude in radians and its cosine are taken once per row. Only the
+    pairs' rows and columns are unprojected, so a grid's size costs nothing.
     """
     if not (grid.contains_all(rows_a, cols_a) and grid.contains_all(rows_b, cols_b)):
         raise InvalidInputError("cells must lie inside the grid")
@@ -171,13 +173,13 @@ def cell_distances_m(
         (rows_a * n_cols + cols_a) * n + rows_b * n_cols + cols_b, return_inverse=True
     )
     a, b = np.divmod(pairs, n)
-    lat, lon = _centroid_axes(grid)
     rows, row_of = np.unique(np.concatenate([a // n_cols, b // n_cols]), return_inverse=True)
-    phi = each(math.radians, lat[rows])
+    lat, lon = _centroids(grid, rows, np.concatenate([a % n_cols, b % n_cols]))
+    phi = each(math.radians, lat)
     cos_phi = each(math.cos, phi)
     p1, p2 = phi[row_of[:len(a)]], phi[row_of[len(a):]]
     cos1, cos2 = cos_phi[row_of[:len(a)]], cos_phi[row_of[len(a):]]
-    dl = each(math.radians, lon[b % n_cols] - lon[a % n_cols])
+    dl = each(math.radians, lon[len(a):] - lon[:len(a)])
     two = np.full(len(a), 2)
     h = (each(pow, each(math.sin, (p2 - p1) / 2), two)
          + cos1 * cos2 * each(pow, each(math.sin, dl / 2), two))
@@ -317,18 +319,24 @@ class AreaIndex:
         )
 
 
-@functools.lru_cache(maxsize=4)
-def _centroid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Centroid latitude of each row and longitude of each column, both
-    non-decreasing (each step is monotone for |origin_lat| <= 90) and equal
-    to :meth:`GridSpec.cell_centroid` to the bit. Cached per grid, so the
-    arrays are read-only."""
-    y = (np.arange(grid.n_rows, dtype=np.float64) + 0.5) * grid.cell_size_m
-    x = (np.arange(grid.n_cols, dtype=np.float64) + 0.5) * grid.cell_size_m
+def _centroids(grid: GridSpec, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Centroid latitude of each of `rows` and longitude of each of `cols`,
+    equal to :meth:`GridSpec.cell_centroid` to the bit."""
+    y = (rows.astype(np.float64) + 0.5) * grid.cell_size_m
+    x = (cols.astype(np.float64) + 0.5) * grid.cell_size_m
     lat = grid.origin_lat + np.degrees(y / EARTH_RADIUS_M)
     lon = grid.origin_lon + np.degrees(
         x / (EARTH_RADIUS_M * math.cos(math.radians(grid.origin_lat)))
     )
+    return lat, lon
+
+
+@functools.lru_cache(maxsize=4)
+def _centroid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """`_centroids` of every row and column, both non-decreasing (each step
+    is monotone for |origin_lat| <= 90). Cached per grid, so the arrays are
+    read-only."""
+    lat, lon = _centroids(grid, np.arange(grid.n_rows), np.arange(grid.n_cols))
     lat.flags.writeable = lon.flags.writeable = False
     return lat, lon
 

@@ -118,7 +118,7 @@ class LocationRecord:
 @dataclass(frozen=True, eq=False)
 class Records:
     """Location pings as columns, one array entry per ping, each located in
-    `grid`: 16 bytes per ping.
+    `grid`: 16 bytes per ping. Ingest takes its stays' cells from `grid`.
 
     Ping i belongs to user ``user_ids[user[i]]``; ``user_ids`` is sorted, so
     ordering by code orders by user id. ``t_us`` is the UTC epoch microsecond
@@ -139,8 +139,7 @@ class Records:
     @classmethod
     def from_records(cls, records: Iterable[LocationRecord], grid: GridSpec) -> "Records":
         """The columns of `records`, located in `grid`, pings in the order
-        given. The grid must have fewer than 2**31 cells."""
-        _check_cell_codes_fit(grid)
+        given."""
         index: dict[str, int] = {}
         codes, ts, lats, lons = [], [], [], []
         for r in records:
@@ -166,11 +165,6 @@ def _sorted_users(
     rank = np.empty(len(names), dtype=np.int32)
     rank[order] = np.arange(len(names))
     return tuple(names[i] for i in order), rank[codes]
-
-
-def _check_cell_codes_fit(grid: GridSpec) -> None:
-    if grid.n_cells >= 2**31:  # its cell codes are int32
-        raise InvalidInputError(f"grid has {grid.n_cells} cells, 2**31 or more")
 
 
 def _cell_codes(lat: np.ndarray, lon: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -270,9 +264,11 @@ def utc_offset_seconds(hours: float) -> int:
 
 @dataclass(frozen=True)
 class IngestConfig:
+    """Stay extraction and activity-filter settings. The grid is not one of
+    them: ingest uses the grid its `Records` were located in."""
+
     tau_s: float = 3600.0  # minimum stay time
     min_consecutive_days: int = 5
-    grid: GridSpec = GridSpec(0.0, 0.0)
     utc_offset_hours: float = 8.0  # local calendar used for day boundaries
 
     def __post_init__(self) -> None:
@@ -297,12 +293,12 @@ class IngestStats:
     stays_emitted: int = 0
 
 
-def local_day_span(arrival_s: int, departure_s: int, utc_offset_s: int) -> tuple[int, int]:
+def local_day_span(arrival_s, departure_s, utc_offset_s: int) -> tuple:
     """First and last local epoch-day index that [arrival_s, departure_s)
     overlaps with positive duration; a zero-length stay lands on its arrival
-    day."""
+    day. Takes ints or int arrays of stays."""
     d0 = (arrival_s + utc_offset_s) // DAY_S
-    return d0, max(d0, (departure_s + utc_offset_s - 1) // DAY_S)
+    return d0, np.maximum(d0, (departure_s + utc_offset_s - 1) // DAY_S)
 
 
 def _runs(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,12 +356,7 @@ def _stay_columns(
     records: Records, cfg: IngestConfig, stats: Optional[IngestStats]
 ) -> tuple[np.ndarray, ...]:
     """(user, row, col, arrival, departure) of every stay, as `extract_stays`
-    returns them. The records must be located in ``cfg.grid``."""
-    grid = cfg.grid
-    if records.grid != grid:
-        raise InvalidInputError(
-            f"records were located in grid {records.grid}, not the ingest grid {grid}"
-        )
+    returns them, the cells those of ``records.grid``."""
     cell = records.cell
     dropped = int(np.count_nonzero(cell < 0))
     if stats is not None:
@@ -392,7 +383,7 @@ def _stay_columns(
     s, e = starts[first], ends[last]
     if stats is not None:
         stats.stays_emitted += len(s)
-    row, col = np.divmod(cell[s].astype(np.int64), grid.n_cols)
+    row, col = np.divmod(cell[s].astype(np.int64), records.grid.n_cols)
     return user[s], row, col, t[s], t[e]
 
 
@@ -442,13 +433,10 @@ def ingest_trajectories(
     user, row, col = user[first], row[first], col[first]
     arrival, departure = arrival[first], departure[last]
 
-    # local_day_span per stay (stays last at least tau > 0, so d1 >= d0);
-    # each user's spans are in order and may share their end days, so a run
-    # of consecutive days is a run of spans each starting at most one day
+    # each user's day spans are in order and may share their end days, so a
+    # run of consecutive days is a run of spans each starting at most one day
     # after the previous one ends
-    off = cfg.utc_offset_s
-    d0 = (arrival + off) // DAY_S
-    d1 = (departure + off - 1) // DAY_S
+    d0, d1 = local_day_span(arrival, departure, cfg.utc_offset_s)
     first, last = _runs((user[1:] != user[:-1]) | (d0[1:] > d1[:-1] + 1))
     active = np.zeros(len(records.user_ids), dtype=bool)
     active[user[first[d1[last] - d0[first] + 1 >= cfg.min_consecutive_days]]] = True
@@ -611,8 +599,8 @@ def read_records_csv(path, grid: GridSpec) -> tuple[Records, int]:
 
     Each block's kept rows are located in `grid` with one `locate_many`
     call as they are read, so only int32 user codes, int64 `t_us` and int32
-    cell codes are kept: 16 bytes per ping. The grid must have fewer than
-    2**31 cells.
+    cell codes are kept: 16 bytes per ping. `GridSpec` keeps a grid's cell
+    codes within int32.
 
     The file is scanned as bytes in line-aligned blocks of about
     `_BLOCK_BYTES`, with the same results as `csv.reader`: on text without
@@ -639,7 +627,6 @@ def read_records_csv(path, grid: GridSpec) -> tuple[Records, int]:
     their fields is found on its own (`_field_rows`); so are all lines of a
     block whose template takes fewer than half of them.
     """
-    _check_cell_codes_fit(grid)
     try:
         return _read_records_csv(path, grid)
     except (UnicodeDecodeError, csv.Error) as exc:

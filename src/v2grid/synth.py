@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,13 +31,12 @@ class PlannedStay(NamedTuple):
     end_s: int
 
 
-def _normalised_weights(weights: Optional[Sequence[float]], n: int) -> np.ndarray:
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=np.float64)
-    if len(w) != n or np.any(w < 0) or w.sum() <= 0:
-        raise InvalidConfigError("pool weights must be non-negative and sum > 0")
-    return w / w.sum()
+# the fixed shape of a user's day loop
+_WORK_FRACTION = 0.5  # share of away visits drawn from the work pool
+_STAY_DURATION_SIGMA = 0.5  # of the lognormal stay duration
+_DEPARTURE_HOUR_MEAN = 8.0  # local hour of the first departure of a day
+_DEPARTURE_HOUR_SD = 1.0
+_MIN_HOME_STAY_S = 4500  # shorter home visits are not planted
 
 
 def _check_seed(seed: int) -> None:
@@ -55,22 +54,13 @@ class SynthConfig:
     home_cells: tuple[CellId, ...] = ()
     work_cells: tuple[CellId, ...] = ()
     amenity_cells: tuple[CellId, ...] = ()
-    home_weights: Optional[tuple[float, ...]] = None
-    work_weights: Optional[tuple[float, ...]] = None
-    amenity_weights: Optional[tuple[float, ...]] = None
     mean_stays_per_day: float = 2.0  # away-from-home visits
-    work_fraction: float = 0.5  # share of away visits drawn from the work pool
     stay_duration_mean_h: float = 2.5
-    stay_duration_sigma: float = 0.5
     stay_duration_min_h: float = 0.25
     stay_duration_max_h: float = 12.0
-    departure_hour_mean: float = 8.0
-    departure_hour_sd: float = 1.0
     travel_gap_minutes: float = 20.0
     travel_gap_min_minutes: float = 5.0
     ping_interval_minutes: float = 15.0
-    include_home_base: bool = True
-    min_home_stay_minutes: float = 75.0  # shorter home visits are not planted
 
     def __post_init__(self) -> None:
         _check_seed(self.rng_seed)
@@ -88,17 +78,9 @@ class SynthConfig:
                 raise InvalidConfigError(f"{name} must be positive")
         if self.stay_duration_min_h > self.stay_duration_max_h:
             raise InvalidConfigError("stay duration bounds inverted")
-        if not 0.0 <= self.work_fraction <= 1.0:
-            raise InvalidConfigError("work_fraction must lie in [0, 1]")
         if self.mean_stays_per_day < 0:
             raise InvalidConfigError("mean_stays_per_day must be >= 0")
         utc_offset_seconds(self.utc_offset_hours)
-        # normalising here also validates the weight vectors
-        _normalised_weights(self.home_weights, len(self.home_cells))
-        if self.work_cells:
-            _normalised_weights(self.work_weights, len(self.work_cells))
-        if self.amenity_cells:
-            _normalised_weights(self.amenity_weights, len(self.amenity_cells))
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidConfigError(f"{name} must be finite, not {value}")
@@ -139,13 +121,13 @@ def _user_rng(cfg: SynthConfig, user_index: int) -> np.random.Generator:
     return np.random.default_rng([cfg.rng_seed, user_index])
 
 
-def _pick(rng, cells, weights, avoid: Optional[CellId] = None) -> CellId:
-    """Weighted cell draw; redraws a few times to dodge `avoid`.
+def _pick(rng, cells, avoid: Optional[CellId] = None) -> CellId:
+    """Uniform cell draw; redraws a few times to dodge `avoid`.
 
     Without the redraw, two consecutive visits to one cell would emit pings
     that downstream run detection cannot tell apart from a single long stay.
     """
-    p = _normalised_weights(weights, len(cells))
+    p = np.full(len(cells), 1.0 / len(cells))
     cell = cells[int(rng.choice(len(cells), p=p))]
     retries = 0
     while avoid is not None and cell == avoid and retries < 8:
@@ -155,8 +137,8 @@ def _pick(rng, cells, weights, avoid: Optional[CellId] = None) -> CellId:
 
 
 def _duration_s(rng, cfg: SynthConfig) -> int:
-    mu = math.log(cfg.stay_duration_mean_h) - cfg.stay_duration_sigma**2 / 2.0
-    dur_h = float(rng.lognormal(mean=mu, sigma=cfg.stay_duration_sigma))
+    mu = math.log(cfg.stay_duration_mean_h) - _STAY_DURATION_SIGMA**2 / 2.0
+    dur_h = float(rng.lognormal(mean=mu, sigma=_STAY_DURATION_SIGMA))
     dur_h = min(max(dur_h, cfg.stay_duration_min_h), cfg.stay_duration_max_h)
     return max(60, int(round(dur_h * 3600)))
 
@@ -175,45 +157,35 @@ def user_stay_plan(cfg: SynthConfig, user_index: int) -> list[PlannedStay]:
     them.
     """
     rng = _user_rng(cfg, user_index)
-    home = _pick(rng, cfg.home_cells, cfg.home_weights)
+    home = _pick(rng, cfg.home_cells)
     horizon = cfg.n_days * DAY_S
     plan: list[PlannedStay] = []
-    at_home_since: Optional[int] = 0 if cfg.include_home_base else None
+    at_home_since: Optional[int] = 0
     cursor = 0
-    prev_cell: Optional[CellId] = home if cfg.include_home_base else None
+    prev_cell = home
     for d in range(cfg.n_days):
         day_start = d * DAY_S
         n_away = int(rng.poisson(cfg.mean_stays_per_day))
         if n_away == 0:
             continue
-        if cfg.include_home_base:
-            min_home_s = max(60, int(round(cfg.min_home_stay_minutes * 60)))
-            dep = day_start + int(round(3600 * float(np.clip(
-                rng.normal(cfg.departure_hour_mean, cfg.departure_hour_sd), 4.0, 20.0,
-            ))))
-            dep = max(dep, cursor + min_home_s)
-            if dep >= day_start + DAY_S - 3600:
-                continue  # too late to go anywhere today
-            if at_home_since is not None and dep > at_home_since:
-                plan.append(PlannedStay(home, at_home_since, dep))
-            cursor = dep
-            at_home_since = None
-        else:
-            cursor = max(cursor, day_start + int(round(3600 * float(
-                rng.uniform(6.0, 10.0)
-            ))))
+        dep = day_start + int(round(3600 * float(np.clip(
+            rng.normal(_DEPARTURE_HOUR_MEAN, _DEPARTURE_HOUR_SD), 4.0, 20.0,
+        ))))
+        dep = max(dep, cursor + _MIN_HOME_STAY_S)
+        if dep >= day_start + DAY_S - 3600:
+            continue  # too late to go anywhere today
+        if at_home_since is not None and dep > at_home_since:
+            plan.append(PlannedStay(home, at_home_since, dep))
+        cursor = dep
+        at_home_since = None
         for _ in range(n_away):
             arrival = cursor + _gap_s(rng, cfg)
             if arrival >= day_start + DAY_S - 1800:
                 break
             use_work = cfg.work_cells and (
-                not cfg.amenity_cells or rng.random() < cfg.work_fraction
+                not cfg.amenity_cells or rng.random() < _WORK_FRACTION
             )
-            cell = (
-                _pick(rng, cfg.work_cells, cfg.work_weights, avoid=prev_cell)
-                if use_work
-                else _pick(rng, cfg.amenity_cells, cfg.amenity_weights, avoid=prev_cell)
-            )
+            cell = _pick(rng, cfg.work_cells if use_work else cfg.amenity_cells, avoid=prev_cell)
             end = arrival + _duration_s(rng, cfg)
             if end > horizon:
                 # a truncated tail visit may fall under the configured
@@ -226,15 +198,13 @@ def user_stay_plan(cfg: SynthConfig, user_index: int) -> list[PlannedStay]:
             cursor = end
             if end >= horizon:
                 break
-        if cfg.include_home_base and cursor < horizon:
+        if cursor < horizon:
             back = cursor + _gap_s(rng, cfg)
             if back < horizon:
                 at_home_since = back
                 cursor = back
                 prev_cell = home
-    if cfg.include_home_base and at_home_since is not None and (
-        horizon - at_home_since >= max(60, int(round(cfg.min_home_stay_minutes * 60)))
-    ):
+    if at_home_since is not None and horizon - at_home_since >= _MIN_HOME_STAY_S:
         plan.append(PlannedStay(home, at_home_since, horizon))
     # adjacent same-cell zero-gap entries collapse into one planted stay
     merged: list[PlannedStay] = []
@@ -339,21 +309,24 @@ def synthetic_planning_areas(
     return areas
 
 
-def synthetic_demand_curve_values(samples: int = 48) -> list[float]:
-    """Double-peaked daily system demand shape (arbitrary units)."""
+_DEMAND_SAMPLES = 48  # half-hourly
+
+
+def synthetic_demand_curve_values() -> list[float]:
+    """Double-peaked daily system demand shape (arbitrary units), one value
+    per half hour."""
     values = []
-    for i in range(samples):
-        h = (i + 0.5) * 24.0 / samples
+    for i in range(_DEMAND_SAMPLES):
+        h = (i + 0.5) * 24.0 / _DEMAND_SAMPLES
         morning = 0.35 * math.exp(-((h - 8.0) ** 2) / 8.0)
         evening = 0.55 * math.exp(-((h - 19.5) ** 2) / 10.0)
         values.append(round(1.0 + morning + evening, 6))
     return values
 
 
-def write_demand_curve_csv(path, samples: int = 48) -> None:
-    values = synthetic_demand_curve_values(samples)
-    step_min = 24 * 60 // samples
+def write_demand_curve_csv(path) -> None:
+    step_min = 24 * 60 // _DEMAND_SAMPLES
     write_csv(path, ["time_of_day", "demand"], (
         [f"{minutes // 60:02d}:{minutes % 60:02d}", repr(v)]
-        for minutes, v in zip(range(0, samples * step_min, step_min), values)
+        for minutes, v in zip(range(0, 24 * 60, step_min), synthetic_demand_curve_values())
     ))

@@ -41,9 +41,8 @@ def window() -> PvWindow:
 
 
 @pytest.fixture
-def ingest_cfg(grid) -> IngestConfig:
-    return IngestConfig(tau_s=3600.0, min_consecutive_days=5, grid=grid,
-                        utc_offset_hours=0.0)
+def ingest_cfg() -> IngestConfig:
+    return IngestConfig(tau_s=3600.0, min_consecutive_days=5, utc_offset_hours=0.0)
 
 
 def utc_dt(y: int, mo: int, d: int, h: int = 0, m: int = 0, s: int = 0) -> datetime:

@@ -351,6 +351,7 @@ def read_records_per_row(path) -> tuple[dict[str, list[LocationRecord]], int]:
 
 def extract_stays_one_user(
     records: Sequence[LocationRecord],
+    grid: GridSpec,
     cfg: IngestConfig,
     stats: Optional[IngestStats] = None,
 ) -> list[Stay]:
@@ -377,7 +378,7 @@ def extract_stays_one_user(
     if np.any(np.diff(epochs) < 0):
         raise InvalidInputError("records must be sorted by timestamp")
 
-    rows, cols = locate_many(lats, lons, cfg.grid)
+    rows, cols = locate_many(lats, lons, grid)
     keep = rows >= 0
     dropped = int(np.count_nonzero(~keep))
     if stats is not None:
@@ -460,7 +461,7 @@ def filter_active_users(
 
 
 def ingest_per_user(
-    records_by_user: Mapping[str, Sequence[LocationRecord]], cfg: IngestConfig
+    records_by_user: Mapping[str, Sequence[LocationRecord]], grid: GridSpec, cfg: IngestConfig
 ) -> tuple[dict[str, Trajectory], IngestStats]:
     """Per-user stay extraction, trajectory assembly, activity filter. Users
     are processed in sorted order; each user's pings are sorted by their full
@@ -469,7 +470,7 @@ def ingest_per_user(
     trajectories: dict[str, Trajectory] = {}
     for uid in sorted(records_by_user):
         recs = sorted(records_by_user[uid], key=lambda r: r.timestamp)
-        stays = extract_stays_one_user(recs, cfg, stats)
+        stays = extract_stays_one_user(recs, grid, cfg, stats)
         if stays:
             trajectories[uid] = build_trajectory(stays, cfg.tau_s)
     retained = filter_active_users(trajectories, cfg)

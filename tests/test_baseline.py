@@ -191,7 +191,7 @@ class TestCoverageAndStats:
         rng = np.random.default_rng(5)
         e_hh = {f"A{i}": float(rng.uniform(100, 200)) for i in range(25)}
         e_ev = {k: float(rng.uniform(5, 60)) for k in e_hh}
-        result = coverage_and_stats(e_ev, e_hh, bin_width=0.05)
+        result = coverage_and_stats(e_ev, e_hh)
         assert sum(c for _, _, c in result.histogram) == result.n_paired == 25
         for low, high, _ in result.histogram:
             assert high - low == pytest.approx(0.05, abs=1e-12)

@@ -129,6 +129,18 @@ class TestCellDistance:
         got = cell_distances_m(rows_a, cols_a, rows_b, cols_b, grid).tolist()
         assert got == [cell_distance_m(a, b, grid) for a, b in pairs]
 
+    def test_column_distances_on_the_largest_grid(self):
+        # a pair of cells is keyed as one int64; on 2**31 - 1 cells in one
+        # row the largest key, (2**31 - 1)**2 - 1, still fits
+        grid = GridSpec(1.3, 103.8, 0.009, 1, 2**31 - 1)
+        last = 2**31 - 2
+        pairs = [(0, last), (last, 0), (last, 3), (1_000_000, last - 1), (last, last)]
+        cols_a, cols_b = np.array(pairs, dtype=np.int64).T
+        rows = np.zeros(len(pairs), dtype=np.int64)
+        got = cell_distances_m(rows, cols_a, rows, cols_b, grid).tolist()
+        assert got == [cell_distance_m(CellId(0, a), CellId(0, b), grid) for a, b in pairs]
+        assert got[0] == got[1] > 19_000_000
+
     def test_column_distances_reject_cells_outside_the_grid(self, grid):
         inside, outside = np.array([0]), np.array([grid.n_rows])
         with pytest.raises(InvalidInputError):
@@ -354,11 +366,13 @@ def test_grid_origin_beyond_a_pole_rejected():
         GridSpec(90.5, 0.0, 250.0, 2, 2)
 
 
-def test_grid_of_2_to_the_63_cells_rejected():
-    # ingest codes a cell as row * n_cols + col in one int64
-    GridSpec(0.0, 0.0, 250.0, 2**32, 2**31 - 1)
-    with pytest.raises(InvalidInputError):
-        GridSpec(0.0, 0.0, 250.0, 2**32, 2**31)
+def test_grid_of_2_to_the_31_cells_rejected():
+    # ingest codes a cell as row * n_cols + col in one int32
+    GridSpec(0.0, 0.0, 250.0, 1, 2**31 - 1)
+    GridSpec(0.0, 0.0, 250.0, 2**31 - 1, 1)
+    for n_rows, n_cols in ((2**16, 2**15), (1, 2**31), (2**32, 2**31 - 1)):
+        with pytest.raises(InvalidInputError, match=r"2\*\*31"):
+            GridSpec(0.0, 0.0, 250.0, n_rows, n_cols)
 
 
 def test_haversine_matches_textbook_value():

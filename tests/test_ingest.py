@@ -48,8 +48,8 @@ Y = CellId(5, 7)
 PROP_GRID = GridSpec(origin_lat=1.25, origin_lon=103.7, cell_size_m=250.0, n_rows=6, n_cols=6)
 
 
-def extract(recs, cfg, stats=None):
-    return extract_stays(Records.from_records(recs, cfg.grid), cfg, stats)
+def extract(recs, grid, cfg, stats=None):
+    return extract_stays(Records.from_records(recs, grid), cfg, stats)
 
 
 def _read_located(path):
@@ -75,7 +75,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 8, 40), grid, X),
             ping("u", utc_dt(2020, 9, 1, 9, 30), grid, X),
         ]
-        stays = extract(recs, ingest_cfg)
+        stays = extract(recs, grid, ingest_cfg)
         assert stays == [stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 30))]
 
     def test_run_shorter_than_tau_is_dropped(self, grid, ingest_cfg):
@@ -83,7 +83,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 10, 0), grid, Y),
             ping("u", utc_dt(2020, 9, 1, 10, 30), grid, Y),
         ]
-        assert extract(recs, ingest_cfg) == []
+        assert extract(recs, grid, ingest_cfg) == []
 
     def test_revisit_with_dropped_middle_run_stays_split(self, grid, ingest_cfg):
         # X(08:00-09:30), Y(10:00-10:30) dropped, X(11:00-12:30): the two X
@@ -96,7 +96,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 11, 0), grid, X),
             ping("u", utc_dt(2020, 9, 1, 12, 30), grid, X),
         ]
-        stays = extract(recs, ingest_cfg)
+        stays = extract(recs, grid, ingest_cfg)
         assert stays == [
             stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 30)),
             stay("u", X, utc_dt(2020, 9, 1, 11, 0), utc_dt(2020, 9, 1, 12, 30)),
@@ -112,7 +112,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 9, 0), grid, X),
             ping("u", utc_dt(2020, 9, 1, 10, 30), grid, X),
         ]
-        stays = extract(recs, ingest_cfg)
+        stays = extract(recs, grid, ingest_cfg)
         assert stays == [stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 10, 30))]
 
     def test_unsorted_input_is_sorted_by_time(self, grid, ingest_cfg):
@@ -120,7 +120,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 9, 0), grid, X),
             ping("u", utc_dt(2020, 9, 1, 8, 0), grid, X),
         ]
-        assert extract(recs, ingest_cfg) == [
+        assert extract(recs, grid, ingest_cfg) == [
             stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 0))
         ]
 
@@ -131,7 +131,7 @@ class TestExtractStays:
             ping("v", utc_dt(2020, 9, 1, 9, 0), grid, X),
             ping("u", utc_dt(2020, 9, 1, 9, 30), grid, X),
         ]
-        assert extract(recs, ingest_cfg) == [
+        assert extract(recs, grid, ingest_cfg) == [
             stay("u", X, utc_dt(2020, 9, 1, 8, 30), utc_dt(2020, 9, 1, 9, 30)),
             stay("v", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 0)),
         ]
@@ -145,7 +145,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 8, 0).replace(microsecond=100_000), grid, Y),
             ping("u", utc_dt(2020, 9, 1, 9, 0), grid, Y),
         ]
-        assert extract(recs, ingest_cfg) == []
+        assert extract(recs, grid, ingest_cfg) == []
 
     def test_sub_second_timestamps_are_truncated(self, grid, ingest_cfg):
         # 08:00:00.9 and 09:00:00.5 count as 08:00:00 and 09:00:00, so the run
@@ -154,7 +154,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 8, 0).replace(microsecond=900_000), grid, X),
             ping("u", utc_dt(2020, 9, 1, 9, 0).replace(microsecond=500_000), grid, X),
         ]
-        assert extract(recs, ingest_cfg) == [
+        assert extract(recs, grid, ingest_cfg) == [
             stay("u", X, utc_dt(2020, 9, 1, 8, 0), utc_dt(2020, 9, 1, 9, 0))
         ]
 
@@ -166,7 +166,7 @@ class TestExtractStays:
             ping("u", utc_dt(2020, 9, 1, 9, 30), grid, X),
         ]
         stats = IngestStats()
-        stays = extract(recs, ingest_cfg, stats)
+        stays = extract(recs, grid, ingest_cfg, stats)
         assert stats.records_out_of_grid == 1
         assert len(stays) == 1 and stays[0].duration_s == 90 * 60
 
@@ -184,7 +184,7 @@ class TestExtractProperties:
     def test_every_stay_at_least_tau_and_disjoint(self, grid, ingest_cfg):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            stays = extract(_random_records(grid, rng), ingest_cfg)
+            stays = extract(_random_records(grid, rng), grid, ingest_cfg)
             for s in stays:
                 assert s.duration_s >= ingest_cfg.tau_s
             for a, b in zip(stays, stays[1:]):
@@ -193,11 +193,11 @@ class TestExtractProperties:
     def test_shuffled_then_sorted_input_gives_identical_stays(self, grid, ingest_cfg):
         rng = np.random.default_rng(4)
         recs = _random_records(grid, rng)
-        baseline = extract(recs, ingest_cfg)
+        baseline = extract(recs, grid, ingest_cfg)
         shuffled = recs[:]
         random.Random(9).shuffle(shuffled)
         shuffled.sort(key=lambda r: r.timestamp)
-        assert extract(shuffled, ingest_cfg) == baseline
+        assert extract(shuffled, grid, ingest_cfg) == baseline
 
     def test_dropping_a_ping_never_lengthens_surviving_stays(self, grid, ingest_cfg):
         # qualified form: removing the sole ping of a cell-run can merge its
@@ -205,7 +205,7 @@ class TestExtractProperties:
         rng = np.random.default_rng(5)
         recs = _random_records(grid, rng, n=60)
         baseline_total = max(
-            (s.duration_s for s in extract(recs, ingest_cfg)), default=0
+            (s.duration_s for s in extract(recs, grid, ingest_cfg)), default=0
         )
         for i in range(len(recs)):
             is_sole_run_member = (
@@ -220,7 +220,7 @@ class TestExtractProperties:
                 continue
             reduced = recs[:i] + recs[i + 1 :]
             longest = max(
-                (s.duration_s for s in extract(reduced, ingest_cfg)), default=0
+                (s.duration_s for s in extract(reduced, grid, ingest_cfg)), default=0
             )
             assert longest <= baseline_total
 
@@ -273,21 +273,21 @@ class TestFilterActiveUsers:
         trajs = {"u": _traj_with_days("u", [1, 2, 4, 5, 6, 7])}
         assert filter_active_users(trajs, ingest_cfg) == set()
 
-    def test_min_days_one_keeps_any_user_with_a_stay(self, grid):
-        cfg = IngestConfig(min_consecutive_days=1, grid=grid, utc_offset_hours=0.0)
+    def test_min_days_one_keeps_any_user_with_a_stay(self):
+        cfg = IngestConfig(min_consecutive_days=1, utc_offset_hours=0.0)
         trajs = {"u": _traj_with_days("u", [12]), "v": _traj_with_days("v", [3])}
         assert filter_active_users(trajs, cfg) == {"u", "v"}
 
-    def test_overnight_stay_counts_for_both_days(self, grid):
-        cfg = IngestConfig(min_consecutive_days=2, grid=grid, utc_offset_hours=0.0)
+    def test_overnight_stay_counts_for_both_days(self):
+        cfg = IngestConfig(min_consecutive_days=2, utc_offset_hours=0.0)
         overnight = Trajectory(
             "u", (stay("u", X, utc_dt(2020, 9, 1, 23, 0), utc_dt(2020, 9, 2, 1, 30)),)
         )
         assert filter_active_users({"u": overnight}, cfg) == {"u"}
 
-    def test_local_timezone_shifts_day_boundaries(self, grid):
+    def test_local_timezone_shifts_day_boundaries(self):
         # 17:00 UTC on Sep 1 is already Sep 2 at UTC+8
-        cfg = IngestConfig(min_consecutive_days=1, grid=grid, utc_offset_hours=8.0)
+        cfg = IngestConfig(min_consecutive_days=1, utc_offset_hours=8.0)
         traj = Trajectory(
             "u", (stay("u", X, utc_dt(2020, 9, 1, 17, 0), utc_dt(2020, 9, 1, 19, 0)),)
         )
@@ -304,9 +304,9 @@ class TestUtcOffset:
         )
 
     @pytest.mark.parametrize("hours", [1e300, 1e6, 14.5, -12.5])
-    def test_offset_out_of_range_rejected(self, grid, hours):
+    def test_offset_out_of_range_rejected(self, hours):
         with pytest.raises(InvalidInputError):
-            IngestConfig(grid=grid, utc_offset_hours=hours)
+            IngestConfig(utc_offset_hours=hours)
 
 
 class TestLocalDaySpan:
@@ -697,7 +697,7 @@ class TestLineWritersMatchCsvWriter:
 
 class TestPipeline:
     def test_ingest_pipeline_counts_and_filtering(self, grid):
-        cfg = IngestConfig(min_consecutive_days=2, grid=grid, utc_offset_hours=0.0)
+        cfg = IngestConfig(min_consecutive_days=2, utc_offset_hours=0.0)
         active = [
             ping("a", utc_dt(2020, 9, d, 8, 0) + timedelta(minutes=m), grid, X)
             for d in (1, 2)
@@ -719,8 +719,7 @@ class TestPipeline:
     @pytest.mark.parametrize("gap_s, n_stays", [(3599, 1), (3600, 2)])
     def test_same_cell_stays_less_than_tau_apart_merge(self, grid, gap_s, n_stays):
         # X 08:00-09:00, a dropped Y ping, X again gap_s after 09:00 for an hour
-        cfg = IngestConfig(tau_s=3600.0, min_consecutive_days=1, grid=grid,
-                           utc_offset_hours=0.0)
+        cfg = IngestConfig(tau_s=3600.0, min_consecutive_days=1, utc_offset_hours=0.0)
         back = utc_dt(2020, 9, 1, 9, 0) + timedelta(seconds=gap_s)
         recs = [
             ping("u", utc_dt(2020, 9, 1, 8, 0), grid, X),
@@ -736,7 +735,7 @@ class TestPipeline:
         assert trajs["u"].stays[-1].departure == int((back + timedelta(hours=1)).timestamp())
 
     def test_same_cell_stays_of_two_users_stay_apart(self, grid):
-        cfg = IngestConfig(min_consecutive_days=1, grid=grid, utc_offset_hours=0.0)
+        cfg = IngestConfig(min_consecutive_days=1, utc_offset_hours=0.0)
         recs = [
             ping(uid, utc_dt(2020, 9, 1, h, 0), grid, X) for uid in ("u", "v") for h in (8, 10)
         ]
@@ -747,8 +746,7 @@ class TestPipeline:
     def test_merge_bridges_a_day_without_pings(self, grid):
         # two 30 h stays in X, 25.5 h apart with one Y ping between them and
         # none on Sep 2: merged, they cover Aug 31 to Sep 4, five days
-        cfg = IngestConfig(tau_s=30 * 3600.0, min_consecutive_days=5, grid=grid,
-                           utc_offset_hours=0.0)
+        cfg = IngestConfig(tau_s=30 * 3600.0, min_consecutive_days=5, utc_offset_hours=0.0)
         recs = [
             ping("u", utc_dt(2020, 8, 31, 17, 0), grid, X),
             ping("u", utc_dt(2020, 9, 1, 23, 0), grid, X),
@@ -763,7 +761,7 @@ class TestPipeline:
         ))}
 
     def test_stays_are_built_for_retained_users_only(self, grid, monkeypatch):
-        cfg = IngestConfig(min_consecutive_days=2, grid=grid, utc_offset_hours=0.0)
+        cfg = IngestConfig(min_consecutive_days=2, utc_offset_hours=0.0)
         recs = [  # a cell per day, so that no stay spans days
             ping(uid, utc_dt(2020, 9, d, h, 0), grid, CellId(d, d))
             for uid, days in (("a", (1, 2)), ("b", (1, 3)), ("c", (5,)))
@@ -926,8 +924,7 @@ class TestColumnarMatchesPerUserOracle:
     ):
         path = tmp_path / "records.csv"
         _write_visits(path, plain_visits, visits, row_order, quoting, newline)
-        cfg = IngestConfig(tau_s=tau_s, min_consecutive_days=min_days, grid=PROP_GRID,
-                           utc_offset_hours=8.0)
+        cfg = IngestConfig(tau_s=tau_s, min_consecutive_days=min_days, utc_offset_hours=8.0)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
@@ -935,7 +932,7 @@ class TestColumnarMatchesPerUserOracle:
         trajs, stats = ingest_trajectories(records, cfg)
 
         by_user, want_skipped = read_records_per_row(path)
-        want_trajs, want_stats = ingest_per_user(by_user, cfg)
+        want_trajs, want_stats = ingest_per_user(by_user, PROP_GRID, cfg)
         assert skipped == want_skipped
         if row_order == "instant":  # so ingest sorts by user alone
             assert (records.t_us[1:] >= records.t_us[:-1]).all()
@@ -998,21 +995,11 @@ class TestGridFormRead:
             a, b = getattr(located, name)[order], getattr(records, name)
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 
-        cfg = IngestConfig(tau_s=tau_s, min_consecutive_days=min_days, grid=PROP_GRID,
-                           utc_offset_hours=8.0)
+        cfg = IngestConfig(tau_s=tau_s, min_consecutive_days=min_days, utc_offset_hours=8.0)
         got, got_stats = ingest_trajectories(located, cfg)
         want, want_stats = ingest_trajectories(records, cfg)
         _assert_same_stays(got, want)
         assert got_stats == want_stats
-
-    def test_ingest_rejects_records_located_in_another_grid(self, tmp_path):
-        path = tmp_path / "records.csv"
-        path.write_text("user_id,timestamp,lat,lon\nu,2020-09-01T08:00:00Z,1.25,103.7\n")
-        located, _ = read_records_csv(path, grid=PROP_GRID)
-        taller = GridSpec(PROP_GRID.origin_lat, PROP_GRID.origin_lon, 250.0, 7, 6)
-        with pytest.raises(InvalidInputError, match="grid"):
-            ingest_trajectories(located, IngestConfig(grid=taller))
-        assert ingest_trajectories(located, IngestConfig(grid=PROP_GRID))[1].users_total == 1
 
     def test_grid_of_2_31_cells_rejected_before_reading(self, tmp_path):
         # the file is not there: the grid is rejected before it is opened
@@ -1253,8 +1240,7 @@ class TestUserTimeSort:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["user_id", "timestamp", "lat", "lon"])
             writer.writerows(rows)
-        cfg = IngestConfig(tau_s=1800.0, min_consecutive_days=1, grid=PROP_GRID,
-                           utc_offset_hours=8.0)
+        cfg = IngestConfig(tau_s=1800.0, min_consecutive_days=1, utc_offset_hours=8.0)
 
         records, skipped = read_records_csv(path, grid=PROP_GRID)
         calls = _counting_lexsort(monkeypatch)
@@ -1262,7 +1248,7 @@ class TestUserTimeSort:
 
         assert calls
         by_user, want_skipped = read_records_per_row(path)
-        want_trajs, want_stats = ingest_per_user(by_user, cfg)
+        want_trajs, want_stats = ingest_per_user(by_user, PROP_GRID, cfg)
         assert skipped == want_skipped == 0
         assert stats.records_out_of_grid > 0 and stats.users_retained > 0
         assert list(trajs.items()) == list(want_trajs.items())
@@ -1295,8 +1281,8 @@ class TestIngestMemory:
     # lon, an int32 user code and an int64 t_us
     @pytest.mark.parametrize("n_rows", [120, 119])
     def test_peak_is_at_most_42_bytes_a_ping(self, synth_pings, n_rows):
-        cfg = IngestConfig(grid=GridSpec(1.22, 103.60, 250.0, n_rows, 200))
-        grouped = Records.from_records(synth_pings, cfg.grid)
+        cfg = IngestConfig()
+        grouped = Records.from_records(synth_pings, GridSpec(1.22, 103.60, 250.0, n_rows, 200))
         order = np.argsort(grouped.t_us, kind="stable")
         in_time = Records(grouped.user_ids, grouped.user[order], grouped.t_us[order],
                           grouped.cell[order], grouped.grid)
@@ -1321,8 +1307,8 @@ class TestIngestMemory:
     # and 8 bytes a ping more to drop the pings out of the grid
     @pytest.mark.parametrize("n_rows, bytes_a_ping", [(120, 20), (119, 26)])
     def test_grouped_input_is_not_sorted(self, synth_pings, monkeypatch, n_rows, bytes_a_ping):
-        cfg = IngestConfig(grid=GridSpec(1.22, 103.60, 250.0, n_rows, 200))
-        grouped = Records.from_records(synth_pings, cfg.grid)
+        cfg = IngestConfig()
+        grouped = Records.from_records(synth_pings, GridSpec(1.22, 103.60, 250.0, n_rows, 200))
         order = np.random.default_rng(3).permutation(len(grouped))
         want_stays, want_stats = ingest_trajectories(Records(
             grouped.user_ids, grouped.user[order], grouped.t_us[order], grouped.cell[order],
@@ -1353,7 +1339,7 @@ class TestIngestMemory:
         self, synth_pings, synth_csvs, monkeypatch, n_rows
     ):
         grid = GridSpec(1.22, 103.60, 250.0, n_rows, 200)
-        cfg = IngestConfig(grid=grid)
+        cfg = IngestConfig()
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 16)
         want_stays, want_stats = ingest_trajectories(Records.from_records(synth_pings, grid), cfg)
         for path in synth_csvs:
