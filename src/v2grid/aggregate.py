@@ -122,7 +122,9 @@ class AggregateBuilder:
             self._profile = np.pad(self._profile, ((0, extra), (0, 0)))
         row = np.array(rows, dtype=np.intp)[inverse]
         col = events.regime.astype(np.intp)
-        np.add.at(self._energy, (row, col), events.energy_kwh)
+        # on the flat view np.add.at adds the same terms in the same order as on
+        # (row, col) pairs, so to the same bits, in under half the time
+        np.add.at(self._energy.reshape(-1), row * 3 + col, events.energy_kwh)
 
         # time-averaged power of each charging event in each step it overlaps,
         # as (event, step) terms in event-major order, which np.add.at keeps
@@ -139,7 +141,7 @@ class AggregateBuilder:
         i = i0[ev] + np.arange(len(ev)) - np.repeat(np.cumsum(n) - n, n)
         overlap = np.minimum(end[ev], (i + 1) * dt) - np.maximum(start[ev], i * dt)
         kept = overlap > 0
-        np.add.at(self._profile, (row[ev][kept], i[kept]),
+        np.add.at(self._profile.reshape(-1), (row[ev] * steps + i)[kept],
                   (power[ev] * overlap / dt)[kept])
 
     def aggregates(self) -> dict[AreaDay, AreaAggregate]:

@@ -28,6 +28,7 @@ import shutil
 import stat
 import sys
 import tempfile
+import threading
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -83,23 +84,52 @@ from .ingest import (
     write_records_csv,
     write_stays_csv,
 )
-from .synth import (
-    SynthConfig,
-    generate,
-    synthetic_planning_areas,
-    write_demand_curve_csv,
-)
 
+_DIGEST_BLOCK = 1 << 16  # bytes read and hashed at a time
 # 4096 x 4096 cells: build_area_index takes about 0.5 s and 470 MB there (2-vCPU VM)
 _MAX_GRID_CELLS = 1 << 24
 
 
+def _hash_file(path, digest, buffer: bytearray) -> None:
+    """Update `digest` with the bytes of the file at `path`, read unbuffered
+    into `buffer`."""
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(view):
+            digest.update(view[:n])
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
+    _hash_file(path, digest, bytearray(_DIGEST_BLOCK))
     return digest.hexdigest()
+
+
+class _Digest(threading.Thread):
+    """The sha256 of one file, computed in a thread beside the run: ``hashlib``
+    releases the GIL while it hashes a block.
+
+    The thread calls `_hash_file`, never `_sha256`, so that a wrapper put
+    around the module's `_sha256` need not be thread-safe."""
+
+    def __init__(self, path):
+        super().__init__(name="v2grid-digest")
+        self._path = path
+        self._digest = hashlib.sha256()
+        self._buffer = bytearray(_DIGEST_BLOCK)
+        self._error: Optional[BaseException] = None
+
+    def run(self) -> None:
+        try:
+            _hash_file(self._path, self._digest, self._buffer)
+        except BaseException as exc:  # raised again by result(), in the caller's thread
+            self._error = exc
+
+    def result(self) -> str:
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._digest.hexdigest()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,6 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import (  # imported here: a run never loads synth
+        SynthConfig,
+        generate,
+        synthetic_planning_areas,
+        write_demand_curve_csv,
+    )
+
     grid = GridSpec(args.origin_lat, args.origin_lon, args.cell_size, args.rows, args.cols)
     cfg = SynthConfig.demo(
         grid,
@@ -338,9 +375,10 @@ def compare(areas, aggregates, n_days: int, night_frac: float, days_in_month: in
     return e_ev_mean, p_peak_max, e_hh, coverage_and_stats(e_ev_mean, e_hh), skipped_areas
 
 
-def _manifest(args, params, scaling, grid, started, outputs, counts, warnings) -> dict:
+def _manifest(args, params, scaling, grid, started, records_digest, outputs, counts,
+              warnings) -> dict:
     """The run's ``manifest.json``: parameters, input and output digests,
-    counts and warnings."""
+    counts and warnings. `records_digest` is the records file's `_Digest`."""
     n_usr = counts["users_retained"]
     return {
         "tool": {"name": "v2grid", "version": __version__},
@@ -370,7 +408,11 @@ def _manifest(args, params, scaling, grid, started, outputs, counts, warnings) -
             "jobs": args.jobs,
             "grid": {k: getattr(grid, k) for k in ("origin_lat", "origin_lon", "n_rows", "n_cols")},
         },
-        "inputs": {n: _sha256(Path(getattr(args, n))) for n in ("records", "areas", "demand")},
+        "inputs": {
+            "records": records_digest.result(),
+            "areas": _sha256(Path(args.areas)),
+            "demand": _sha256(Path(args.demand)),
+        },
         "outputs": outputs,
         "counts": counts,
         "warnings": warnings,
@@ -387,7 +429,8 @@ def _out_names(args: argparse.Namespace) -> list:
     ]
 
 
-def _write_outputs(args, params, scaling, grid, started, out_files, counts, warnings) -> None:
+def _write_outputs(args, params, scaling, grid, started, records_digest, out_files, counts,
+                   warnings) -> None:
     """Write each (name, writer) of `out_files` in order, then the manifest
     with the sha256 of each of those files, into a temporary directory. For a
     new ``--out-dir`` it is made beside it and renamed into place. An existing
@@ -404,7 +447,9 @@ def _write_outputs(args, params, scaling, grid, started, out_files, counts, warn
         for name, write in out_files:
             write(work / name)
         outputs = {name: _sha256(work / name) for name, _ in out_files}
-        manifest = _manifest(args, params, scaling, grid, started, outputs, counts, warnings)
+        manifest = _manifest(
+            args, params, scaling, grid, started, records_digest, outputs, counts, warnings
+        )
         with open(work / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -426,37 +471,46 @@ def _write_outputs(args, params, scaling, grid, started, out_files, counts, warn
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Check the flags, read, simulate, compare, then write: only the last
-    stage makes ``--out-dir``."""
+    stage makes ``--out-dir``. The records digest is computed in a thread
+    beside the read and the simulation, and joined before this returns or
+    raises."""
     params, window, ingest_cfg = _checked_flags(args)
     started = datetime.now(timezone.utc)
-    areas, night_frac, index, stays, counts, warnings = _read_inputs(args, window, ingest_cfg)
-    scaling = ScalingConfig(args.delta, max(1, len(stays)), int(args.n_pop), args.time_step)
-    days, aggregates, events, sim_counts, sim_warnings = simulate(
-        params, window, areas, index, stays, scaling, ingest_cfg.utc_offset_s, args.events_csv,
-    )
-    e_ev_mean, p_peak_max, e_hh, coverage, skipped_areas = compare(
-        areas, aggregates, len(days), night_frac, args.days_in_month
-    )
-    writers = {
-        "area_energy.csv": lambda path: write_area_energy_csv(aggregates, path),
-        "area_peak.csv": lambda path: write_area_peak_csv(aggregates, path),
-        "area_profile.csv": lambda path: write_area_profile_csv(aggregates, args.time_step, path),
-        "coverage.csv": lambda path: write_coverage_csv(e_ev_mean, e_hh, coverage.ratios, path),
-        "coverage_hist.csv": lambda path: write_coverage_hist_csv(coverage.histogram, path),
-        "regression.txt": lambda path: write_regression_txt(coverage, path),
-        "metrics.geojson": lambda path: write_metrics_geojson(
-            areas, e_ev_mean, p_peak_max, coverage.ratios, path),
-        "events.csv": lambda path: write_events_csv(events, path),
-        "stays.csv": lambda path: write_stays_csv(stays, path),
-    }
-    _write_outputs(
-        args, params, scaling, index.grid, started,
-        [(name, writers[name]) for name in _out_names(args)],
-        {**counts, **sim_counts},
-        {**warnings, **sim_warnings, "areas_missing_household_data": skipped_areas,
-         "regression_note": coverage.stats_note},
-    )
-    return 0
+    records_digest = _Digest(args.records)
+    records_digest.start()
+    try:
+        areas, night_frac, index, stays, counts, warnings = _read_inputs(args, window, ingest_cfg)
+        scaling = ScalingConfig(args.delta, max(1, len(stays)), int(args.n_pop), args.time_step)
+        days, aggregates, events, sim_counts, sim_warnings = simulate(
+            params, window, areas, index, stays, scaling, ingest_cfg.utc_offset_s, args.events_csv,
+        )
+        e_ev_mean, p_peak_max, e_hh, coverage, skipped_areas = compare(
+            areas, aggregates, len(days), night_frac, args.days_in_month
+        )
+        writers = {
+            "area_energy.csv": lambda path: write_area_energy_csv(aggregates, path),
+            "area_peak.csv": lambda path: write_area_peak_csv(aggregates, path),
+            "area_profile.csv": lambda path: write_area_profile_csv(
+                aggregates, args.time_step, path),
+            "coverage.csv": lambda path: write_coverage_csv(
+                e_ev_mean, e_hh, coverage.ratios, path),
+            "coverage_hist.csv": lambda path: write_coverage_hist_csv(coverage.histogram, path),
+            "regression.txt": lambda path: write_regression_txt(coverage, path),
+            "metrics.geojson": lambda path: write_metrics_geojson(
+                areas, e_ev_mean, p_peak_max, coverage.ratios, path),
+            "events.csv": lambda path: write_events_csv(events, path),
+            "stays.csv": lambda path: write_stays_csv(stays, path),
+        }
+        _write_outputs(
+            args, params, scaling, index.grid, started, records_digest,
+            [(name, writers[name]) for name in _out_names(args)],
+            {**counts, **sim_counts},
+            {**warnings, **sim_warnings, "areas_missing_household_data": skipped_areas,
+             "regression_note": coverage.stats_note},
+        )
+        return 0
+    finally:
+        records_digest.join()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -475,8 +529,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run `main` as the ``v2grid`` command and exit with its code.
+
+    A run's outputs are written and closed, and its digest thread joined,
+    before `main` returns, so the process ends with ``os._exit`` once stdout
+    and stderr are flushed: the interpreter's teardown (freeing every module
+    and object, running ``atexit`` hooks) would cost about 27 ms and change
+    nothing. Anything else that buffers output must be flushed here before
+    the exit, as a ``logging`` handler would be. Tests and library callers
+    call `main`, which returns."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entrypoint()

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import InvalidGeometryError, InvalidInputError
 
 EARTH_RADIUS_M = 6371008.8
+# math.radians(x) is x * (pi / 180), one rounded product, as numpy computes it
+_RADIANS_PER_DEGREE = math.pi / 180.0
 
 
 class CellId(NamedTuple):
@@ -156,9 +158,10 @@ def cell_distances_m(
     (rows_b[i], cols_b[i]), to the bit.
 
     Each distinct pair takes :func:`haversine_m`'s operations in its order,
-    with `math`'s functions mapped over the pairs (numpy's sin, cos and
-    arcsin may differ from them in the last place) and numpy doing only the
-    arithmetic and the comparison, which it rounds as Python does. A row's
+    with `math`'s cos, sin and asin and the builtin `pow` mapped over the
+    pairs (numpy's sin, cos, arcsin and square may differ from them in the
+    last place) and numpy doing only what it rounds as Python does: the
+    arithmetic, the radians, the square root and the comparison. A row's
     latitude in radians and its cosine are taken once per row. Only the
     pairs' rows and columns are unprojected, so a grid's size costs nothing.
     """
@@ -175,15 +178,15 @@ def cell_distances_m(
     a, b = np.divmod(pairs, n)
     rows, row_of = np.unique(np.concatenate([a // n_cols, b // n_cols]), return_inverse=True)
     lat, lon = _centroids(grid, rows, np.concatenate([a % n_cols, b % n_cols]))
-    phi = each(math.radians, lat)
+    phi = lat * _RADIANS_PER_DEGREE
     cos_phi = each(math.cos, phi)
     p1, p2 = phi[row_of[:len(a)]], phi[row_of[len(a):]]
     cos1, cos2 = cos_phi[row_of[:len(a)]], cos_phi[row_of[len(a):]]
-    dl = each(math.radians, lon[len(a):] - lon[:len(a)])
+    dl = (lon[len(a):] - lon[:len(a)]) * _RADIANS_PER_DEGREE
     two = np.full(len(a), 2)
     h = (each(pow, each(math.sin, (p2 - p1) / 2), two)
          + cos1 * cos2 * each(pow, each(math.sin, dl / 2), two))
-    root = each(math.sqrt, h)
+    root = np.sqrt(h)
     distances = 2.0 * EARTH_RADIUS_M * each(math.asin, np.where(root < 1.0, root, 1.0))
     return np.where(a == b, 0.0, distances)[inverse]
 

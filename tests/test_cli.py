@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -546,6 +549,125 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
 
+class TestRecordsDigest:
+    """The records digest is computed in a thread beside the run."""
+
+    @pytest.mark.parametrize("shape", ["byte_scan", "quoted_id", "no_final_newline",
+                                       "header_only"])
+    def test_manifest_records_digest_is_the_file_sha256(self, tmp_path, records, shape):
+        text = records.read_bytes()
+        header, first, rest = text.split(b"\n", 2)
+        user, tail = first.split(b",", 1)
+        edited = {
+            "byte_scan": text,
+            # a quote hands the rest of the file to csv.reader
+            "quoted_id": b"\n".join([header, b'"' + user + b'",' + tail, rest]),
+            "no_final_newline": text.rstrip(b"\n"),
+            "header_only": header + b"\n",
+        }[shape]
+        records.write_bytes(edited)
+        out_dir = run_pipeline(tmp_path, records, "out")
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["inputs"]["records"] == hashlib.sha256(edited).hexdigest()
+        assert manifest["counts"]["rows_read"] == edited.count(b"\n") - (shape != "no_final_newline")
+
+    @pytest.mark.parametrize("failure, code", [(None, 0), ("bad_header", 2),
+                                               ("invariant", 3)])
+    def test_no_thread_outlives_the_run(self, tmp_path, records, monkeypatch, failure, code):
+        run = cli._Digest.run
+
+        def slow_run(self):
+            time.sleep(0.2)  # still hashing when a failed run gives up
+            run(self)
+
+        def broken(*_args):
+            raise InvariantViolationError("simulation broke")
+
+        monkeypatch.setattr(cli._Digest, "run", slow_run)
+        if failure == "bad_header":
+            records.write_bytes(b"user,timestamp,lat,lon\n")
+        elif failure == "invariant":
+            monkeypatch.setattr(cli, "simulate_user_days", broken)
+        before = threading.active_count()
+        argv = [
+            "run", str(records), str(tmp_path / "areas.geojson"),
+            str(tmp_path / "demand.csv"), "--out-dir", str(tmp_path / "out"),
+        ]
+        assert main(argv) == code
+        assert threading.active_count() == before
+        if code == 0:
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert manifest["inputs"]["records"] == digest(records)
+
+
+def test_python_m_v2grid_run_exits_0_with_complete_outputs(records, tmp_path):
+    out_dir = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "v2grid", "run", str(records), str(tmp_path / "areas.geojson"),
+         str(tmp_path / "demand.csv"), "--out-dir", str(out_dir)],
+        env=_python_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(OUTPUT_FILES + ["manifest.json"])
+    assert manifest["outputs"] == {name: digest(out_dir / name) for name in OUTPUT_FILES}
+    assert manifest["inputs"]["records"] == digest(records)
+
+
+def test_python_m_v2grid_flushes_the_error_line_before_exit_2(tmp_path):
+    # the error line must reach the pipe before os._exit ends the process
+    proc = subprocess.run(
+        [sys.executable, "-m", "v2grid", "run", str(tmp_path / "nope.csv"),
+         str(tmp_path / "areas.geojson"), str(tmp_path / "demand.csv"),
+         "--out-dir", str(tmp_path / "out")],
+        env=_python_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: input file not found: {tmp_path / 'nope.csv'}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# every name `v2grid` exports, by the module that defines it
+EXPORTS = {
+    "aggregate": ["AggregateBuilder", "AreaAggregate", "PvSupport", "ScalingConfig", "Sizing",
+                  "UNASSIGNED", "attach_sizing", "peak_density_and_sizing", "pv_sufficiency"],
+    "baseline": ["CoverageResult", "DemandCurve", "RegressionSummary", "coverage_and_stats",
+                 "household_baselines", "household_night_energy", "night_fraction",
+                 "read_demand_csv"],
+    "engine": ["ChargeEvent", "DayStay", "DepletionJump", "EventColumns", "PvWindow", "Regime",
+               "SocTrace", "VehicleParams", "day_range_of", "drive_depletion_kwh",
+               "run_scenario", "simulate_day", "simulate_user_days"],
+    "errors": ["InvalidConfigError", "InvalidGeometryError", "InvalidInputError",
+               "InvariantViolationError", "MissingHouseholdDataError",
+               "UndefinedFractionError", "V2GridError"],
+    "geo": ["AreaIndex", "CellId", "GridSpec", "PlanningArea", "build_area_index",
+            "cell_distance_m", "cell_distances_m", "haversine_m", "load_planning_areas",
+            "locate", "locate_many", "make_rect_area", "write_planning_areas_geojson"],
+    "ingest": ["IngestConfig", "IngestStats", "LocationRecord", "Records", "Stay",
+               "StayColumns", "Trajectory", "extract_stays", "ingest_trajectories",
+               "read_records_csv", "write_records_csv", "write_stays_csv"],
+    "synth": ["PlannedStay", "SynthConfig", "generate", "planted_trajectories",
+              "synthetic_planning_areas", "user_stay_plan", "write_demand_curve_csv"],
+}
+
+
+def test_package_exports_every_public_name():
+    import v2grid
+
+    expected = {name for names in EXPORTS.values() for name in names}
+    assert set(v2grid.__all__) == expected and len(v2grid.__all__) == len(expected)
+    assert expected <= set(dir(v2grid))
+    namespace: dict = {}
+    exec("from v2grid import *", namespace)
+    assert set(namespace) - {"__builtins__"} == expected
+    for module, names in EXPORTS.items():
+        defining = importlib.import_module(f"v2grid.{module}")
+        for name in names:
+            assert namespace[name] is getattr(defining, name) is getattr(v2grid, name)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        v2grid.nope
+
+
 def test_grid_size_is_capped(monkeypatch):
     areas = [make_rect_area("A", 1.30, 1.31, 103.80, 103.82, area_m2=1e6)]
     n_cells = cli._grid_from_areas(areas, 250.0).n_cells
@@ -573,9 +695,11 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
     # scipy costs about 0.27 s and 20 MB at every start, so neither the import
     # nor a whole run that reaches pearson_r may load it; multiprocessing
     # would mean a process pool is back on the run path; numpy.ma, which
-    # some numpy calls import on first use, costs 10-30 ms. OpenBLAS's worker
-    # threads cost about 60 ms of CPU as numpy loads, so the process keeps
-    # one thread, and the variable that asked for it is gone again.
+    # some numpy calls import on first use, costs 10-30 ms; v2grid.synth
+    # serves `v2grid synth` only, and costs a run about 5 ms to compile and
+    # execute. OpenBLAS's worker threads cost about 60 ms of CPU as numpy
+    # loads, so the process keeps one thread, and the variable that asked for
+    # it is gone again.
     records, areas, demand = (tmp_path / n for n in ("records.csv", "areas.geojson", "demand.csv"))
     assert main([
         "synth", "--users", "20", "--seed", "3", "--out", str(records),
@@ -586,7 +710,7 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
         "def unwanted():\n"
         "    return sorted(m for m in sys.modules\n"
         "                  if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
-        "                  or m.split('.')[:2] == ['numpy', 'ma'])\n"
+        "                  or m.split('.')[:2] == ['numpy', 'ma'] or m == 'v2grid.synth')\n"
         "def threads():\n"
         "    return len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
         "from v2grid import cli\n"
