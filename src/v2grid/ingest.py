@@ -12,7 +12,7 @@ import csv
 import gc
 import io
 import math
-from array import array
+import os
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -155,16 +155,24 @@ class Records:
         )
 
 
+# codes `_sorted_users` renumbers per slice: 256 KiB of temporaries
+_RENUMBER_SLICE = 1 << 16
+
+
 def _sorted_users(
     index: Mapping[str, int], codes: np.ndarray
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """The user ids of `index`, sorted, and `codes`, given in `index` order,
-    renumbered to follow them."""
+    renumbered in place to follow them, one slice at a time, so that no
+    second user column is made."""
     names = list(index)
     order = sorted(range(len(names)), key=names.__getitem__)
     rank = np.empty(len(names), dtype=np.int32)
     rank[order] = np.arange(len(names))
-    return tuple(names[i] for i in order), rank[codes]
+    for a in range(0, len(codes), _RENUMBER_SLICE):
+        part = codes[a:a + _RENUMBER_SLICE]
+        part[:] = rank[part]
+    return tuple(names[i] for i in order), codes
 
 
 def _cell_codes(lat: np.ndarray, lon: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -313,17 +321,25 @@ def _by_user_time(user: np.ndarray, t_us: np.ndarray, cell: np.ndarray) -> tuple
     """`user`, `t_us` and `cell` (non-empty) in ``np.lexsort((t_us, user))``
     order.
 
-    Where `t_us` is already non-decreasing (a feed in time order) that is a
-    stable sort of the user codes alone: an LSD radix sort, one stable
-    argsort of each 16 bits of the codes as `uint16`, which numpy
-    radix-sorts. The sorted codes are then counted out, not gathered, unless
-    they are too sparse. Otherwise the order is one stable argsort of ``user
-    << b | (t_us - t_us.min())``, b the bit length of the `t_us` span, where
-    that key fits in 63 bits, and `np.lexsort` where it does not. Columns are
-    gathered one at a time. A key that is already non-decreasing (input
-    grouped by user, each user's pings in time order, as `v2grid synth`
-    writes them) is neither sorted nor gathered, and `cell` is returned
-    as given."""
+    Input already in that order (grouped by user, each user's pings in
+    time order, as `v2grid synth` writes them) is found by an O(n) check
+    that makes only bool temporaries, and the three columns are returned
+    as given: nothing is sorted, gathered or copied. Where `t_us` is
+    non-decreasing (a feed in time order) the order is a stable sort of the
+    user codes alone: an LSD radix sort, one stable argsort of each 16 bits
+    of the codes as `uint16`, which numpy radix-sorts. The sorted codes are
+    then counted out, not gathered, unless they are too sparse. Otherwise
+    the order is one stable argsort of ``user << b | (t_us - t_us.min())``,
+    b the bit length of the `t_us` span, where that key fits in 63 bits,
+    and `np.lexsort` where it does not. Columns are gathered one at a time.
+    The given columns are never written to."""
+    # whether each ping comes after the one before it in (user, t_us) order
+    in_order = user[1:] == user[:-1]
+    in_order &= t_us[1:] >= t_us[:-1]
+    in_order |= user[1:] > user[:-1]
+    if in_order.all():
+        return user, t_us, cell
+    del in_order
     top = int(user.max())
     if (t_us[1:] >= t_us[:-1]).all():
         order = np.argsort(user.astype(np.uint16), kind="stable")  # the low 16 bits
@@ -341,11 +357,10 @@ def _by_user_time(user: np.ndarray, t_us: np.ndarray, cell: np.ndarray) -> tuple
         order = np.lexsort((t_us, user))
         return user[order], t_us[order], cell[order]
     key = np.left_shift(user, b, dtype=np.int64) | (t_us - t0)
-    if not (key[1:] >= key[:-1]).all():  # input grouped by user, in time order, is sorted
-        order = np.argsort(key, kind="stable")
-        key = key[order]  # only the key and cell are gathered, one at a time
-        cell = cell[order]
-        del order  # before t_us is made, so as not to add to the peak
+    order = np.argsort(key, kind="stable")
+    key = key[order]  # only the key and cell are gathered, one at a time
+    cell = cell[order]
+    del order  # before t_us is made, so as not to add to the peak
     t_us = key & ((1 << b) - 1)
     t_us += t0
     key >>= b
@@ -356,35 +371,43 @@ def _stay_columns(
     records: Records, cfg: IngestConfig, stats: Optional[IngestStats]
 ) -> tuple[np.ndarray, ...]:
     """(user, row, col, arrival, departure) of every stay, as `extract_stays`
-    returns them, the cells those of ``records.grid``."""
+    returns them, the cells those of ``records.grid``.
+
+    Stamps are floored to the second only at the first and last ping of
+    each run, so no per-ping seconds column is made; on grouped input
+    with every ping in the grid, ingest holds only masks and run arrays
+    beside the records. The columns of `records` are never written to."""
     cell = records.cell
     dropped = int(np.count_nonzero(cell < 0))
     if stats is not None:
         stats.records_out_of_grid += dropped
     if dropped == len(cell):
         return (records.t_us[:0],) * 5
-    user, t, cell = _by_user_time(records.user, records.t_us, cell)
-    t //= 1_000_000
+    user, t_us, cell = _by_user_time(records.user, records.t_us, cell)
     if dropped:  # one column at a time, so the copies never all coexist
         keep = cell >= 0
         user = user[keep]
-        t = t[keep]
+        t_us = t_us[keep]
         cell = cell[keep]
 
-    starts, ends = _runs((user[1:] != user[:-1]) | (cell[1:] != cell[:-1]))
-    long_enough = t[ends] - t[starts] >= cfg.tau_s
-    starts, ends = starts[long_enough], ends[long_enough]
+    breaks = user[1:] != user[:-1]
+    breaks |= cell[1:] != cell[:-1]
+    starts, ends = _runs(breaks)
+    del breaks
+    t0, t1 = t_us[starts] // 1_000_000, t_us[ends] // 1_000_000
+    long_enough = t1 - t0 >= cfg.tau_s
+    starts, t0, t1 = starts[long_enough], t0[long_enough], t1[long_enough]
     if len(starts) == 0:
-        return (t[:0],) * 5
+        return (records.t_us[:0],) * 5
 
     a, b = starts[1:], starts[:-1]
-    touches = (user[a] == user[b]) & (cell[a] == cell[b]) & (t[a] == t[ends[:-1]])
+    touches = (user[a] == user[b]) & (cell[a] == cell[b]) & (t0[1:] == t1[:-1])
     first, last = _runs(~touches)
-    s, e = starts[first], ends[last]
+    s = starts[first]
     if stats is not None:
         stats.stays_emitted += len(s)
     row, col = np.divmod(cell[s].astype(np.int64), records.grid.n_cols)
-    return user[s], row, col, t[s], t[e]
+    return user[s], row, col, t0[first], t1[last]
 
 
 def _stays(names: Sequence[str], user, row, col, arrival, departure) -> list[Stay]:
@@ -600,7 +623,11 @@ def read_records_csv(path, grid: GridSpec) -> tuple[Records, int]:
     Each block's kept rows are located in `grid` with one `locate_many`
     call as they are read, so only int32 user codes, int64 `t_us` and int32
     cell codes are kept: 16 bytes per ping. `GridSpec` keeps a grid's cell
-    codes within int32.
+    codes within int32. The three columns are numpy arrays sized once, from
+    the rows per byte of the file read so far times its length, grown by
+    half or more when that falls short, and trimmed in place at the end:
+    the rows are not copied as they grow, and the user codes are renumbered
+    in place (`_sorted_users`).
 
     The file is scanned as bytes in line-aligned blocks of about
     `_BLOCK_BYTES`, with the same results as `csv.reader`: on text without
@@ -641,20 +668,31 @@ def _check_header(header: Sequence[str]) -> None:
 def _read_records_csv(path, grid: GridSpec) -> tuple[Records, int]:
     index: dict[str, int] = {}
     raw: dict[bytes, int] = {}  # the byte scan's ids, undecoded, to their codes
-    # user codes, t_us and the cell codes in `grid`. A buffer grows in
-    # place, so the rows never sit in the heap as chunks between the scan's
-    # temporaries, and no concatenation doubles them at the end.
-    columns = (array("i"), array("q"), array("i"))
+    # user codes, t_us and the cell codes in `grid`, the first `n` entries
+    # of each used; see `read_records_csv` for how they are sized
+    columns = (np.empty(0, np.int32), np.empty(0, np.int64), np.empty(0, np.int32))
+    n = 0
 
     def append(codes: np.ndarray, t_us: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> None:
         """Append rows to `columns`: their codes in `index` and their
         fields, each block's cells located in one call."""
+        nonlocal n
+        stop = n + len(codes)
+        if stop > len(columns[0]):
+            # the rows a byte read holds so far, times the file's bytes,
+            # and one block's rows more
+            read = max(fh.tell(), 1)
+            estimate = stop * max(file_bytes, read) // read + len(codes)
+            for column in columns:  # no view of a column outlives a statement
+                column.resize(max(estimate, len(column) * 3 // 2), refcheck=False)
         for column, value in zip(columns, (codes, t_us, _cell_codes(lat, lon, grid))):
-            column.frombytes(np.ascontiguousarray(value, dtype=column.typecode).data.cast("B"))
+            column[n:stop] = value
+        n = stop
 
     skipped = 0
     header_read = False
     with open(path, "rb") as fh:
+        file_bytes = os.fstat(fh.fileno()).st_size
         while True:
             at = fh.tell()
             if not (block := fh.read(_BLOCK_BYTES)):
@@ -676,7 +714,9 @@ def _read_records_csv(path, grid: GridSpec) -> tuple[Records, int]:
             if len(ends):
                 data = np.frombuffer(block, dtype=np.uint8)
                 skipped += _scan_rows(data, lo, ends, index, raw, append)
-    codes, t_us, cell = (np.frombuffer(c, dtype=c.typecode) for c in columns)
+    for column in columns:
+        column.resize(n, refcheck=False)
+    codes, t_us, cell = columns
     return Records(*_sorted_users(index, codes), t_us, cell, grid), skipped
 
 
@@ -865,9 +905,10 @@ def _parse_coordinates(fields: np.ndarray, dot: int, neg: bool) -> np.ndarray:
     place, and every field of a layout of no digits or more than 15, goes
     through float().
 
-    The significands come from one matrix-vector product. Every partial
-    sum in it is an integer below 2**53, so it is exact in any order, and
-    the value does not depend on how many threads BLAS uses.
+    The significands are accumulated as one int64 column, a digit place
+    at a time, and converted once: an integer below 2**53 is exact in
+    float64. A row with a non-digit, whose places may hold up to 255,
+    stays far below 2**63 and is read by float() anyway.
     """
     width = fields.shape[1]
     places = [j for j in range(int(neg), width) if j != dot]
@@ -876,9 +917,12 @@ def _parse_coordinates(fields: np.ndarray, dot: int, neg: bool) -> np.ndarray:
     if 1 <= len(places) <= 15:
         # one row per digit place; non-digits wrap above 9
         digits = fields.T[places] - np.uint8(_ZERO)
-        powers = (10 ** np.arange(len(places) - 1, -1, -1)).astype(np.float64)
+        significand = digits[0].astype(np.int64)
+        for row in digits[1:]:
+            significand *= 10
+            significand += row
         decimals = width - 1 - dot if dot >= 0 else 0
-        out[:] = (powers @ digits.astype(np.float64)) / float(10**decimals)
+        np.divide(significand, float(10**decimals), out=out)
         if neg:
             np.negative(out, out=out)
         parsed = digits.max(axis=0) <= 9

@@ -343,6 +343,28 @@ _coordinate_texts = st.one_of(
 )
 
 
+@st.composite
+def _coordinate_layouts(draw):
+    """(texts, dot, neg): coordinate fields of one layout, as
+    `_parse_coordinates` takes them: 1 to 17 digits, a dot at any place or
+    none (`dot` its column, -1 for none) and, if `neg`, a leading minus.
+    Some fields have a random ASCII byte in one digit place."""
+    n_digits = draw(st.integers(1, 17))
+    neg = draw(st.booleans())
+    point = draw(st.one_of(st.none(), st.integers(0, n_digits)))  # digits before the dot
+    texts = []
+    for _ in range(draw(st.integers(1, 6))):
+        digits = [str(d) for d in draw(st.lists(
+            st.integers(0, 9), min_size=n_digits, max_size=n_digits
+        ))]
+        if draw(st.booleans()):
+            digits[draw(st.integers(0, n_digits - 1))] = chr(draw(st.integers(1, 127)))
+        if point is not None:
+            digits.insert(point, ".")
+        texts.append("-" * neg + "".join(digits))
+    return texts, -1 if point is None else int(neg) + point, neg
+
+
 class TestCsv:
     def test_round_trip_and_skipped_rows(self, tmp_path, grid):
         recs = [
@@ -460,6 +482,26 @@ class TestCsv:
             assert (len(records), skipped) == (len(want), len(pairs) - len(want))
             assert lat.tobytes() == np.array([w[0] for w in want]).tobytes()
             assert lon.tobytes() == np.array([w[1] for w in want]).tobytes()
+
+    # 15 nines make the largest significand of the integer path; with 16
+    # digits, rounding the significand and then dividing gives the wrong
+    # last bit of 95.74890682883607
+    @settings(max_examples=200, deadline=None)
+    @given(layout=_coordinate_layouts())
+    @example(layout=(["999999999999999"], -1, False))
+    @example(layout=(["95.74890682883607"], 2, False))
+    @example(layout=(["-99999999.9999999", "-00000000.0000000"], 9, True))
+    def test_coordinate_kernel_equals_float_bit_for_bit(self, layout):
+        texts, dot, neg = layout
+        fields = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+        got = ingest._parse_coordinates(fields.reshape(len(texts), -1), dot, neg)
+        for text, value in zip(texts, got):
+            try:
+                want = float(text)
+            except ValueError:
+                assert np.isnan(value), text
+                continue
+            assert value.tobytes() == np.float64(want).tobytes(), text
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_read_restores_garbage_collector_state(self, tmp_path, enabled):
@@ -1001,6 +1043,39 @@ class TestGridFormRead:
         _assert_same_stays(got, want)
         assert got_stats == want_stats
 
+    # 1 KiB blocks. Long lines first make the first block's rows per byte
+    # too few, so the columns grow; short ones first make them too many,
+    # so the columns are trimmed far down; a quoted id after the first
+    # block hands the rest to csv.reader, whose rows grow the columns.
+    @pytest.mark.parametrize("parts", [
+        [(20, True), (400, False)], [(100, False), (100, True)],
+        [(20, True), (1, "quoted"), (400, False)],
+    ], ids=["estimate_short", "estimate_long", "csv_reader_after_first_block"])
+    def test_read_of_changing_line_lengths_equals_oracle(self, tmp_path, monkeypatch, parts):
+        lat, lon = (f"{v:.13f}" for v in PROP_GRID.cell_centroid(X))
+        lines, k = [], 0
+        for count, kind in parts:
+            for _ in range(count):
+                stamp = f"{DAY0 + timedelta(minutes=15 * k):%Y-%m-%dT%H:%M:%S}Z"
+                uid = {True: "long-user-id-" * 5, False: "u", "quoted": '"u,v"'}[kind]
+                coordinates = (lat, lon) if kind is True else (lat[:6], lon[:8])
+                lines.append(",".join((f"{uid}{k % 3}", stamp, *coordinates)))
+                k += 1
+        path = tmp_path / "records.csv"
+        path.write_text("user_id,timestamp,lat,lon\n" + "\n".join(lines) + "\n")
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 10)
+        located, skipped = read_records_csv(path, grid=PROP_GRID)
+        by_user, want_skipped = read_records_per_row(path)
+        records = Records.from_records(
+            [r for uid in sorted(by_user) for r in by_user[uid]], PROP_GRID
+        )
+        assert (len(located), skipped, want_skipped) == (len(lines), 0, 0)
+        assert located.user_ids == records.user_ids
+        order = np.argsort(located.user, kind="stable")  # file order within a user
+        for name in ("user", "t_us", "cell"):
+            a, b = getattr(located, name)[order], getattr(records, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
     def test_grid_of_2_31_cells_rejected_before_reading(self, tmp_path):
         # the file is not there: the grid is rejected before it is opened
         with pytest.raises(InvalidInputError, match=r"2\*\*31"):
@@ -1273,6 +1348,27 @@ def synth_csvs(synth_pings, tmp_path_factory) -> list:
     return paths
 
 
+class TestIngestLeavesItsInputAlone:
+    # the synth grid, and one row short, which leaves pings out of the grid
+    @pytest.mark.parametrize("n_rows", [120, 119])
+    @pytest.mark.parametrize("order", ["grouped", "in_time", "shuffled"])
+    def test_record_columns_unchanged(self, synth_pings, n_rows, order):
+        records = Records.from_records(synth_pings, GridSpec(1.22, 103.60, 250.0, n_rows, 200))
+        if order != "grouped":
+            moved = (np.argsort(records.t_us, kind="stable") if order == "in_time"
+                     else np.random.default_rng(3).permutation(len(records)))
+            records = Records(records.user_ids, records.user[moved], records.t_us[moved],
+                              records.cell[moved], records.grid)
+        before = [c.copy() for c in (records.user, records.t_us, records.cell)]
+        cfg = IngestConfig()
+        _, stats = ingest_trajectories(records, cfg)
+        extract_stays(records, cfg)
+        assert stats.users_retained > 0
+        assert (stats.records_out_of_grid > 0) == (n_rows == 119)
+        for a, b in zip((records.user, records.t_us, records.cell), before):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+
 class TestIngestMemory:
     # the synth grid, and the same grid one row short, which leaves pings
     # out of the grid; each with the rows grouped by user, as synth writes
@@ -1302,10 +1398,12 @@ class TestIngestMemory:
         assert results[0] == results[1]
 
     # input grouped by user, each user's pings in time order, as synth
-    # writes it, is already in order and is not sorted: ingest holds the
-    # key and t_us, 16 bytes a ping, and a few masks beside the records,
-    # and 8 bytes a ping more to drop the pings out of the grid
-    @pytest.mark.parametrize("n_rows, bytes_a_ping", [(120, 20), (119, 26)])
+    # writes it, is already in order and is neither sorted nor copied:
+    # beside the records ingest holds only the masks of the order check and
+    # the runs, and the run arrays, 2.9 bytes a ping as measured here, so 4
+    # leaves a third for margin. Dropping the pings out of the grid copies
+    # the three columns, 16 bytes a ping more: 19.6 measured, 24 allowed.
+    @pytest.mark.parametrize("n_rows, bytes_a_ping", [(120, 4), (119, 24)])
     def test_grouped_input_is_not_sorted(self, synth_pings, monkeypatch, n_rows, bytes_a_ping):
         cfg = IngestConfig()
         grouped = Records.from_records(synth_pings, GridSpec(1.22, 103.60, 250.0, n_rows, 200))
@@ -1330,6 +1428,22 @@ class TestIngestMemory:
         assert peak <= bytes_a_ping * len(grouped)
         _assert_same_stays(stays, want_stays)
         assert stats == want_stats
+
+    # the read trims its columns in place, so the numpy memory it leaves
+    # is the columns' bytes and nothing more
+    def test_read_holds_exactly_the_columns(self, synth_pings, synth_csvs):
+        numpy_memory = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        for path in synth_csvs:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                records, skipped = read_records_csv(path, grid=PROP_GRID)
+                snapshot = tracemalloc.take_snapshot().filter_traces([numpy_memory])
+            finally:
+                tracemalloc.stop()
+            held = sum(trace.size for trace in snapshot.traces)
+            assert (len(records), skipped) == (len(synth_pings), 0)
+            assert held == sum(c.nbytes for c in (records.user, records.t_us, records.cell))
 
     # the columns take 16 bytes a ping. A block's scan temporaries do not
     # grow with the file; 64 KiB blocks keep them small beside the columns
