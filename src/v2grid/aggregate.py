@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
 from .engine import REGIMES, EventColumns, Regime
-from .geo import AreaIndex, PlanningArea, planning_area_feature, write_feature_collection
+from .geo import AreaIndex, PlanningArea, area_properties, write_feature_collection
 from .ingest import EpochText, csv_fields, format_epoch, write_csv, write_lines
 
 UNASSIGNED = "_unassigned"  # reserved id for events in cells outside all areas
@@ -295,12 +295,11 @@ def write_metrics_geojson(
     features = []
     for area in sorted(areas, key=lambda a: a.area_id):
         peak = p_peak_max.get(area.area_id, 0.0)
-        props = {
-            "e_ev_kwh_mean_daily": e_ev_mean_daily.get(area.area_id, 0.0),
-            "p_peak_kw_max": peak,
-            "p_density_w_m2": peak * 1000.0 / area.area_m2,
-        }
+        props = area_properties(area)
+        props["e_ev_kwh_mean_daily"] = e_ev_mean_daily.get(area.area_id, 0.0)
+        props["p_peak_kw_max"] = peak
+        props["p_density_w_m2"] = peak * 1000.0 / area.area_m2
         if area.area_id in coverage_ratios:
             props["coverage_ratio"] = coverage_ratios[area.area_id]
-        features.append(planning_area_feature(area, props))
+        features.append((area, props))
     write_feature_collection(features, path)

@@ -214,8 +214,11 @@ def _normalise_ring(ring: Sequence[Sequence[float]]) -> Ring:
         closed = arr
     else:
         closed = np.vstack([arr, arr[:1]])
-    # distinct vertices excluding the closing repeat
-    if len(set(map(tuple, closed[:-1].tolist()))) < 3:
+    # distinct vertices excluding the closing repeat: one other than the
+    # first, then one other than both (== holds for -0.0 and 0.0)
+    body = closed[:-1]
+    other = np.any(body != body[:1], axis=1)
+    if not (other.any() and np.any(other & np.any(body != body[other.argmax()], axis=1))):
         raise InvalidGeometryError("degenerate polygon ring (fewer than 3 vertices)")
     return closed
 
@@ -352,14 +355,28 @@ def _spans(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return owner, np.arange(len(owner)) - offsets[owner] + first[owner]
 
 
-def _part_hits(lat: np.ndarray, lon: np.ndarray, part: tuple[Ring, ...]) -> np.ndarray:
+def _part_hits(
+    lat: np.ndarray, lon: np.ndarray, part: tuple[Ring, ...]
+) -> tuple[slice, slice, np.ndarray]:
     """Boundary-inclusive even-odd test of every cell centroid against one
-    polygon part (exterior and holes), as a (rows, cols) mask.
+    polygon part (exterior and holes), as the (rows, cols) slices of the
+    part's eps-widened bounding box and the box's mask; no cell outside the
+    box can hold.
 
     Both tests evaluate the same float expressions per (edge, centroid) as a
     point-by-point test would, only for the centroids where they can hold.
+    Cut to the box, an edge's crossing east of it still flips every column
+    of its row in the box, and its crossings west of the box, an even number
+    per row, flip none.
     """
     y0, x0, y1, x1 = np.concatenate([np.hstack([r[:-1], r[1:]]) for r in part]).T
+    eps = 1e-12  # degrees
+    # every vertex starts an edge, so y0 and x0 span the part
+    rows = slice(np.searchsorted(lat, y0.min() - eps, "left"),
+                 np.searchsorted(lat, y0.max() + eps, "right"))
+    cols = slice(np.searchsorted(lon, x0.min() - eps, "left"),
+                 np.searchsorted(lon, x0.max() + eps, "right"))
+    lat, lon = lat[rows], lon[cols]
     # an edge crosses row r when min(y0, y1) <= lat[r] < max(y0, y1); the
     # crossing flips the parity of the columns [0, k) with lon < x_at
     e, r = _spans(np.searchsorted(lat, np.minimum(y0, y1)),
@@ -370,7 +387,6 @@ def _part_hits(lat: np.ndarray, lon: np.ndarray, part: tuple[Ring, ...]) -> np.n
     inside = np.cumsum(crossings[:, :0:-1], axis=1)[:, ::-1] % 2 == 1
 
     # centroids on an edge, tested only inside its eps-widened bounding box
-    eps = 1e-12  # degrees
     dy, dx = y1 - y0, x1 - x0
     col_first = np.searchsorted(lon, np.minimum(x0, x1) - eps, "left")
     col_stop = np.searchsorted(lon, np.maximum(x0, x1) + eps, "right")
@@ -384,11 +400,12 @@ def _part_hits(lat: np.ndarray, lon: np.ndarray, part: tuple[Ring, ...]) -> np.n
         e, r = row_e[i], row_r[i]
         on = np.abs(dx[e] * (lat[r] - y0[e]) - dy[e] * (lon[c] - x0[e])) <= eps
         inside[r[on], c[on]] = True
-    return inside
+    return rows, cols, inside
 
 
 def build_area_index(grid: GridSpec, areas: Iterable[PlanningArea]) -> AreaIndex:
-    """Assign every cell centroid to a planning area (or none)."""
+    """Assign every cell centroid to a planning area (or none). Each part
+    is tested and assigned on its bounding box only."""
     ordered = sorted(areas, key=lambda a: a.area_id)
     ids = [a.area_id for a in ordered]
     if len(set(ids)) != len(ids):
@@ -396,17 +413,30 @@ def build_area_index(grid: GridSpec, areas: Iterable[PlanningArea]) -> AreaIndex
     lat, lon = _centroid_axes(grid)
     codes = np.full((grid.n_rows, grid.n_cols), -1, dtype=np.int32)
     for i, area in enumerate(ordered):
-        open_mask = codes < 0
-        if not np.any(open_mask):
-            break
-        hit = np.logical_or.reduce([_part_hits(lat, lon, part) for part in area.polygon])
-        codes[open_mask & hit] = i
+        for part in area.polygon:
+            rows, cols, hit = _part_hits(lat, lon, part)
+            box = codes[rows, cols]
+            box[hit & (box < 0)] = i
     return AreaIndex(grid, codes, ids)
 
 
 # ---------------------------------------------------------------------------
 # GeoJSON planning-area interchange
 # ---------------------------------------------------------------------------
+
+def _lat_lon_ring(ring) -> Ring:
+    """A GeoJSON ring's (lon, lat[, ...]) positions as (lat, lon) rows; a
+    position's numbers after the second are ignored. A ring numpy cannot
+    read as one 2-D array of at least two columns goes position by position,
+    which raises on a position of fewer than two numbers."""
+    try:
+        arr = np.array(ring, dtype=np.float64)
+        if arr.ndim == 2 and arr.shape[1] >= 2:
+            return arr[:, 1::-1]
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return np.asarray([(pt[1], pt[0]) for pt in ring], dtype=np.float64)
+
 
 def _geojson_polygon_parts(geometry: dict) -> PolygonParts:
     gtype = geometry.get("type")
@@ -415,12 +445,8 @@ def _geojson_polygon_parts(geometry: dict) -> PolygonParts:
     try:
         coordinates = geometry["coordinates"]
         raw_parts = [coordinates] if gtype == "Polygon" else coordinates
-        # GeoJSON positions are (lon, lat); flip to internal (lat, lon)
-        return tuple(
-            tuple(np.asarray([(pt[1], pt[0]) for pt in ring], dtype=np.float64) for ring in part)
-            for part in raw_parts
-        )
-    except (TypeError, ValueError, LookupError) as exc:
+        return tuple(tuple(_lat_lon_ring(ring) for ring in part) for part in raw_parts)
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:
         raise InvalidInputError(
             f"{gtype} coordinates are not lists of (lon, lat) positions: {exc!r}"
         ) from exc
@@ -487,41 +513,49 @@ def _number_property(props: dict, key: str, kind, area_id: str):
         raise InvalidInputError(f"area {area_id}: {key} is not a number: {value!r}") from exc
 
 
-def planning_area_feature(area: PlanningArea, extra_properties: Optional[dict] = None) -> dict:
-    """GeoJSON Feature for one area (geometry echoed back in lon/lat order)."""
-    parts = [
-        [ring[:, ::-1].tolist() for ring in part]
-        for part in area.polygon
-    ]
-    geometry = (
-        {"type": "Polygon", "coordinates": parts[0]}
-        if len(parts) == 1
-        else {"type": "MultiPolygon", "coordinates": parts}
-    )
-    props = {
-        "area_id": area.area_id,
-        "name": area.name,
-        "area_m2": area.area_m2,
-    }
+def area_properties(area: PlanningArea) -> dict:
+    """The properties of an area's GeoJSON Feature, as `load_planning_areas`
+    reads them back: the household fields only where they are set."""
+    props = {"area_id": area.area_id, "name": area.name, "area_m2": area.area_m2}
     if area.households is not None:
         props["households"] = area.households
     if area.monthly_kwh_per_household is not None:
         props["monthly_kwh_per_household"] = area.monthly_kwh_per_household
-    if extra_properties:
-        props.update(extra_properties)
-    return {"type": "Feature", "geometry": geometry, "properties": props}
+    return props
 
 
-def write_feature_collection(features: list[dict], path) -> None:
-    """A compact GeoJSON FeatureCollection with sorted keys, one line."""
-    doc = {"type": "FeatureCollection", "features": features}
+def write_feature_collection(features: Sequence[tuple[PlanningArea, dict]], path) -> None:
+    """A FeatureCollection of each area's geometry, echoed in (lon, lat)
+    order, with its properties: one line of compact GeoJSON with sorted
+    keys, the bytes ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
+    writes. The coordinates are finite, so each is the float's `repr`, as
+    json's encoder writes it; each distinct bit pattern is formatted once."""
+    rings = [ring for area, _props in features for part in area.polygon for ring in part]
+    lon_lat = np.concatenate([ring[:, ::-1] for ring in rings] or [np.zeros((0, 2))])
+    bits, inverse = np.unique(lon_lat.view(np.uint64).ravel(), return_inverse=True)
+    texts = [repr(v) for v in bits.view(np.float64).tolist()]
+    # "[lon," and "lat]," of each distinct value; a ring drops its last comma
+    forms = np.array([f"[{t}," for t in texts] + [f"{t}]," for t in texts], dtype=object)
+    words = forms[inverse.reshape(-1, 2) + (0, len(texts))].ravel().tolist()
+    ends = np.cumsum([2 * len(ring) for ring in rings]).tolist()
+    ring_texts = iter([
+        f"[{''.join(words[a:b])[:-1]}]" for a, b in zip([0, *ends], ends)
+    ])
+    lines = []
+    for area, props in features:
+        parts = [f"[{','.join(next(ring_texts) for _ in part)}]" for part in area.polygon]
+        geometry = (
+            f'{{"coordinates":{parts[0]},"type":"Polygon"}}'
+            if len(parts) == 1
+            else f'{{"coordinates":[{",".join(parts)}],"type":"MultiPolygon"}}'
+        )
+        properties = json.dumps(props, sort_keys=True, separators=(",", ":"))
+        lines.append(f'{{"geometry":{geometry},"properties":{properties},"type":"Feature"}}')
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # json.dump always encodes in Python; dumps takes the C encoder
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+        fh.write(f'{{"features":[{",".join(lines)}],"type":"FeatureCollection"}}\n')
 
 
 def write_planning_areas_geojson(areas: Iterable[PlanningArea], path) -> None:
     write_feature_collection(
-        [planning_area_feature(a) for a in sorted(areas, key=lambda a: a.area_id)], path
+        [(a, area_properties(a)) for a in sorted(areas, key=lambda a: a.area_id)], path
     )

@@ -75,16 +75,12 @@ def csv_fields(texts: Iterable[str]) -> list[str]:
     return fields
 
 
-_TWO_DIGITS = [f"{i:02d}" for i in range(60)]
-
-
 class EpochText:
-    """`format_epoch` of int columns, with each day label and each clock
-    text formatted once."""
+    """`format_epoch` of int columns, with each day label formatted once
+    and the clock texts in one numpy pass."""
 
     def __init__(self) -> None:
         self._days: dict[int, str] = {}
-        self._clocks: dict[int, str] = {}
 
     def days(self, day: list[int]) -> list[str]:
         """``format_epoch(d)`` of each d in `day`."""
@@ -96,13 +92,16 @@ class EpochText:
     def instants(self, day, seconds: np.ndarray) -> tuple[list[str], list[str]]:
         """``format_epoch(d, s)`` of each pair of `day` (an int or an array)
         and `seconds`, as its two parts: the day labels and the ``THH:MM:SS``
-        clock texts."""
+        clock texts. A clock text is a row of nine UCS-4 code points, read
+        as one ``U9`` string."""
         days, seconds = np.divmod(seconds, DAY_S)
-        clocks, two = self._clocks, _TWO_DIGITS
-        seconds = seconds.tolist()
-        for s in set(seconds).difference(clocks):
-            clocks[s] = f"T{two[s // 3600]}:{two[s // 60 % 60]}:{two[s % 60]}"
-        return self.days((days + day).tolist()), list(map(clocks.__getitem__, seconds))
+        codes = np.empty((len(seconds), 9), dtype=np.uint32)
+        codes[:, 0] = ord("T")
+        codes[:, 3] = codes[:, 6] = ord(":")
+        for col, value in ((1, seconds // 3600), (4, seconds // 60 % 60), (7, seconds % 60)):
+            codes[:, col], codes[:, col + 1] = np.divmod(value, 10)
+        codes[:, [1, 2, 4, 5, 7, 8]] += ord("0")
+        return self.days((days + day).tolist()), codes.view("U9").ravel().tolist()
 
 
 @dataclass(frozen=True, slots=True)

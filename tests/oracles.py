@@ -16,12 +16,16 @@ day at a time; it shares only ``locate_many`` and ``local_day_span`` with the
 package. The per-event aggregation is the loop the package used before its
 batch reduction: one event at a time, one profile step at a time. The
 per-area index tests every cell centroid against every polygon edge, one
-edge at a time, as the package did before its scanline index.
+edge at a time, as the package did before its scanline index. The GeoJSON
+writer builds the whole document as dicts and lists and encodes it with
+``json.dumps``, as the package did before it formatted each distinct
+coordinate once.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Mapping, Optional, Sequence
@@ -608,3 +612,28 @@ def build_area_index_per_area(grid: GridSpec, areas: Iterable[PlanningArea]) -> 
         hit = points_in_polygon(lats, lons, area.polygon)
         codes[open_mask & hit] = i
     return AreaIndex(grid, codes.reshape(grid.n_rows, grid.n_cols), ids)
+
+
+# ---------------------------------------------------------------------------
+# GeoJSON writer: the whole document through json.dumps
+# ---------------------------------------------------------------------------
+
+
+def write_feature_collection_json(
+    features: Sequence[tuple[PlanningArea, dict]], path
+) -> None:
+    """Each area's geometry in (lon, lat) order with its properties, as one
+    line of compact GeoJSON with sorted keys."""
+    out = []
+    for area, props in features:
+        parts = [[ring[:, ::-1].tolist() for ring in part] for part in area.polygon]
+        geometry = (
+            {"type": "Polygon", "coordinates": parts[0]}
+            if len(parts) == 1
+            else {"type": "MultiPolygon", "coordinates": parts}
+        )
+        out.append({"type": "Feature", "geometry": geometry, "properties": props})
+    doc = {"type": "FeatureCollection", "features": out}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        fh.write("\n")

@@ -514,6 +514,10 @@ class TestRunCommand:
             lambda doc: doc["features"][0].update(properties=["area_id", "area_m2"]),
             lambda doc: doc["features"][0].update(geometry="x"),
             lambda doc: doc["features"][0]["geometry"]["coordinates"][0].insert(1, [3]),
+            lambda doc: doc["features"][0]["geometry"]["coordinates"][0][1].__setitem__(
+                0, "east"),
+            lambda doc: doc["features"][0]["geometry"]["coordinates"][0][1].__setitem__(
+                0, 10**400),
             lambda doc: doc["features"][0]["geometry"].pop("coordinates"),
             lambda doc: doc["features"][0]["geometry"]["coordinates"][0][1].__setitem__(
                 0, float("nan")),
@@ -533,7 +537,7 @@ class TestRunCommand:
         ],
         ids=["area_m2", "households", "area_m2_null", "truncated", "feature_string",
              "features_number", "properties_list", "geometry_string", "short_position",
-             "no_coordinates", "nan_vertex", "inf_vertex", "lat_95_vertex",
+             "word_in_position", "huge_integer_in_position", "no_coordinates", "nan_vertex", "inf_vertex", "lat_95_vertex",
              "stray_vertices", "kwh_infinity", "kwh_nan"],
     )
     def test_malformed_areas_exit_2(self, tmp_path, records, corrupt):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +29,8 @@ from v2grid import (
     write_planning_areas_geojson,
 )
 from v2grid import geo
-from v2grid.geo import EARTH_RADIUS_M, _centroid_axes
-from oracles import build_area_index_per_area, points_in_polygon
+from v2grid.geo import EARTH_RADIUS_M, _centroid_axes, area_properties, write_feature_collection
+from oracles import build_area_index_per_area, points_in_polygon, write_feature_collection_json
 
 
 class TestLocate:
@@ -300,13 +303,51 @@ LONG_EDGE = (
 )
 
 
+def _rect_case(rows: tuple[float, float], cols: tuple[float, float]):
+    """A 4 x 5 grid of 250 m cells and one rectangle whose sides lie at the
+    given fractional rows and columns of the centroid lattice."""
+    grid = GridSpec(1.25, 103.7, 250.0, 4, 5)
+    d_lat = math.degrees(grid.cell_size_m / EARTH_RADIUS_M)
+    d_lon = d_lat / math.cos(math.radians(grid.origin_lat))
+    (south, north), (west, east) = (
+        [origin + (k + 0.5) * step for k in ks]
+        for origin, step, ks in ((grid.origin_lat, d_lat, rows), (grid.origin_lon, d_lon, cols))
+    )
+    return grid, [_square("A1", south, north, west, east)]
+
+
+OUTSIDE_THE_GRID = _rect_case((10.0, 12.0), (-9.0, -7.0))  # north-west of it
+ONE_ROW_TALL = _rect_case((1.75, 2.25), (-1.0, 6.0))  # spans the grid east-west
+ONE_COLUMN_WIDE = _rect_case((0.5, 2.5), (2.75, 3.25))
+# sides 5e-13 degrees inside rows 1 and 2 and columns 1 and 3: those
+# centroids lie outside the polygon but within the 1e-12 edge tolerance
+_LAT, _LON = _centroid_axes(ONE_ROW_TALL[0])
+JUST_INSIDE = (
+    ONE_ROW_TALL[0],
+    [_square("A1", _LAT[1] + 5e-13, _LAT[2] - 5e-13, _LON[1] + 5e-13, _LON[3] - 5e-13)],
+)
+
+
 class TestScanlineIndex:
     @settings(max_examples=300, deadline=None)
     @given(case=grids_and_areas())
     @example(case=LONG_EDGE)
+    @example(case=OUTSIDE_THE_GRID)
+    @example(case=ONE_ROW_TALL)
+    @example(case=ONE_COLUMN_WIDE)
+    @example(case=JUST_INSIDE)
     def test_equals_the_per_area_oracle(self, case):
         grid, areas = case
         assert build_area_index(grid, areas) == build_area_index_per_area(grid, areas)
+
+    @pytest.mark.parametrize(
+        "case, n_cells",
+        [(OUTSIDE_THE_GRID, 0), (ONE_ROW_TALL, 5), (ONE_COLUMN_WIDE, 2), (JUST_INSIDE, 6)],
+        ids=["outside", "one_row", "one_column", "just_inside"],
+    )
+    def test_box_cases_hit_the_cells_they_name(self, case, n_cells):
+        grid, areas = case
+        assert grid.n_cells - build_area_index(grid, areas).n_unassigned == n_cells
 
     def test_on_edge_tests_in_many_batches(self, grid, monkeypatch):
         # edges through centroids (the equatorial lattice has equal steps, so
@@ -358,6 +399,94 @@ class TestGeoJson:
         )
         with pytest.raises(InvalidInputError):
             load_planning_areas(path)
+
+    @staticmethod
+    def polygon_file(path: Path, rings: list) -> Path:
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"area_id": "A", "area_m2": 1.0},
+             "geometry": {"type": "Polygon", "coordinates": rings}},
+        ]}))
+        return path
+
+    def test_positions_with_altitude_load_and_echo_as_today(self, tmp_path):
+        # a position's numbers after the second are dropped, in a ring of
+        # 3-number positions and in a ring that mixes 2 and 3 numbers
+        rings = [
+            [[103.8, 1.3, 12.5], [103.9, 1.3, 0], [103.9, 1.4, -3.0], [103.8, 1.3, 12.5]],
+            [[103.81, 1.31], [103.82, 1.31, 7], [103.82, 1.32], [103.81, 1.31, "high"]],
+        ]
+        (area,) = load_planning_areas(self.polygon_file(tmp_path / "areas.geojson", rings))
+        for got, ring in zip(area.polygon[0], rings):
+            assert got.tolist() == [[lat, lon] for lon, lat, *_ in ring]
+        write_planning_areas_geojson([area], tmp_path / "echo.geojson")
+        echoed = json.loads((tmp_path / "echo.geojson").read_text())
+        assert echoed["features"][0]["geometry"]["coordinates"] == [
+            [[lon, lat] for lon, lat, *_ in ring] for ring in rings
+        ]
+
+    @pytest.mark.parametrize(
+        "position",
+        [[103.85], [], ["east", 1.35], "east", {"lon": 103.85, "lat": 1.35}, None,
+         [10**400, 1.35]],
+        ids=["one_number", "empty", "word", "string", "object", "null", "huge_integer"],
+    )
+    @pytest.mark.parametrize("where", ["one", "all"])
+    def test_short_or_non_numeric_position_rejected(self, tmp_path, position, where):
+        ring = [[103.8, 1.3], [103.9, 1.3], [103.9, 1.4], [103.8, 1.3]]
+        ring = [ring[0], position, *ring[2:]] if where == "one" else [position] * 4
+        with pytest.raises(InvalidInputError) as raised:
+            load_planning_areas(self.polygon_file(tmp_path / "areas.geojson", [ring]))
+        assert type(raised.value) is InvalidInputError
+
+
+# Echoed coordinates: repr's shortest digits, signed zero, the smallest
+# subnormal and repr's exponent form, besides any float in range
+ECHO_LATS = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-05, 1.3, 90.0, -90.0])
+             | st.floats(-90, 90))
+ECHO_LONS = (st.sampled_from([0.0, -0.0, 5e-324, 1e-05, 103.8, 180.0, -180.0])
+             | st.floats(-180, 180))
+PROPERTY_VALUES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+
+
+@st.composite
+def echo_features(draw):
+    """0-4 areas of 1-3 parts (a Polygon or a MultiPolygon) of 1-2 rings,
+    some vertices shared across areas, each with its own properties."""
+    shared = draw(st.lists(st.tuples(ECHO_LATS, ECHO_LONS), min_size=3, max_size=6))
+    vertex = st.tuples(ECHO_LATS, ECHO_LONS) | st.sampled_from(shared)
+
+    def ring():
+        return draw(st.lists(vertex, min_size=3, max_size=6, unique=True))
+
+    features = []
+    for k in range(draw(st.integers(0, 4))):
+        parts = tuple(
+            tuple(ring() for _ in range(draw(st.integers(1, 2))))
+            for _ in range(draw(st.integers(1, 3)))
+        )
+        area = PlanningArea(f"A{k}", draw(st.text(max_size=6)), parts,
+                            area_m2=draw(st.floats(1e-3, 1e9)),
+                            households=draw(st.none() | st.integers(0, 10**6)))
+        props = area_properties(area)
+        props.update(draw(st.dictionaries(st.text(max_size=6), PROPERTY_VALUES, max_size=3)))
+        features.append((area, props))
+    return features
+
+
+class TestGeoJsonEcho:
+    @settings(max_examples=200, deadline=None)
+    @given(features=echo_features())
+    @example(features=[])
+    @example(features=[(
+        make_rect_area("Q", -0.0, 1e-05, 5e-324, 103.8, area_m2=2.0, name='say "hi" in café'),
+        {"area_id": "Q", "note": None, "città": 'a "quoted" név', "x": -0.0},
+    )])
+    def test_equals_json_dumps(self, features):
+        with tempfile.TemporaryDirectory() as d:
+            got, want = Path(d) / "got.geojson", Path(d) / "want.geojson"
+            write_feature_collection(features, got)
+            write_feature_collection_json(features, want)
+            assert got.read_bytes() == want.read_bytes()
 
 
 def test_grid_origin_beyond_a_pole_rejected():
