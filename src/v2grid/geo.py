@@ -426,16 +426,27 @@ def build_area_index(grid: GridSpec, areas: Iterable[PlanningArea]) -> AreaIndex
 
 def _lat_lon_ring(ring) -> Ring:
     """A GeoJSON ring's (lon, lat[, ...]) positions as (lat, lon) rows; a
-    position's numbers after the second are ignored. A ring numpy cannot
-    read as one 2-D array of at least two columns goes position by position,
-    which raises on a position of fewer than two numbers."""
+    position's values after the second are ignored. A ring numpy reads as
+    one 2-D array of numbers, of at least two columns, is taken whole; any
+    other goes position by position (`_lat_lon`), which raises on a position
+    that is not an array of at least two numbers. A number given as a
+    string is no number."""
     try:
-        arr = np.array(ring, dtype=np.float64)
-        if arr.ndim == 2 and arr.shape[1] >= 2:
-            return arr[:, 1::-1]
-    except (TypeError, ValueError, OverflowError):
+        arr = np.array(ring)
+        if arr.ndim == 2 and arr.shape[1] >= 2 and arr.dtype.kind in "biuf":
+            return arr[:, 1::-1].astype(np.float64, copy=False)
+    except (ValueError, OverflowError):  # positions of mixed length
         pass
-    return np.asarray([(pt[1], pt[0]) for pt in ring], dtype=np.float64)
+    return np.asarray([_lat_lon(position) for position in ring], dtype=np.float64)
+
+
+def _lat_lon(position) -> tuple:
+    """(lat, lon) of a GeoJSON position ``[lon, lat, ...]``."""
+    if not isinstance(position, list) or not all(
+        isinstance(value, (int, float)) for value in position[:2]
+    ):
+        raise ValueError(f"position {position!r} is not an array of numbers")
+    return position[1], position[0]
 
 
 def _geojson_polygon_parts(geometry: dict) -> PolygonParts:

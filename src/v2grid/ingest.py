@@ -176,9 +176,16 @@ def _sorted_users(
 
 def _cell_codes(lat: np.ndarray, lon: np.ndarray, grid: GridSpec) -> np.ndarray:
     """The int32 code ``row * grid.n_cols + col`` of each point's cell, -1
-    out of the grid."""
+    out of the grid. A run of points equal to the one before (the pings of
+    a stay) is located once, where the runs are fewer than half the points
+    (`_run_heads`): equal floats, 0.0 and -0.0 too, lie in one cell."""
+    found = _run_heads((lat, lon))
+    if found is not None:
+        heads, runs = found
+        lat, lon = lat[heads], lon[heads]
     rows, cols = locate_many(lat, lon, grid)
-    return np.where(rows >= 0, rows * grid.n_cols + cols, -1).astype(np.int32)
+    codes = np.where(rows >= 0, rows * grid.n_cols + cols, -1).astype(np.int32)
+    return codes if found is None else np.repeat(codes, runs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,6 +313,40 @@ def local_day_span(arrival_s, departure_s, utc_offset_s: int) -> tuple:
     day. Takes ints or int arrays of stays."""
     d0 = (arrival_s + utc_offset_s) // DAY_S
     return d0, np.maximum(d0, (departure_s + utc_offset_s - 1) // DAY_S)
+
+
+def _run_heads(columns: Iterable[np.ndarray]) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The first index and the length of each run of entries that equal the
+    entry before them in every one of `columns`, equally long 1-D arrays;
+    None when the runs are not fewer than half the entries. The columns
+    are drawn from `columns` one at a time, and none after the runs reach
+    half the entries, so entries without runs cost one comparison."""
+    new = None
+    for column in columns:
+        if new is None:
+            new = column[1:] != column[:-1]  # whether entry i + 1 starts a run
+        else:
+            new |= column[1:] != column[:-1]
+        if 2 * (np.count_nonzero(new) + 1) >= len(column):
+            return None
+    heads = np.flatnonzero(np.concatenate(([True], new)))
+    return heads, np.diff(np.append(heads, len(new) + 1))
+
+
+def _row_words(lines: np.ndarray) -> Iterator[np.ndarray]:
+    """Columns that together hold every byte of the rows of `lines`, a 2-D
+    array whose rows are contiguous in memory, so that two rows are equal
+    when their entries in every column are: the big-endian uint64 word at
+    every 8th byte of a row and the one that ends at its last byte, or the
+    bytes themselves when a row holds fewer than 8. They are made one at a
+    time, as views."""
+    rows = lines.view(np.uint8)
+    width = rows.shape[1]
+    if width < 8:
+        yield from rows.T
+        return
+    for j in sorted({*range(0, width - 7, 8), width - 8}):
+        yield rows[:, j:j + 8].view(">u8")[:, 0]
 
 
 def _runs(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,17 +530,21 @@ _BLOCK_BYTES = 1 << 20
 _COMMA, _NEWLINE, _DOT, _MINUS, _ZERO = b",\n.-0"
 
 
-def _stamp_form(template: str) -> tuple[list[int], list[int], list[int]]:
+def _stamp_form(template: str, first: int = 0) -> tuple[list[int], list[int], list[int]]:
     """Separator positions, their character codes and the digit positions of
-    a stamp form, whose digits are 0s and whose offset sign is a +."""
-    seps = [i for i, c in enumerate(template) if c not in "0+"]
-    digits = [i for i, c in enumerate(template) if c == "0"]
+    a stamp form from its character `first` on, whose digits are 0s and
+    whose offset sign is a +."""
+    seps = [i for i, c in enumerate(template) if i >= first and c not in "0+"]
+    digits = [i for i, c in enumerate(template) if i >= first and c == "0"]
     return seps, [ord(template[i]) for i in seps], digits
 
 
-# the stamp forms `_canonical_epochs` reads, by length
+# the date part of the stamp forms `_canonical_epochs` reads, and the rest
+# of each form, by length
+_DATE_FORM = _stamp_form("0000-00-00")
 _STAMP_FORMS = {
-    len(t): _stamp_form(t) for t in ("0000-00-00T00:00:00Z", "0000-00-00T00:00:00+00:00")
+    len(t): _stamp_form(t, len("0000-00-00"))
+    for t in ("0000-00-00T00:00:00Z", "0000-00-00T00:00:00+00:00")
 }
 _SIGN_AT = 19  # of the offset form
 # epoch seconds of 0001-01-01T00:00:00 and 9999-12-31T23:59:59 UTC
@@ -513,30 +558,27 @@ def _parse_timestamp(text: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def _canonical_epochs(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds of the rows of `chars`, an (n, 20) or (n, 25) array of
-    character codes, and the mask of the rows read. A row of 20 is read when
-    it spells YYYY-MM-DDTHH:MM:SSZ and names a real UTC time; a row of 25
-    when it spells YYYY-MM-DDTHH:MM:SS±HH:MM, names a real local time, its
-    offset has hours <= 23 and minutes <= 59, and the UTC time lies in years
-    1 to 9999.
-
-    Other forms (fractions, other separators, offset minutes of 60 or more,
-    which ``datetime.fromisoformat`` accepts) and the rows not read are left
-    to `_parse_timestamp`: numpy's own datetime parser accepts strings that
-    ``datetime.fromisoformat`` rejects, such as year 0 or a leading sign.
-    """
-    sep_at, sep_codes, digit_at = _STAMP_FORMS[chars.shape[1]]
+def _form_pairs(chars: np.ndarray, form) -> tuple[np.ndarray, np.ndarray]:
+    """The two-digit numbers in the digit places of `form` (a `_stamp_form`)
+    of each row of `chars`, and the mask of the rows with digits there and
+    the form's separators; the other rows give garbage numbers."""
+    sep_at, sep_codes, digit_at = form
     # one contiguous row per digit place; non-digits wrap above 9
     digits = chars.T[digit_at] - chars.dtype.type(ord("0"))
     ok = digits.max(axis=0) <= 9
     for at, code in zip(sep_at, sep_codes):
         ok &= chars[:, at] == code
-    # the other rows give garbage from here on, and are masked out
     pairs = digits[0::2].astype(np.int32)
     pairs *= 10
     pairs += digits[1::2]
-    century, year, month, day, hour, minute, second, *offset = pairs
+    return pairs, ok
+
+
+def _epoch_days(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch day of each row of `chars`, an (n, 10) array of character
+    codes, and the mask of the rows that spell YYYY-MM-DD and name a real
+    date of years 1 to 9999; the other rows give garbage days."""
+    (century, year, month, day), ok = _form_pairs(chars, _DATE_FORM)
     year += century * 100
     ok &= (year >= 1) & (month >= 1) & (month <= 12)
     # first days of the months from the earliest to one past the latest
@@ -546,8 +588,37 @@ def _canonical_epochs(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = starts.astype(np.int64)
     m = np.where(ok, months - lo, 0)
     ok &= (day >= 1) & (day <= np.diff(starts)[m])
+    return starts[m] + day - 1, ok
+
+
+def _canonical_epochs(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of the rows of `chars`, an (n, 20) or (n, 25) array of
+    character codes whose rows are contiguous in memory, and the mask of
+    the rows read. A row of 20 is read when it spells YYYY-MM-DDTHH:MM:SSZ
+    and names a real UTC time; a row of 25 when it spells
+    YYYY-MM-DDTHH:MM:SS±HH:MM, names a real local time, its offset has
+    hours <= 23 and minutes <= 59, and the UTC time lies in years 1 to 9999.
+
+    The date is read once per run of rows whose ten date characters equal
+    the row before, where the runs are fewer than half the rows
+    (`_run_heads`): a feed grouped by user or in time order repeats a date
+    for hours. The clock and the offset are read on every row.
+
+    Other forms (fractions, other separators, offset minutes of 60 or more,
+    which ``datetime.fromisoformat`` accepts) and the rows not read are left
+    to `_parse_timestamp`: numpy's own datetime parser accepts strings that
+    ``datetime.fromisoformat`` rejects, such as year 0 or a leading sign.
+    """
+    date = chars[:, :10]
+    found = _run_heads(_row_words(date))
+    day, ok = _epoch_days(date if found is None else date[found[0]])
+    if found is not None:
+        day, ok = np.repeat(day, found[1]), np.repeat(ok, found[1])
+    (hour, minute, second, *offset), clock_ok = _form_pairs(chars, _STAMP_FORMS[chars.shape[1]])
+    ok &= clock_ok
+    # the rows not ok give garbage from here on, and are masked out
     ok &= (hour < 24) & (minute < 60) & (second < 60)
-    t = (starts[m] + day - 1) * DAY_S + hour * 3600 + minute * 60 + second
+    t = day * DAY_S + hour * 3600 + minute * 60 + second
     if offset:
         off_hour, off_minute = offset
         sign = chars[:, _SIGN_AT]
@@ -620,13 +691,13 @@ def read_records_csv(path, grid: GridSpec) -> tuple[Records, int]:
     are kept in file order, and ingest sorts them.
 
     Each block's kept rows are located in `grid` with one `locate_many`
-    call as they are read, so only int32 user codes, int64 `t_us` and int32
-    cell codes are kept: 16 bytes per ping. `GridSpec` keeps a grid's cell
-    codes within int32. The three columns are numpy arrays sized once, from
-    the rows per byte of the file read so far times its length, grown by
-    half or more when that falls short, and trimmed in place at the end:
-    the rows are not copied as they grow, and the user codes are renumbered
-    in place (`_sorted_users`).
+    call as they are read (`_cell_codes`), so only int32 user codes, int64
+    `t_us` and int32 cell codes are kept: 16 bytes per ping. `GridSpec`
+    keeps a grid's cell codes within int32. The three columns are numpy
+    arrays sized once, from the rows per byte of the file read so far times
+    its length, grown by half or more when that falls short, and trimmed in
+    place at the end: the rows are not copied as they grow, and the user
+    codes are renumbered in place (`_sorted_users`).
 
     The file is scanned as bytes in line-aligned blocks of about
     `_BLOCK_BYTES`, with the same results as `csv.reader`: on text without
@@ -652,6 +723,20 @@ def read_records_csv(path, grid: GridSpec) -> tuple[Records, int]:
     float(). Lines of another length or layout are copied out and each of
     their fields is found on its own (`_field_rows`); so are all lines of a
     block whose template takes fewer than half of them.
+
+    Runs: rows that repeat the row before in a column range are read once
+    a run (`_run_heads`), where the runs are fewer than half the rows; with
+    as many runs or more every row is read. Of the template rows, the
+    ``lat,lon`` bytes are parsed at the first row of each run of equal
+    ``lat,lon`` bytes, and the date part of the stamp (``YYYY-MM-DD``) at
+    the first row of each run of equal date bytes, the clock and offset on
+    every row. Each block's kept points are located once a run of equal
+    (lat, lon) floats, and its user ids once a run of equal ids. Identical
+    bytes parse to identical values, so the runs change no result.
+
+    Uniform width: when a block's length is a multiple of its first line's
+    width w, every w-th byte is a newline and the block holds no other,
+    its line ends are every w-th byte (`_line_ends`), without a search.
     """
     try:
         return _read_records_csv(path, grid)
@@ -722,11 +807,21 @@ def _read_records_csv(path, grid: GridSpec) -> tuple[Records, int]:
 def _line_ends(block: bytes) -> Optional[np.ndarray]:
     """Offsets of the newlines that end the lines of `block`, or None when
     `csv.reader` must read it: for a quote, a carriage return, a NUL, a
-    non-ASCII byte or a line longer than the field size limit."""
+    non-ASCII byte or a line longer than the field size limit. A block of
+    lines of one width, as the first line's, has its ends counted out."""
     if not block.isascii() or b'"' in block or b"\r" in block or b"\0" in block:
         return None
-    ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == _NEWLINE)
+    data = np.frombuffer(block, dtype=np.uint8)
     limit = csv.field_size_limit()
+    # lines of one width: their ends are every width-th byte when those are
+    # newlines and no other byte is
+    width = block.index(b"\n") + 1
+    if (
+        len(block) % width == 0 and (data[width - 1::width] == _NEWLINE).all()
+        and np.count_nonzero(data == _NEWLINE) == len(block) // width
+    ):
+        return None if width > limit + 1 else np.arange(width - 1, len(block), width)
+    ends = np.flatnonzero(data == _NEWLINE)
     if len(block) > limit and np.diff(ends, prepend=-1).max() > limit + 1:
         return None
     return ends
@@ -839,7 +934,13 @@ def _template_rows(data: np.ndarray, lo: int, starts: np.ndarray, length: np.nda
     else:
         t_us, ok = np.zeros(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=bool)
     _parse_stamps_left(t_us, ok, lambda i: stamps[i].tobytes().decode("ascii"))
-    lat, lon = (_parse_coordinates(lines[:, a:b], dot, neg) for a, b, dot, neg in coordinates)
+    # the `lat,lon` bytes of a run of rows equal to the row before are read
+    # at its first row
+    found = _run_heads(_row_words(lines[:, c2 + 1:width - 1]))
+    fields = lines if found is None else lines[found[0]]
+    lat, lon = (_parse_coordinates(fields[:, a:b], dot, neg) for a, b, dot, neg in coordinates)
+    if found is not None:
+        lat, lon = np.repeat(lat, found[1]), np.repeat(lon, found[1])
     return rows, np.full(len(rows), c1), t_us, ok, lat, lon
 
 
@@ -969,10 +1070,9 @@ def _user_codes(
         word = at[start + 8 * j].astype(np.uint64)
         word &= _KEEP[np.clip(length - 8 * j, 0, 8)]
         words.append(word)
-    heads = np.flatnonzero(_changes(words))
-    runs = None
-    if 2 * len(heads) < len(length):
-        runs = np.diff(np.append(heads, len(length)))
+    found = _run_heads(words)
+    if found is not None:
+        heads, runs = found
         words = [word[heads] for word in words]
     order = np.argsort(words[0]) if n_words == 1 else np.lexsort(words)
     words = [word[order] for word in words]
@@ -986,7 +1086,7 @@ def _user_codes(
         name = names[i]
         codes[i] = raw[name] = index.setdefault(name.decode("ascii"), len(index))
     codes = codes[inverse]
-    return codes if runs is None else np.repeat(codes, runs)
+    return codes if found is None else np.repeat(codes, runs)
 
 
 def _read_csv_rows(text, header_read: bool, index: dict[str, int], append) -> int:

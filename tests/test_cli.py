@@ -518,6 +518,11 @@ class TestRunCommand:
                 0, "east"),
             lambda doc: doc["features"][0]["geometry"]["coordinates"][0][1].__setitem__(
                 0, 10**400),
+            # read by its characters, this position would be lon 1, lat 1
+            lambda doc: doc["features"][0]["geometry"]["coordinates"][0].__setitem__(
+                1, "11.35"),
+            lambda doc: doc["features"][0]["geometry"]["coordinates"][0].__setitem__(
+                1, [str(value) for value in doc["features"][0]["geometry"]["coordinates"][0][1]]),
             lambda doc: doc["features"][0]["geometry"].pop("coordinates"),
             lambda doc: doc["features"][0]["geometry"]["coordinates"][0][1].__setitem__(
                 0, float("nan")),
@@ -537,8 +542,9 @@ class TestRunCommand:
         ],
         ids=["area_m2", "households", "area_m2_null", "truncated", "feature_string",
              "features_number", "properties_list", "geometry_string", "short_position",
-             "word_in_position", "huge_integer_in_position", "no_coordinates", "nan_vertex", "inf_vertex", "lat_95_vertex",
-             "stray_vertices", "kwh_infinity", "kwh_nan"],
+             "word_in_position", "huge_integer_in_position", "string_position",
+             "numeric_string_coordinates", "no_coordinates", "nan_vertex", "inf_vertex",
+             "lat_95_vertex", "stray_vertices", "kwh_infinity", "kwh_nan"],
     )
     def test_malformed_areas_exit_2(self, tmp_path, records, corrupt):
         areas = tmp_path / "areas.geojson"

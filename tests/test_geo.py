@@ -427,8 +427,9 @@ class TestGeoJson:
     @pytest.mark.parametrize(
         "position",
         [[103.85], [], ["east", 1.35], "east", {"lon": 103.85, "lat": 1.35}, None,
-         [10**400, 1.35]],
-        ids=["one_number", "empty", "word", "string", "object", "null", "huge_integer"],
+         [10**400, 1.35], "103.85", ["103.85", "1.35"]],
+        ids=["one_number", "empty", "word", "string", "object", "null", "huge_integer",
+             "string_position", "numeric_string_coordinates"],
     )
     @pytest.mark.parametrize("where", ["one", "all"])
     def test_short_or_non_numeric_position_rejected(self, tmp_path, position, where):

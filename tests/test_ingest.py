@@ -54,16 +54,18 @@ def extract(recs, grid, cfg, stats=None):
 
 def _read_located(path):
     """``read_records_csv(path, grid=PROP_GRID)``, and the lat and lon of
-    the kept rows in file order, as the read hands them to `locate_many`."""
+    the kept rows in file order, as the read hands them to `_cell_codes`.
+    (`_cell_codes` hands `locate_many` only the first point of each run.)"""
     lats, lons = [np.empty(0)], [np.empty(0)]
+    cell_codes = ingest._cell_codes
 
     def recording(lat, lon, grid):
         lats.append(lat)
         lons.append(lon)
-        return locate_many(lat, lon, grid)
+        return cell_codes(lat, lon, grid)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "locate_many", recording)
+        mp.setattr(ingest, "_cell_codes", recording)
         records, skipped = read_records_csv(path, grid=PROP_GRID)
     return records, skipped, np.concatenate(lats), np.concatenate(lons)
 
@@ -1259,6 +1261,110 @@ def _counting_lexsort(monkeypatch) -> list:
     calls, lexsort = [], np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
     return calls
+
+
+# dates about Feb 29 of leap (2020, 2000) and non-leap (2021, 1900) years
+_RUN_DATES = ["2020-02-28", "2020-02-29", "2021-02-28", "2021-02-29", "2000-02-29",
+              "1900-02-29", "2020-09-01"]
+# points in the grid, and zeros of either sign out of it
+_RUN_PLACES = [
+    *(tuple(f"{v:.6f}" for v in PROP_GRID.cell_centroid(c)) for c in PROP_CELLS),
+    ("0.0", "0.0"), ("-0.0", "0.0"), ("0.0", "-0.0"), ("-0.0", "-0.0"),
+]
+# how a segment's line follows the one before; a malformed line, one of
+# `_RUN_BREAKS`, does not change the next
+_RUN_STEPS = ["same", "clock", "date", "date last byte", "lat last byte", "lon last byte",
+              "zone", "place", "user", "malformed"]
+_RUN_BREAKS = [(None, "short"), (1, "bad date"), (2, "x"), (3, "out of range"), (3, "minus")]
+
+
+@st.composite
+def _run_files(draw):
+    """(lines, block_bytes): the lines of a records CSV made of segments of
+    equal lines, each line following the one before by one of `_RUN_STEPS`,
+    so that dates, coordinates and ids come in runs that span segments and
+    blocks, beside lines that differ from them in one field or one byte.
+    One segment may be longer than a block."""
+    block_bytes = 1 << 20 if draw(st.integers(0, 5)) == 0 else draw(st.integers(1, 4096))
+    block_rows = block_bytes // 40 + 1  # a line is at least 40 bytes
+    uid, date, clock, zone, (lat, lon) = "u1", _RUN_DATES[0], 0, "Z", _RUN_PLACES[0]
+    n_segments = draw(st.integers(1, 10))
+    long = draw(st.integers(0, n_segments - 1))
+    lines = []
+    for i in range(n_segments):
+        step = draw(st.sampled_from(_RUN_STEPS))
+        if step == "clock":
+            clock = draw(st.integers(0, DAY_S - 1))
+        elif step == "date":
+            date = draw(st.sampled_from(_RUN_DATES))
+        elif step == "zone":
+            zone = "+08:00" if zone == "Z" else "Z"
+        elif step == "place":
+            lat, lon = draw(st.sampled_from(_RUN_PLACES))
+        elif step == "user":
+            uid = draw(st.sampled_from(["u1", "u2", "a-much-longer-user-id"]))
+        elif step.endswith("last byte"):
+            digit = str(draw(st.integers(0, 9)))
+            if step.startswith("date"):
+                date = date[:-1] + digit
+            elif step.startswith("lat"):
+                lat = lat[:-1] + digit
+            else:
+                lon = lon[:-1] + digit
+        fields = [uid, f"{date}T{clock // 3600:02d}:{clock // 60 % 60:02d}:{clock % 60:02d}{zone}",
+                  lat, lon]
+        line = ",".join(fields)
+        if step == "malformed":
+            line = _changed(fields, *draw(st.sampled_from(_RUN_BREAKS)))
+        rows = st.integers(1, 4)
+        if i == long:
+            rows = st.integers(1, block_rows) | st.integers(block_rows, block_rows * 3 // 2)
+        lines += [line] * draw(rows)
+    return lines, block_bytes
+
+
+def _run_example(first: tuple, then: tuple) -> tuple[list[str], int]:
+    """Three rows of the (date, lat, lon) `first`, three of `then`, and 1 MiB
+    blocks."""
+    line = "u,{}T08:00:00Z,{},{}".format
+    return [line(*first)] * 3 + [line(*then)] * 3, 1 << 20
+
+
+_RUN_ROW = ("2020-09-01", "1.250003", "103.700003")
+
+
+class TestRunsInTheByteScan:
+    """Runs of rows whose date, coordinates or id repeat the row before are
+    read once a run (`ingest._run_heads`), as the per-row oracle reads each
+    row of them, and located in `PROP_GRID` as it locates its pings."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_run_files())
+    @example(_run_example(_RUN_ROW, ("2020-09-02", "1.250003", "103.700003")))
+    @example(_run_example(_RUN_ROW, ("2020-09-01", "1.250004", "103.700003")))
+    @example(_run_example(_RUN_ROW, ("2020-09-01", "1.250003", "103.700004")))
+    @example(_run_example(("2020-09-01", "0.0", "0.0"), ("2020-09-01", "-0.0", "0.0")))
+    def test_read_equals_per_row_oracle(self, tmp_path, drawn):
+        lines, block_bytes = drawn
+        path = tmp_path / "records.csv"
+        path.write_text("user_id,timestamp,lat,lon\n" + "\n".join(lines) + "\n")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+            records, skipped, lat, lon = _read_located(path)
+        by_user, want_skipped = read_records_per_row(path)
+        assert (len(records), skipped) == (sum(map(len, by_user.values())), want_skipped)
+        assert records.user_ids == tuple(sorted(by_user))
+        for code, uid in enumerate(records.user_ids):
+            mine, want = records.user == code, by_user[uid]
+            assert records.t_us[mine].tolist() == [(r.timestamp - EPOCH) // _US for r in want]
+            want_lat = np.array([r.lat for r in want])
+            want_lon = np.array([r.lon for r in want])
+            assert lat[mine].tobytes() == want_lat.tobytes()
+            assert lon[mine].tobytes() == want_lon.tobytes()
+            rows, cols = locate_many(want_lat, want_lon, PROP_GRID)
+            want_cell = np.where(rows >= 0, rows * PROP_GRID.n_cols + cols, -1)
+            assert records.cell[mine].tolist() == want_cell.tolist()
 
 
 class TestUserTimeSort:
